@@ -8,9 +8,10 @@ evaluate a formula in it), ``corpus`` (replay a verdict corpus), ``compare``
 
 Exit codes follow one convention everywhere: 0 for a positive outcome
 (satisfiable, valid, all checks pass, model found), 1 for a negative one,
-2 for usage, parse or input-format errors.  Text output colors verdicts
-when attached to a terminal unless ``DOXA_COLOR=0``; ``--output json``
-prints stable machine-readable JSON with sorted keys.
+2 for usage, parse or input-format errors and for an input that cannot be
+decided (nested too deeply, or an internal engine error).  Text output
+colors verdicts when attached to a terminal unless ``DOXA_COLOR=0``;
+``--output json`` prints stable machine-readable JSON with sorted keys.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import load_corpus, run_corpus
-from .formula import Formula, render
+from .formula import Formula, agents, atoms, render
 from .models import (
+    LabeledModelSystem,
     LogicProfile,
     ModelSystem,
     PROFILES_BY_STRENGTH,
@@ -37,6 +40,7 @@ from .models import (
 from .oracle import MAX_BUDGET_WORLDS, EnumerationBudget, sat_upto
 from .parser import ParseError, format_parse_error, parse
 from .tableau import (
+    InternalVerificationError,
     SatVerdict,
     UnsatVerdict,
     decide_sat,
@@ -130,23 +134,32 @@ def cmd_check_model(args: argparse.Namespace) -> int:
         )
         return 2
     profile = LogicProfile.from_name(args.profile)
+    labeled: LabeledModelSystem | None = None
     try:
         if isinstance(raw, dict) and "labels" in raw:
             labeled = labeled_from_json_dict(raw)
             model = labeled.model
-            violations = check_model_set(labeled, profile)
         else:
             model = model_from_json_dict(raw)
-            violations = check_frame(model, profile)
     except (ValueError, TypeError, ParseError) as err:
         print(f"error: invalid model in {args.model}: {err}", file=sys.stderr)
         return 2
-    value: bool | None = None
+    f = None
     if args.formula is not None:
         f = _parse_formula(args.formula)
         if f is None:
             return 2
-        value = evaluate(model, model.designated, f)
+        # An agent the file omits has no alternatives, and the frame
+        # conditions apply to it too.
+        missing = {a.name for a in agents(f)} - set(model.alternatives)
+        model = replace(
+            model, alternatives={**model.alternatives, **dict.fromkeys(missing, frozenset())}
+        )
+    if labeled is not None:
+        violations = check_model_set(replace(labeled, model=model), profile)
+    else:
+        violations = check_frame(model, profile)
+    value = None if f is None else evaluate(model, model.designated, f)
     if args.output == "json":
         _dump_json(
             {
@@ -238,8 +251,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
         return 2
     profile = LogicProfile.from_name(args.profile)
-    from .formula import agents, atoms
-
     budget = EnumerationBudget(
         max_worlds=args.max_worlds,
         atoms=tuple(sorted(atoms(f))),
@@ -342,7 +353,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+    except RecursionError:
+        print("error: formula nested too deeply (recursion limit reached)", file=sys.stderr)
+    except InternalVerificationError as err:
+        print(f"error: internal engine error: {err}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ Each ``LogicProfile`` names a frame class:
     hintikka  serial and transitive (validating  B[a] p -> B[a] B[a] p)
     kd45      serial, transitive and euclidean
 
+``PROFILE_RULES`` is the one definition of each profile: its frame
+conditions and its propagation rules.  ``check_frame``, ``check_model_set``,
+the tableau and the oracle's frame filter all read it.
+
 These classes are nested: kd45 frames are hintikka frames, hintikka frames
 are hstar frames (a transitive world's own successors are witnesses), and
 hstar frames are kd frames.  Satisfiability therefore propagates outward
@@ -28,7 +32,9 @@ of the profile, reporting each breach as a ``Violation``.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .formula import (
     And,
@@ -204,57 +210,119 @@ def _successor_map(m: ModelSystem, agent: str) -> dict[int, set[int]]:
     return succ
 
 
+# Frame conditions.  Each takes one agent's successor sets, indexed by world,
+# and yields its breaches as (kind, worlds, message) in a fixed order;
+# ``check_frame`` reports them all and the oracle's frame filter stops at the
+# first.
+Breach = tuple[str, tuple[int, ...], str]
+
+
+def serial(succ, agent: str) -> Iterator[Breach]:
+    """Every world has an alternative."""
+    for w in range(len(succ)):
+        if not succ[w]:
+            yield "serial", (w,), f"world {w} has no {agent}-alternative"
+
+
+def a3_witness(succ, agent: str) -> Iterator[Breach]:
+    """Every world with alternatives has an alternative v whose successors
+    are among its own (the weak-introspection witness)."""
+    for w in range(len(succ)):
+        if succ[w] and not any(succ[v] <= succ[w] for v in succ[w]):
+            yield (
+                "a3-witness", (w,),
+                f"no {agent}-alternative of {w} has successors within those of {w}",
+            )
+
+
+def transitive(succ, agent: str) -> Iterator[Breach]:
+    """wRu and uRv imply wRv."""
+    seen: set[tuple[int, int]] = set()
+    for w in range(len(succ)):
+        for u in sorted(succ[w]):
+            if succ[u] <= succ[w]:
+                continue
+            for v in sorted(succ[u] - succ[w]):
+                if (w, v) not in seen:
+                    seen.add((w, v))
+                    yield "transitive", (w, v), f"missing {agent}-edge {w}->{v} (via {u})"
+
+
+def euclidean(succ, agent: str) -> Iterator[Breach]:
+    """wRu and wRv imply uRv."""
+    seen: set[tuple[int, int]] = set()
+    for w in range(len(succ)):
+        for u in sorted(succ[w]):
+            if succ[w] <= succ[u]:
+                continue
+            for v in sorted(succ[w] - succ[u]):
+                if (u, v) not in seen:
+                    seen.add((u, v))
+                    yield "euclidean", (u, v), f"missing {agent}-edge {u}->{v} (both seen from {w})"
+
+
+class ModalRule(NamedTuple):
+    """A closure condition tying a belief formula ``B[a] q``, or for a
+    ``negated`` rule ``~B[a] q``, to the a-alternatives of its world.
+
+    The formula demanded there is ``q`` when ``carries_sub``, else the
+    labeled formula itself.  An ``every`` rule demands it at every
+    alternative, any other at one.  ``message`` is the violation message,
+    with ``{agent}``, ``{w}`` and ``{v}`` filled in.
+    """
+
+    kind: str
+    negated: bool
+    carries_sub: bool
+    every: bool
+    message: str
+
+
+# The modal closure conditions, by (kind, negated, carries_sub, every, message).
+C_B = ModalRule("C.B", False, True, False, "no {agent}-alternative of {w} labels the believed formula")
+C_B_STAR = ModalRule("C.B*", False, True, True, "believed formula missing at {agent}-alternative {v}")
+C_CB = ModalRule("C.CB", False, False, False, "no {agent}-alternative of {w} labels the belief itself")
+C_BB_STAR = ModalRule("C.BB*", False, False, True, "belief not propagated to {agent}-alternative {v}")
+C_NB_STAR = ModalRule(
+    "C.~B*", True, False, True, "negated belief not propagated to {agent}-alternative {v}"
+)
+
+
+class ProfileRules(NamedTuple):
+    """What a profile demands of a model: its frame conditions, weakest
+    first, and its propagation rules, in the order they are checked and
+    fired."""
+
+    frame: tuple[Callable[..., Iterator[Breach]], ...]
+    propagation: tuple[ModalRule, ...]
+
+
+#: The one definition of each profile.  (C.B) and (C.C), which demand an
+#: alternative for every belief and every negated belief in any profile,
+#: are not listed.
+PROFILE_RULES: dict[LogicProfile, ProfileRules] = {
+    LogicProfile.KD: ProfileRules((serial,), (C_B_STAR,)),
+    LogicProfile.HSTAR: ProfileRules((serial, a3_witness), (C_B_STAR, C_CB)),
+    LogicProfile.HINTIKKA: ProfileRules((serial, transitive), (C_B_STAR, C_BB_STAR)),
+    LogicProfile.KD45: ProfileRules(
+        (serial, transitive, euclidean), (C_B_STAR, C_BB_STAR, C_NB_STAR)
+    ),
+}
+
+
+def frame_breaches(succ, agent: str, profile: LogicProfile) -> Iterator[Breach]:
+    """Breaches of ``profile``'s frame conditions by one agent's successor
+    sets ``succ``, indexed by world."""
+    for condition in PROFILE_RULES[profile].frame:
+        yield from condition(succ, agent)
+
+
 def check_frame(m: ModelSystem, profile: LogicProfile) -> list[Violation]:
     """Frame-condition violations of ``m`` for ``profile``, empty if none."""
     violations: list[Violation] = []
     for agent in sorted(m.alternatives):
-        succ = _successor_map(m, agent)
-        for w in range(m.worlds):
-            if not succ[w]:
-                violations.append(
-                    Violation("serial", (w,), None, f"world {w} has no {agent}-alternative")
-                )
-        if profile in (LogicProfile.HINTIKKA, LogicProfile.KD45):
-            seen: set[tuple[int, int]] = set()
-            for w in range(m.worlds):
-                for u in sorted(succ[w]):
-                    for v in sorted(succ[u]):
-                        if v not in succ[w] and (w, v) not in seen:
-                            seen.add((w, v))
-                            violations.append(
-                                Violation(
-                                    "transitive",
-                                    (w, v),
-                                    None,
-                                    f"missing {agent}-edge {w}->{v} (via {u})",
-                                )
-                            )
-        if profile is LogicProfile.KD45:
-            seen = set()
-            for w in range(m.worlds):
-                for u in sorted(succ[w]):
-                    for v in sorted(succ[w]):
-                        if v not in succ[u] and (u, v) not in seen:
-                            seen.add((u, v))
-                            violations.append(
-                                Violation(
-                                    "euclidean",
-                                    (u, v),
-                                    None,
-                                    f"missing {agent}-edge {u}->{v} (both seen from {w})",
-                                )
-                            )
-        if profile is LogicProfile.HSTAR:
-            for w in range(m.worlds):
-                if succ[w] and not any(succ[v] <= succ[w] for v in succ[w]):
-                    violations.append(
-                        Violation(
-                            "a3-witness",
-                            (w,),
-                            None,
-                            f"no {agent}-alternative of {w} has successors within those of {w}",
-                        )
-                    )
+        for kind, worlds, message in frame_breaches(_successor_map(m, agent), agent, profile):
+            violations.append(Violation(kind, worlds, None, message))
     return violations
 
 
@@ -265,15 +333,16 @@ def _neg_in(label: set[Formula], f: Formula) -> bool:
 def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Violation]:
     """Frame violations plus closure-condition violations of the labels.
 
-    The propositional conditions and the base modal conditions (C.B), (C.B*)
-    and (C.C) are checked for every profile.  (C.CB) is added for hstar,
-    (C.BB*) for hintikka and kd45, and (C.~B*) for kd45.  A negated belief
-    formula ~B[a] q counts as the compatibility statement C[a] ~q when (C.C)
-    looks for its witness, which is the dual-definition reading; the "C.BDef"
-    and "C.CDef" kinds never fire on desugared labels.
+    The propositional conditions and the base modal conditions (C.B) and
+    (C.C) are checked for every profile, then the profile's propagation
+    rules from ``PROFILE_RULES``.  A negated belief formula ~B[a] q counts
+    as the compatibility statement C[a] ~q when (C.C) looks for its
+    witness, which is the dual-definition reading; the "C.BDef" and "C.CDef"
+    kinds never fire on desugared labels.
     """
     m = lm.model
     violations = check_frame(m, profile)
+    rules = PROFILE_RULES[profile]
     succ_by_agent = {agent: _successor_map(m, agent) for agent in m.alternatives}
     label_sets = {w: set(lm.label(w)) for w in range(m.worlds)}
 
@@ -324,64 +393,36 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
                         )
 
         for f in lm.label(w):
-            if isinstance(f, Bel):
-                agent = f.agent.name
-                succ = succ_by_agent.get(agent, {}).get(w, set())
-                if not any(f.sub in label_sets[v] for v in succ):
-                    violations.append(
-                        Violation(
-                            "C.B", (w,), f,
-                            f"no {agent}-alternative of {w} labels the believed formula",
-                        )
+            negated = isinstance(f, Not)
+            belief = f.sub if negated else f
+            if not isinstance(belief, Bel):
+                continue
+            agent = belief.agent.name
+            succ = succ_by_agent.get(agent, {}).get(w, set())
+            if negated and not any(
+                neg(belief.sub) in label_sets[v] or Not(belief.sub) in label_sets[v]
+                for v in succ
+            ):
+                violations.append(
+                    Violation(
+                        "C.C", (w,), f,
+                        f"no {agent}-alternative of {w} labels the denied formula's negation",
                     )
-                for v in sorted(succ):
-                    if f.sub not in label_sets[v]:
-                        violations.append(
-                            Violation(
-                                "C.B*", (w, v), f,
-                                f"believed formula missing at {agent}-alternative {v}",
-                            )
-                        )
-                if profile is LogicProfile.HSTAR:
-                    if not any(f in label_sets[v] for v in succ):
-                        violations.append(
-                            Violation(
-                                "C.CB", (w,), f,
-                                f"no {agent}-alternative of {w} labels the belief itself",
-                            )
-                        )
-                if profile in (LogicProfile.HINTIKKA, LogicProfile.KD45):
+                )
+            for rule in (C_B, *rules.propagation):
+                if rule.negated != negated:
+                    continue
+                carried = f.sub if rule.carries_sub else f
+                if rule.every:
                     for v in sorted(succ):
-                        if f not in label_sets[v]:
+                        if carried not in label_sets[v]:
                             violations.append(
-                                Violation(
-                                    "C.BB*", (w, v), f,
-                                    f"belief not propagated to {agent}-alternative {v}",
-                                )
+                                Violation(rule.kind, (w, v), f, rule.message.format(agent=agent, v=v))
                             )
-            elif isinstance(f, Not) and isinstance(f.sub, Bel):
-                agent = f.sub.agent.name
-                succ = succ_by_agent.get(agent, {}).get(w, set())
-                witness = neg(f.sub.sub)
-                if not any(
-                    witness in label_sets[v] or Not(f.sub.sub) in label_sets[v]
-                    for v in succ
-                ):
+                elif not any(carried in label_sets[v] for v in succ):
                     violations.append(
-                        Violation(
-                            "C.C", (w,), f,
-                            f"no {agent}-alternative of {w} labels the denied formula's negation",
-                        )
+                        Violation(rule.kind, (w,), f, rule.message.format(agent=agent, w=w))
                     )
-                if profile is LogicProfile.KD45:
-                    for v in sorted(succ):
-                        if f not in label_sets[v]:
-                            violations.append(
-                                Violation(
-                                    "C.~B*", (w, v), f,
-                                    f"negated belief not propagated to {agent}-alternative {v}",
-                                )
-                            )
     return violations
 
 

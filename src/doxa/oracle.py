@@ -11,7 +11,8 @@ For each world count ``n``, relations are encoded as ``n*n``-bit masks with
 bit ``from_world * n + to_world`` set when the edge is present; masks ascend
 numerically, and with several agents the tuple of masks ascends
 lexicographically in budget agent order (first agent slowest).  Relation
-tuples that violate the profile's frame class are skipped.  For each
+tuples that breach a frame condition of the profile, as listed in
+``models.PROFILE_RULES``, are skipped.  For each
 surviving frame, valuations ascend as ``n * len(atoms)``-bit masks with bit
 ``world * len(atoms) + atom_index`` set when the atom holds at the world.
 The designated world is always 0.
@@ -32,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from .formula import And, Atom, Bel, Formula, Not, Or, agents, atoms, desugar
-from .models import LogicProfile, ModelSystem, evaluate
+from .models import LogicProfile, ModelSystem, evaluate, frame_breaches
 
 _NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -49,11 +50,25 @@ MAX_BUDGET_WORLDS = 5
 #:   - one world, hstar: the self-loop is its own inclusion witness, so the
 #:     same 2 models;
 #:   - two worlds, kd: each row of the relation independently picks one of
-#:     the 3 nonempty successor sets, so (2**2 - 1)**2 * 2**2 = 36 models.
+#:     the 3 nonempty successor sets, so (2**2 - 1)**2 * 2**2 = 36 models;
+#:   - two worlds, hintikka: of those 9 serial relations transitivity rules
+#:     out the swap {0->1, 1->0} (no loops) and the two where one world sees
+#:     only the other, which sees both ({0->1, 1->0, 1->1} and its mirror
+#:     image), so 6 * 2**2 = 24 models;
+#:   - two worlds, kd45: of those 6 euclidean further rules out the two where
+#:     one world sees both worlds and the other sees only itself
+#:     ({0->0, 0->1, 1->1} and its mirror image), leaving the identity, the
+#:     two relations that send both worlds to one world, and the universal
+#:     relation, so 4 * 2**2 = 16 models;
+#:   - two worlds, kd with two agents: each agent independently has the 9
+#:     serial relations, so 9**2 * 2**2 = 324 models.
 REFERENCE_COUNTS: tuple[tuple[tuple[str, int, int, int], int], ...] = (
     (("kd", 1, 1, 1), 2),
     (("hstar", 1, 1, 1), 2),
     (("kd", 2, 1, 1), 36),
+    (("hintikka", 2, 1, 1), 24),
+    (("kd45", 2, 1, 1), 16),
+    (("kd", 2, 1, 2), 324),
 )
 
 
@@ -83,30 +98,18 @@ class EnumerationBudget:
                 raise ValueError(f"duplicate {kind} names in budget")
 
 
-def _succ_sets(mask: int, n: int) -> list[set[int]]:
-    return [{v for v in range(n) if mask >> (w * n + v) & 1} for w in range(n)]
+_ROWS: dict[int, tuple[frozenset[int], ...]] = {}
 
 
-def _relation_ok(succ: list[set[int]], profile: LogicProfile) -> bool:
-    """Frame conditions on one agent's successor sets; mirrors check_frame."""
-    if any(not s for s in succ):
-        return False
-    if profile is LogicProfile.KD:
-        return True
-    if profile is LogicProfile.HSTAR:
-        return all(any(succ[v] <= succ[w] for v in succ[w]) for w in range(len(succ)))
-    # hintikka and kd45 are transitive
-    for w in range(len(succ)):
-        for u in succ[w]:
-            if not succ[u] <= succ[w]:
-                return False
-    if profile is LogicProfile.HINTIKKA:
-        return True
-    for w in range(len(succ)):
-        for u in succ[w]:
-            if not succ[w] <= succ[u]:  # euclidean given the worlds reached
-                return False
-    return True
+def _succ_sets(mask: int, n: int) -> list[frozenset[int]]:
+    """Successor set of each world under relation mask ``mask``."""
+    rows = _ROWS.get(n)
+    if rows is None:
+        rows = _ROWS[n] = tuple(
+            frozenset(v for v in range(n) if row >> v & 1) for row in range(1 << n)
+        )
+    row_mask = (1 << n) - 1
+    return [rows[mask >> (w * n) & row_mask] for w in range(n)]
 
 
 _FRAME_CACHE: dict[tuple[int, tuple[str, ...], LogicProfile], list[tuple[int, ...]]] = {}
@@ -120,7 +123,9 @@ def _frames(n: int, agent_names: tuple[str, ...], profile: LogicProfile) -> list
     if cached is not None:
         return cached
     admissible = [
-        mask for mask in range(1 << (n * n)) if _relation_ok(_succ_sets(mask, n), profile)
+        mask
+        for mask in range(1 << (n * n))
+        if next(frame_breaches(_succ_sets(mask, n), "a", profile), None) is None
     ]
     frames = [combo for combo in product(admissible, repeat=len(agent_names))]
     _FRAME_CACHE[key] = frames

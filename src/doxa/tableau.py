@@ -21,7 +21,8 @@ A negated belief ``~B[a] q`` is read as the compatibility statement
 ``C[a] ~q``; the rewrite records that reading as a trace step and the
 demand then spawns one fresh alternative containing ``~q`` per (C.C).
 
-Profiles differ only in the modal rules.  Every profile propagates believed
+Profiles differ only in the modal rules, which step 4 reads from the
+profile's row of ``models.PROFILE_RULES``.  Every profile propagates believed
 formulas into alternatives per (C.B*) and spawns a seriality witness per
 (C.B) when a believing world has no alternative.  The hstar profile adds
 the weak-introspection witness (C.CB): each believing world designates one
@@ -29,10 +30,10 @@ alternative that receives the belief formulas themselves, first trying to
 reuse an existing alternative and backtracking to a fresh witness world if
 reuse closes the branch.  The hintikka profile instead propagates beliefs
 into every alternative per (C.BB*).  The kd45 profile propagates beliefs
-and negated beliefs into every alternative, and additionally lifts beliefs
-from an alternative back to its creator; the lift is what makes every
-member of a belief cluster agree on what is believed, so that a euclidean
-model can be read off an open branch.
+and negated beliefs into every alternative.  A euclidean profile (kd45)
+additionally lifts beliefs from an alternative back to its creator; the lift
+is what makes every member of a belief cluster agree on what is believed, so
+that a euclidean model can be read off an open branch.
 
 Termination: world labels are subsets of the query's subformula closure, so
 only finitely many labels exist.  A world whose label equals the label of a
@@ -40,10 +41,10 @@ strict ancestor reached through alternatives of the same agent (the blocker
 itself being created for that agent) is never expanded; at model extraction
 its incoming edge is redirected to the blocker, yielding a finite, possibly
 cyclic model.  Extraction then completes the relations to the profile's
-frame class (seriality loops, the hstar witness fixpoint, transitive
-closure, or belief clusters) and finally re-verifies the model with
-``check_frame`` and ``evaluate``; a failed re-verification is an internal
-error, never a verdict.
+frame class, as its strongest frame condition demands (seriality loops, the
+a3-witness fixpoint, transitive closure, or euclidean belief clusters), and
+finally re-verifies the model with ``check_frame`` and ``evaluate``; a
+failed re-verification is an internal error, never a verdict.
 
 Branch exploration is depth-first and wholly deterministic: identical
 inputs yield byte-identical traces and models.  On an unsatisfiable input
@@ -70,11 +71,18 @@ from .formula import (
     subformula_closure,
 )
 from .models import (
+    C_CB,
+    PROFILE_RULES,
     LogicProfile,
+    ModalRule,
     ModelSystem,
+    a3_witness,
     check_frame,
+    euclidean,
     evaluate,
     model_to_json_dict,
+    serial,
+    transitive,
 )
 
 #: Every rule name that may appear in a proof trace.
@@ -97,6 +105,12 @@ RULES: tuple[str, ...] = (
     "C.BDef-rewrite",
     "C.~-clash",
 )
+
+
+#: Lifts a belief from an alternative back to the world that created it.
+#: Added to the propagation rules of a euclidean profile: it makes every
+#: member of a belief cluster agree on what is believed.
+_B_LIFT = ModalRule("C.B-lift", negated=False, carries_sub=False, every=True, message="")
 
 
 class InternalVerificationError(Exception):
@@ -217,6 +231,11 @@ class _Engine:
         self.query = query
         self.kernel = desugar(query)
         self.profile = profile
+        rules = PROFILE_RULES[profile]
+        self.frame = rules.frame
+        self.propagation = rules.propagation
+        if euclidean in self.frame:
+            self.propagation += (_B_LIFT,)
         self.stats = stats
         self.agent_names = sorted(a.name for a in agents(self.kernel))
         closure = subformula_closure(self.kernel)
@@ -335,50 +354,35 @@ class _Engine:
                 ):
                     return ("branch", w.id, f)
 
-        # 4. propagation
-        for agent, src, dst in state.edges:
-            source = state.worlds[src]
-            target = state.worlds[dst]
-            for f in list(source.label):
-                if isinstance(f, Bel) and f.agent.name == agent and f.sub not in target.label:
-                    self._add(state, dst, f.sub, "C.B*", (source.label[f],))
-                    return ("applied",)
-        if self.profile is LogicProfile.HSTAR:
-            for w in state.worlds:
-                for f in list(w.label):
-                    if isinstance(f, Bel) and f.agent.name in w.cb:
-                        target = state.worlds[w.cb[f.agent.name]]
-                        if f not in target.label:
-                            self._add(state, target.id, f, "C.CB", (w.label[f],))
+        # 4. propagation, rule by rule in the profile's order
+        for rule in self.propagation:
+            if not rule.every:
+                # (C.CB) goes world by world into each designated witness
+                for w in state.worlds:
+                    for f in list(w.label):
+                        if isinstance(f, Bel) and f.agent.name in w.cb:
+                            target = state.worlds[w.cb[f.agent.name]]
+                            if f not in target.label:
+                                self._add(state, target.id, f, rule.kind, (w.label[f],))
+                                return ("applied",)
+                continue
+            negated = rule.negated
+            for agent, src, dst in state.edges:
+                if rule is _B_LIFT:
+                    src, dst = dst, src
+                source = state.worlds[src]
+                target = state.worlds[dst]
+                for f in list(source.label):
+                    belief = f
+                    if negated:
+                        if not isinstance(f, Not):
+                            continue
+                        belief = f.sub
+                    if isinstance(belief, Bel) and belief.agent.name == agent:
+                        g = f.sub if rule.carries_sub else f
+                        if g not in target.label:
+                            self._add(state, dst, g, rule.kind, (source.label[f],))
                             return ("applied",)
-        if self.profile in (LogicProfile.HINTIKKA, LogicProfile.KD45):
-            for agent, src, dst in state.edges:
-                source = state.worlds[src]
-                target = state.worlds[dst]
-                for f in list(source.label):
-                    if isinstance(f, Bel) and f.agent.name == agent and f not in target.label:
-                        self._add(state, dst, f, "C.BB*", (source.label[f],))
-                        return ("applied",)
-        if self.profile is LogicProfile.KD45:
-            for agent, src, dst in state.edges:
-                source = state.worlds[src]
-                target = state.worlds[dst]
-                for f in list(source.label):
-                    if (
-                        isinstance(f, Not)
-                        and isinstance(f.sub, Bel)
-                        and f.sub.agent.name == agent
-                        and f not in target.label
-                    ):
-                        self._add(state, dst, f, "C.~B*", (source.label[f],))
-                        return ("applied",)
-            for agent, src, dst in state.edges:
-                source = state.worlds[src]
-                target = state.worlds[dst]
-                for f in list(target.label):
-                    if isinstance(f, Bel) and f.agent.name == agent and f not in source.label:
-                        self._add(state, src, f, "C.B-lift", (target.label[f],))
-                        return ("applied",)
 
         # 5. world creation (skipped while a world is blocked)
         for w in state.worlds:
@@ -390,7 +394,7 @@ class _Engine:
                 new_id = self._spawn(state, w.id, agent)
                 self._add(state, new_id, g, "C.C", (premise,))
                 return ("applied",)
-            if self.profile is LogicProfile.HSTAR:
+            if C_CB in self.propagation:
                 for agent in w.bel_agents():
                     if agent not in w.cb:
                         return ("cb", w.id, agent)
@@ -545,21 +549,24 @@ class _Engine:
         keep: list[int],
     ) -> None:
         """Grow the raw tableau relation for one agent into the profile's
-        frame class without disturbing any labeled formula's truth."""
+        frame class without disturbing any labeled formula's truth.  The
+        profile's strongest frame condition, the last of its table row,
+        decides how."""
         n = len(succ)
-        has_belief = [
-            any(isinstance(f, Bel) and f.agent.name == agent for f in labels[w])
-            for w in range(n)
-        ]
-        if self.profile is LogicProfile.KD:
+        strongest = self.frame[-1]
+        if strongest is serial:
             for w in range(n):
                 if not succ[w]:
                     succ[w].add(w)
-        elif self.profile is LogicProfile.HSTAR:
+        elif strongest is a3_witness:
             # A world with no beliefs of this agent is its own witness; a
             # believing world inherits the successors of its designated
             # witness so that the witness's successor set nests inside its
             # own.
+            has_belief = [
+                any(isinstance(f, Bel) and f.agent.name == agent for f in labels[w])
+                for w in range(n)
+            ]
             witness: dict[int, int] = {}
             for old in keep:
                 target = state.worlds[old].cb.get(agent)
@@ -579,22 +586,15 @@ class _Engine:
                     if not succ[v] <= succ[w]:
                         succ[w] |= succ[v]
                         changed = True
-        elif self.profile is LogicProfile.HINTIKKA:
-            changed = True
-            while changed:
-                changed = False
-                for w in range(n):
-                    expansion: set[int] = set()
-                    for u in succ[w]:
-                        if not succ[u] <= succ[w]:
-                            expansion |= succ[u]
-                    if expansion:
-                        succ[w] |= expansion
-                        changed = True
+        elif strongest is transitive:
+            # add the edges transitivity finds missing until none is
+            while missing := [edge for _, edge, _ in transitive(succ, agent)]:
+                for w, v in missing:
+                    succ[w].add(v)
             for w in range(n):
                 if not succ[w]:
                     succ[w].add(w)
-        else:  # KD45: each tree of alternatives collapses into one cluster
+        else:  # euclidean: each tree of alternatives collapses into one cluster
             for root in range(n):
                 if created_for[root] == agent:
                     continue

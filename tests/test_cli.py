@@ -11,6 +11,7 @@ import pytest
 
 from doxa import LogicProfile, decide_sat, model_to_json_dict, parse
 from doxa.cli import main
+from doxa.tableau import InternalVerificationError
 
 
 @pytest.fixture(autouse=True)
@@ -78,6 +79,22 @@ class TestDecide:
         _, out, _ = run_cli(capsys, "decide", "p")
         assert "\x1b[" not in out
 
+    def test_too_deep_for_the_engine_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "decide", "~" * 500 + "p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_internal_engine_error_is_not_a_verdict(self, capsys, monkeypatch):
+        def fail(f, profile):
+            raise InternalVerificationError("world count exceeded the closure bound 64")
+
+        monkeypatch.setattr("doxa.cli.decide_sat", fail)
+        code, out, err = run_cli(capsys, "decide", "p")
+        assert code == 2
+        assert out == ""
+        assert err == "error: internal engine error: world count exceeded the closure bound 64\n"
+
 
 class TestCheckModel:
     @staticmethod
@@ -113,6 +130,14 @@ class TestCheckModel:
         )
         assert code == 0
         assert out.rstrip().endswith("false")
+
+    def test_formula_agent_missing_from_file_is_checked(self, capsys, tmp_path):
+        path = self._write(tmp_path, {"worlds": 1, "alternatives": {}})
+        code, out, _ = run_cli(
+            capsys, "check-model", path, "--profile", "kd", "--formula", "B[a](p & ~p)"
+        )
+        assert code == 1
+        assert "violation: serial at w0 world 0 has no a-alternative" in out
 
     def test_serial_violation(self, capsys, tmp_path):
         path = self._write(tmp_path, {"worlds": 1, "alternatives": {"a": []}})

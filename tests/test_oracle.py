@@ -20,7 +20,7 @@ from doxa import (
     parse,
     sat_upto,
 )
-from doxa.oracle import _relation_ok, _succ_sets
+from doxa.oracle import _frames
 
 HSTAR = LogicProfile.HSTAR
 KD = LogicProfile.KD
@@ -102,19 +102,48 @@ class TestEnumeration:
             assert by_profile[smaller] <= by_profile[larger]
 
 
+def _first_order(name: str, n: int, r: set[tuple[int, int]]) -> bool:
+    """The frame conditions as first-order properties of the edge set ``r``."""
+    worlds = range(n)
+    if name == "serial":
+        return all(any((w, v) in r for v in worlds) for w in worlds)
+    if name == "transitive":
+        return all((w, v) in r for (w, u) in r for (x, v) in r if x == u)
+    if name == "euclidean":
+        return all((u, v) in r for (w, u) in r for (x, v) in r if x == w)
+    assert name == "a3-witness"
+    return all(
+        any(all((w, x) in r for (y, x) in r if y == v) for (z, v) in r if z == w)
+        for w in worlds
+        if any((w, v) in r for v in worlds)
+    )
+
+
+FIRST_ORDER_FRAMES = {
+    LogicProfile.KD: ("serial",),
+    LogicProfile.HSTAR: ("serial", "a3-witness"),
+    LogicProfile.HINTIKKA: ("serial", "transitive"),
+    LogicProfile.KD45: ("serial", "transitive", "euclidean"),
+}
+
+
 class TestRelationOk:
+    """The shared frame conditions against their first-order definitions.
+    ``check_frame`` and the oracle's frame filter read the same table, so
+    this is the independent reference for both."""
+
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_check_frame_exhaustively(self, n, profile):
+        admitted = set(_frames(n, ("a",), profile))
         for mask in range(1 << (n * n)):
-            succ = _succ_sets(mask, n)
-            edges = {(w, v) for w in range(n) for v in succ[w]}
+            edges = {(w, v) for w in range(n) for v in range(n) if mask >> (w * n + v) & 1}
             m = ModelSystem(worlds=n, designated=0, alternatives={"a": edges})
-            assert _relation_ok(succ, profile) == (check_frame(m, profile) == []), (
-                n,
-                mask,
-                profile,
-            )
+            breached = {
+                name for name in FIRST_ORDER_FRAMES[profile] if not _first_order(name, n, edges)
+            }
+            assert {v.kind for v in check_frame(m, profile)} == breached, (n, mask, profile)
+            assert ((mask,) in admitted) == (not breached), (n, mask, profile)
 
 
 class TestSatUpto:
