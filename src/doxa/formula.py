@@ -13,13 +13,17 @@ class node so that user input and proof traces can display compatibility
 statements directly.
 
 All nodes are immutable and compare structurally, so formulas can be used as
-set members and dictionary keys.
+set members and dictionary keys.  Each node computes its structural hash once,
+when it is constructed, from its children's stored hashes; ``hash`` then
+returns the stored value without recursing.  The value is the one a frozen
+dataclass would compute, ``hash`` of the tuple of the node's fields, so set
+and dictionary orders are those of plain frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 _AGENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _ATOM_RE = _AGENT_RE
@@ -40,9 +44,21 @@ class Agent:
 
 
 class Formula:
-    """Base class for formula nodes.  Rendering goes through ``render``."""
+    """Base class for formula nodes.  Rendering goes through ``render``.
 
-    __slots__ = ()
+    Every node class sets ``_hash`` in ``__post_init__`` and names this
+    ``__hash__`` in its own body; otherwise the dataclass decorator would
+    generate one that hashes the fields, recursively.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor, which stores the hash again
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self) -> str:
         return render(self)
@@ -52,14 +68,22 @@ class Formula:
 class Atom(Formula):
     name: str
 
+    __hash__ = Formula.__hash__
+
     def __post_init__(self) -> None:
         if not _ATOM_RE.match(self.name):
             raise ValueError(f"invalid atom name: {self.name!r}")
+        object.__setattr__(self, "_hash", hash((self.name,)))
 
 
 @dataclass(frozen=True, slots=True)
 class Not(Formula):
     sub: Formula
+
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.sub,)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +91,21 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
 
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
+
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,11 +113,21 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
 
 @dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
+
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,11 +135,21 @@ class Bel(Formula):
     agent: Agent
     sub: Formula
 
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.agent, self.sub)))
+
 
 @dataclass(frozen=True, slots=True)
 class Comp(Formula):
     agent: Agent
     sub: Formula
+
+    __hash__ = Formula.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.agent, self.sub)))
 
 
 # Binding strength, loosest first.  "~", "B[a]" and "C[a]" bind tightest.

@@ -46,6 +46,24 @@ a3-witness fixpoint, transitive closure, or euclidean belief clusters), and
 finally re-verifies the model with ``check_frame`` and ``evaluate``; a
 failed re-verification is an internal error, never a verdict.
 
+Incremental scanning: on a branch, labels only grow, and a rule can only
+stop applying to a label entry, never start again: what it would add stays
+in place once added.  Each world therefore keeps its label entries in
+insertion order, with one cursor each for the scans of steps 1, 2 and 3 and
+of (C.CB), and the state keeps one cursor per (propagation rule, edge).  A
+scan resumes at its cursor instead of at the first entry of the first world;
+no entry before a cursor can fire again.  The one exception is a belief that
+(C.CB) passes over while its world has no designated witness for the
+belief's agent: designating the witness resets that world's (C.CB) cursor.
+Cursors are cloned with the state at every choice point, so rules fire in
+exactly the order a full rescan after every firing would give.  Step 5 and
+the (C.CB) choice likewise read per-world records of each agent's first
+belief and first alternative instead of scanning labels and edges.
+
+A choice point copies no label: the clone shares its worlds with the state
+it was made from until it writes to one, which it copies first, and the
+trace is a linked list whose common part the two share.
+
 Branch exploration is depth-first and wholly deterministic: identical
 inputs yield byte-identical traces and models.  On an unsatisfiable input
 the reported trace is the last fully closed exploration, numbered
@@ -171,59 +189,104 @@ class ValidityVerdict:
     stats: TableauStats
 
 
+#: A branch's trace as (last step, trace before it) pairs, so that a state
+#: and its clones share the steps they have in common.
+_Trace = tuple[ProofStep, "_Trace"] | None
+
+
+def _steps(trace: _Trace) -> tuple[ProofStep, ...]:
+    steps = []
+    while trace is not None:
+        step, trace = trace
+        steps.append(step)
+    return tuple(reversed(steps))
+
+
 class _Closed(Exception):
     """Internal: the current branch closed; carries the branch trace."""
 
-    def __init__(self, trace: list[ProofStep]) -> None:
+    def __init__(self, trace: _Trace) -> None:
         super().__init__("branch closed")
         self.trace = trace
 
 
 class _World:
-    __slots__ = ("id", "parent", "label", "rewritten", "demands", "spawn_cursor", "cb")
+    __slots__ = (
+        "id", "parent", "owner", "label", "entries", "demands", "spawn_cursor", "cb",
+        "beliefs", "alternatives", "saturated", "rewritten", "branched", "witnessed",
+    )
 
-    def __init__(self, wid: int, parent: tuple[str, int] | None) -> None:
+    def __init__(self, wid: int, parent: tuple[str, int] | None, owner: object) -> None:
         self.id = wid
         self.parent = parent
+        # the token of the one state that may write to this world
+        self.owner = owner
         self.label: dict[Formula, int] = {}
-        self.rewritten: set[Formula] = set()
+        # the keys of ``label`` in insertion order, for the scan cursors
+        self.entries: list[Formula] = []
         # (agent, formula for the fresh alternative, premise step index)
         self.demands: list[tuple[str, Formula, int]] = []
         self.spawn_cursor = 0
         self.cb: dict[str, int] = {}
+        # agent -> first believed formula of that agent, in label order
+        self.beliefs: dict[str, Bel] = {}
+        # agent -> first alternative created for that agent
+        self.alternatives: dict[str, int] = {}
+        # scan cursors into ``entries`` of steps 1, 2 and 3 and of (C.CB)
+        self.saturated = 0
+        self.rewritten = 0
+        self.branched = 0
+        self.witnessed = 0
 
-    def clone(self) -> _World:
-        w = _World(self.id, self.parent)
+    def clone(self, owner: object) -> _World:
+        w = _World.__new__(_World)
+        w.id = self.id
+        w.parent = self.parent
+        w.owner = owner
         w.label = dict(self.label)
-        w.rewritten = set(self.rewritten)
+        w.entries = list(self.entries)
         w.demands = list(self.demands)
         w.spawn_cursor = self.spawn_cursor
         w.cb = dict(self.cb)
+        w.beliefs = dict(self.beliefs)
+        w.alternatives = dict(self.alternatives)
+        w.saturated = self.saturated
+        w.rewritten = self.rewritten
+        w.branched = self.branched
+        w.witnessed = self.witnessed
         return w
-
-    def bel_agents(self) -> list[str]:
-        """Agent names with a believed formula here, in label order."""
-        seen: list[str] = []
-        for f in self.label:
-            if isinstance(f, Bel) and f.agent.name not in seen:
-                seen.append(f.agent.name)
-        return seen
 
 
 class _State:
-    __slots__ = ("worlds", "edges", "trace")
+    """One branch of the search.  A clone shares its worlds with the state
+    it was cloned from, and ``own`` copies a shared world before the first
+    write to it; a state is never written to once it has been cloned."""
 
-    def __init__(self) -> None:
-        self.worlds: list[_World] = [_World(0, None)]
+    __slots__ = ("token", "worlds", "edges", "edge_cursors", "trace")
+
+    def __init__(self, rules: int) -> None:
+        self.token = object()
+        self.worlds: list[_World] = [_World(0, None, self.token)]
         self.edges: list[tuple[str, int, int]] = []
-        self.trace: list[ProofStep] = []
+        # one scan cursor per (propagation rule, edge)
+        self.edge_cursors: list[list[int]] = [[] for _ in range(rules)]
+        self.trace: _Trace = None
 
     def clone(self) -> _State:
         st = _State.__new__(_State)
-        st.worlds = [w.clone() for w in self.worlds]
+        st.token = object()
+        st.worlds = list(self.worlds)
         st.edges = list(self.edges)
-        st.trace = list(self.trace)
+        st.edge_cursors = [list(cursors) for cursors in self.edge_cursors]
+        st.trace = self.trace
         return st
+
+    def own(self, wid: int) -> _World:
+        """World ``wid``, copied first if another state shares it."""
+        w = self.worlds[wid]
+        if w.owner is not self.token:
+            w = self.worlds[wid] = w.clone(self.token)
+        return w
 
 
 class _Engine:
@@ -245,7 +308,7 @@ class _Engine:
     # search
 
     def run(self) -> ModelSystem:
-        state = _State()
+        state = _State(len(self.propagation))
         self._add(state, 0, self.kernel, "seed", ())
         return self._expand(state)
 
@@ -267,45 +330,51 @@ class _Engine:
             assert isinstance(f, Not) and isinstance(f.sub, And)
             options = ((neg(f.sub.left), "C.~&-left"), (neg(f.sub.right), "C.~&-right"))
         premise = state.worlds[wid].label[f]
-        last: _Closed | None = None
         for g, rule in options:
             sub = state.clone()
             try:
                 self._add(sub, wid, g, rule, (premise,))
                 return self._expand(sub)
             except _Closed as closed:
-                last = closed
-        assert last is not None
-        raise last
+                # keep the trace only: the exception's traceback holds the
+                # closed branch's frames, and with them its states
+                trace = closed.trace
+        raise _Closed(trace)
 
     def _explore_cb(self, state: _State, wid: int, agent: str) -> ModelSystem:
         candidates: list[int | None] = []
-        for edge_agent, src, dst in state.edges:
-            if edge_agent == agent and src == wid:
-                candidates.append(dst)
-                break
+        if agent in state.worlds[wid].alternatives:
+            candidates.append(state.worlds[wid].alternatives[agent])
         candidates.append(None)  # None means: spawn a fresh witness world
-        last: _Closed | None = None
         for candidate in candidates:
             sub = state.clone()
             if candidate is None:
-                sub.worlds[wid].cb[agent] = self._spawn(sub, wid, agent)
-            else:
-                sub.worlds[wid].cb[agent] = candidate
+                candidate = self._spawn(sub, wid, agent)
+            w = sub.own(wid)
+            w.cb[agent] = candidate
+            # the (C.CB) scan passed over this agent's beliefs: rescan them
+            w.witnessed = 0
             try:
                 return self._expand(sub)
             except _Closed as closed:
-                last = closed
-        assert last is not None
-        raise last
+                trace = closed.trace
+        raise _Closed(trace)
 
     # ------------------------------------------------------------------
     # one deterministic rule application
 
     def _step(self, state: _State) -> tuple | None:
+        # Every scan resumes at its cursor: the entries before it can never
+        # fire again (see the module docstring).
         # 1. non-branching propositional saturation
         for w in state.worlds:
-            for f in list(w.label):
+            if w.saturated == len(w.entries):
+                continue
+            w = state.own(w.id)
+            entries = w.entries
+            while w.saturated < len(entries):
+                f = entries[w.saturated]
+                w.saturated += 1
                 if isinstance(f, And):
                     if f.left not in w.label or f.right not in w.label:
                         premise = (w.label[f],)
@@ -330,9 +399,14 @@ class _Engine:
 
         # 2. negated-modal rewrites: ~B[a] q is the demand C[a] ~q
         for w in state.worlds:
-            for f in list(w.label):
-                if isinstance(f, Not) and isinstance(f.sub, Bel) and f not in w.rewritten:
-                    w.rewritten.add(f)
+            if w.rewritten == len(w.entries):
+                continue
+            w = state.own(w.id)
+            entries = w.entries
+            while w.rewritten < len(entries):
+                f = entries[w.rewritten]
+                w.rewritten += 1
+                if isinstance(f, Not) and isinstance(f.sub, Bel):
                     demanded = neg(f.sub.sub)
                     step = self._record(
                         state, w.id, Comp(f.sub.agent, demanded),
@@ -343,7 +417,13 @@ class _Engine:
 
         # 3. branching propositional rules
         for w in state.worlds:
-            for f in list(w.label):
+            if w.branched == len(w.entries):
+                continue
+            w = state.own(w.id)
+            entries = w.entries
+            while w.branched < len(entries):
+                f = entries[w.branched]
+                w.branched += 1
                 if isinstance(f, Or) and f.left not in w.label and f.right not in w.label:
                     return ("branch", w.id, f)
                 if (
@@ -355,11 +435,17 @@ class _Engine:
                     return ("branch", w.id, f)
 
         # 4. propagation, rule by rule in the profile's order
-        for rule in self.propagation:
+        for rule, cursors in zip(self.propagation, state.edge_cursors):
             if not rule.every:
                 # (C.CB) goes world by world into each designated witness
                 for w in state.worlds:
-                    for f in list(w.label):
+                    if w.witnessed == len(w.entries):
+                        continue
+                    w = state.own(w.id)
+                    entries = w.entries
+                    while w.witnessed < len(entries):
+                        f = entries[w.witnessed]
+                        w.witnessed += 1
                         if isinstance(f, Bel) and f.agent.name in w.cb:
                             target = state.worlds[w.cb[f.agent.name]]
                             if f not in target.label:
@@ -367,12 +453,15 @@ class _Engine:
                                 return ("applied",)
                 continue
             negated = rule.negated
-            for agent, src, dst in state.edges:
+            for e, (agent, src, dst) in enumerate(state.edges):
                 if rule is _B_LIFT:
                     src, dst = dst, src
                 source = state.worlds[src]
                 target = state.worlds[dst]
-                for f in list(source.label):
+                entries = source.entries
+                while cursors[e] < len(entries):
+                    f = entries[cursors[e]]
+                    cursors[e] += 1
                     belief = f
                     if negated:
                         if not isinstance(f, Not):
@@ -384,29 +473,28 @@ class _Engine:
                             self._add(state, dst, g, rule.kind, (source.label[f],))
                             return ("applied",)
 
-        # 5. world creation (skipped while a world is blocked)
+        # 5. world creation (skipped while a world is blocked); only a world
+        # with something left to create is tested for blocking
+        witnesses = C_CB in self.propagation
         for w in state.worlds:
-            if self._blocker(state, w) is not None:
+            demand = w.spawn_cursor < len(w.demands)
+            unwitnessed = [a for a in w.beliefs if a not in w.cb] if witnesses else []
+            unserved = [a for a in w.beliefs if a not in w.alternatives]
+            if not (demand or unwitnessed or unserved) or self._blocker(state, w) is not None:
                 continue
-            if w.spawn_cursor < len(w.demands):
+            if demand:
+                w = state.own(w.id)
                 agent, g, premise = w.demands[w.spawn_cursor]
                 w.spawn_cursor += 1
                 new_id = self._spawn(state, w.id, agent)
                 self._add(state, new_id, g, "C.C", (premise,))
                 return ("applied",)
-            if C_CB in self.propagation:
-                for agent in w.bel_agents():
-                    if agent not in w.cb:
-                        return ("cb", w.id, agent)
-            for agent in w.bel_agents():
-                if not any(e[0] == agent and e[1] == w.id for e in state.edges):
-                    first = next(
-                        f for f in w.label
-                        if isinstance(f, Bel) and f.agent.name == agent
-                    )
-                    new_id = self._spawn(state, w.id, agent)
-                    self._add(state, new_id, first.sub, "C.B", (w.label[first],))
-                    return ("applied",)
+            if unwitnessed:
+                return ("cb", w.id, unwitnessed[0])
+            first = w.beliefs[unserved[0]]
+            new_id = self._spawn(state, w.id, unserved[0])
+            self._add(state, new_id, first.sub, "C.B", (w.label[first],))
+            return ("applied",)
         return None
 
     # ------------------------------------------------------------------
@@ -415,18 +503,21 @@ class _Engine:
     def _record(
         self, state: _State, wid: int, f: Formula, rule: str, premises: tuple[int, ...]
     ) -> int:
-        index = len(state.trace) + 1
-        state.trace.append(ProofStep(index, f"w{wid}", f, rule, premises))
+        index = state.trace[0].i + 1 if state.trace else 1
+        state.trace = (ProofStep(index, f"w{wid}", f, rule, premises), state.trace)
         self.stats.rules_fired += 1
         return index
 
     def _add(
         self, state: _State, wid: int, f: Formula, rule: str, premises: tuple[int, ...]
     ) -> None:
-        w = state.worlds[wid]
-        if f in w.label:
+        if f in state.worlds[wid].label:
             return
+        w = state.own(wid)
         w.label[f] = self._record(state, wid, f, rule, premises)
+        w.entries.append(f)
+        if isinstance(f, Bel) and f.agent.name not in w.beliefs:
+            w.beliefs[f.agent.name] = f
         if isinstance(f, Not) and f.sub in w.label:
             positive = f.sub
         elif Not(f) in w.label:
@@ -439,8 +530,11 @@ class _Engine:
 
     def _spawn(self, state: _State, parent: int, agent: str) -> int:
         new_id = len(state.worlds)
-        state.worlds.append(_World(new_id, (agent, parent)))
+        state.worlds.append(_World(new_id, (agent, parent), state.token))
+        state.own(parent).alternatives.setdefault(agent, new_id)
         state.edges.append((agent, parent, new_id))
+        for cursors in state.edge_cursors:
+            cursors.append(0)
         self.stats.worlds_created += 1
         if len(state.worlds) > self.world_bound:
             raise InternalVerificationError(
@@ -456,10 +550,10 @@ class _Engine:
         if w.parent is None:
             return None
         agent = w.parent[0]
-        keys = set(w.label)
+        keys = w.label.keys()
         current = state.worlds[w.parent[1]]
         while current.parent is not None and current.parent[0] == agent:
-            if set(current.label) == keys:
+            if current.label.keys() == keys:
                 return current
             current = state.worlds[current.parent[1]]
         return None
@@ -563,10 +657,7 @@ class _Engine:
             # believing world inherits the successors of its designated
             # witness so that the witness's successor set nests inside its
             # own.
-            has_belief = [
-                any(isinstance(f, Bel) and f.agent.name == agent for f in labels[w])
-                for w in range(n)
-            ]
+            has_belief = [agent in state.worlds[old].beliefs for old in keep]
             witness: dict[int, int] = {}
             for old in keep:
                 target = state.worlds[old].cb.get(agent)
@@ -626,7 +717,7 @@ def decide_sat(f: Formula, profile: LogicProfile) -> SatVerdict | UnsatVerdict:
     try:
         model = engine.run()
     except _Closed as closed:
-        return UnsatVerdict(trace=tuple(closed.trace), stats=stats)
+        return UnsatVerdict(trace=_steps(closed.trace), stats=stats)
     return SatVerdict(model=model, stats=stats)
 
 

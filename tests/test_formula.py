@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +162,16 @@ class TestStructure:
     def test_closure_is_linear_in_size(self):
         f = desugar(Bel(A, And(P, Not(Bel(A, P)))))
         assert len(subformula_closure(f)) <= 2 * node_count(f)
+
+    @given(formulas_st)
+    def test_stored_hash_is_the_hash_of_the_fields(self, f):
+        fields = tuple(getattr(f, x.name) for x in dataclasses.fields(f))
+        assert hash(f) == hash(fields)
+
+    @given(formulas_st)
+    def test_copies_keep_equality_and_hash(self, f):
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f)
 
 
 class TestNameValidation:

@@ -90,6 +90,10 @@ class TestVerdicts:
         assert decide_sat(parse("p"), KD).is_sat is True
         assert decide_sat(parse("p & ~p"), KD).is_sat is False
 
+    def test_deeply_nested_negations_decide(self):
+        # hashing a node no longer recurses into its children
+        assert sat("~" * 500 + "p", KD) is True
+
 
 class TestSatModels:
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
@@ -271,16 +275,35 @@ def _digest(verdicts) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _work(verdict) -> tuple[int, int, int]:
+    stats = verdict.stats
+    return (stats.rules_fired, stats.worlds_created, stats.blocks_applied)
+
+
+def _work_digest(verdicts) -> str:
+    payload = json.dumps([_work(v) for v in verdicts])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 class TestPinnedVerdicts:
     """sha256 of the verdict JSON of seeded suites, so that a change to the
     rule order, the relation completion or the model layout cannot alter a
-    verdict, a trace or a model without failing here."""
+    verdict, a trace or a model without failing here.  The work counts of
+    every verdict are pinned beside it: a rule fired in another order, or a
+    rule application skipped, changes them even where the verdict JSON
+    stays the same."""
 
     SUITE = {
         KD45: "126bf28a21ffec21e87a9e411d47d9022348ac7191351fa46f16cb34b878df6b",
         HINTIKKA: "6554834c34ebd8b4e44d0d8ea2d5f74a1e82b81cb4c89b7c2f7e3185976e72e3",
         HSTAR: "c175059c857e6d8ea06e7e8b57be8d661d9ca8eb0b247e98275a3676fc9b9e8b",
         KD: "bec8ceda191918d8f12fb537fbdfc80ebc39a34526a6d8c528775c76dab45ec7",
+    }
+    SUITE_WORK = {
+        KD45: "b32474665c9cebe4e1921c56689b0fc6a4678e1589943583b90f8f7a9943566d",
+        HINTIKKA: "64e78f83bf049665a40f277a4b337a9710c52950eac0421132dda9c989acce1f",
+        HSTAR: "ebf548f39d2ac6e57e62cd0903c85ce2367f893131e2222b113ba1c264314109",
+        KD: "d2fa88858d48d49ca9963277d1fe0e7db806fce88efb0f0c4e12c2c9a64312b1",
     }
     # kd45 is left out: some 2-agent formulas of this seed overrun the
     # engine's world bound or its recursion depth.
@@ -289,10 +312,17 @@ class TestPinnedVerdicts:
         HSTAR: "ce0e5059795ace0a5c519eff16cf4b7b8cbb79053e64523ed0fc6166aff9264d",
         KD: "d1a7eed871e7bd24afbb03c738ff87a8dd700abc069230f5c36935b6861464a7",
     }
+    TWO_AGENT_WORK = {
+        HINTIKKA: "edf593db95a72d83ae4084720321fc3fa17e3acb72056ff6468255547c25239b",
+        HSTAR: "cbb7534d7531e9d8e224e6685dd1c736c4990bfb7021db1543825e17c4c76e7d",
+        KD: "133ae7dbbe51770bd08607b5ffdf05b9a8afc070a54672fba1e806777bf4a5c7",
+    }
 
     def test_random_suite(self, suite_verdicts):
         digests = {p: _digest(suite_verdicts[p]) for p in PROFILES_BY_STRENGTH}
         assert digests == self.SUITE
+        work = {p: _work_digest(suite_verdicts[p]) for p in PROFILES_BY_STRENGTH}
+        assert work == self.SUITE_WORK
 
     def test_two_atoms_two_agents(self):
         rng = random.Random(20240917)
@@ -300,5 +330,41 @@ class TestPinnedVerdicts:
             random_formula(rng, depth=4, atom_names=("p", "q"), agent_names=("a", "b"))
             for _ in range(200)
         ]
-        digests = {p: _digest(decide_sat(f, p) for f in formulas) for p in self.TWO_AGENT}
-        assert digests == self.TWO_AGENT
+        verdicts = {p: [decide_sat(f, p) for f in formulas] for p in self.TWO_AGENT}
+        assert {p: _digest(verdicts[p]) for p in self.TWO_AGENT} == self.TWO_AGENT
+        work = {p: _work_digest(verdicts[p]) for p in self.TWO_AGENT}
+        assert work == self.TWO_AGENT_WORK
+
+
+def _compat(n: int) -> str:
+    return " & ".join(f"C[a] p{i}" for i in range(n)) + " & B[a] q"
+
+
+def _nest(n: int) -> str:
+    return "B[a] " * n + "p & " + "C[a] " * n + "~p"
+
+
+def _prop(n: int) -> str:
+    pairs = [f"(x{i} | y{i}) & (~x{i} | ~y{i})" for i in range(n)]
+    return " & ".join(pairs) + " & (x0 <-> y0)"
+
+
+class TestPinnedWork:
+    """Exact (rules fired, worlds created, blocks applied) on rows of the
+    scaling families, which exercise blocking, (C.CB) backtracking, the
+    euclidean lift and deep propositional branching."""
+
+    @pytest.mark.parametrize(
+        ("text", "profile", "expect_sat", "work"),
+        [
+            (_compat(3), KD45, True, (442, 48, 33)),
+            (_nest(6), KD45, False, (237, 16, 0)),
+            (_nest(6), HSTAR, False, (864, 192, 0)),
+            (_prop(8), KD, False, (3105, 0, 0)),
+            (_compat(12), HINTIKKA, True, (121, 36, 12)),
+        ],
+    )
+    def test_work_counts(self, text, profile, expect_sat, work):
+        verdict = decide_sat(parse(text), profile)
+        assert verdict.is_sat is expect_sat
+        assert _work(verdict) == work
