@@ -179,14 +179,6 @@ def _render_child(child: Formula, min_prec: int) -> str:
     return text
 
 
-def _render_unary(op: str, sub: Formula) -> str:
-    # Prefix operators attach parentheses directly: "~(p & q)", "B[a](p | q)".
-    if _precedence(sub) < _PREC_UNARY:
-        return f"{op}({render(sub)})"
-    joiner = "" if op == "~" else " "
-    return f"{op}{joiner}{render(sub)}"
-
-
 def render(f: Formula) -> str:
     """Render ``f`` with the minimum parentheses that survive re-parsing.
 
@@ -196,12 +188,24 @@ def render(f: Formula) -> str:
     """
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return _render_unary("~", f.sub)
-    if isinstance(f, Bel):
-        return _render_unary(f"B[{f.agent.name}]", f.sub)
-    if isinstance(f, Comp):
-        return _render_unary(f"C[{f.agent.name}]", f.sub)
+    if isinstance(f, (Not, Bel, Comp)):
+        # A chain of prefix operators renders in a loop, so its length is
+        # not bounded by the recursion limit.
+        prefix = ""
+        while True:
+            if isinstance(f, Not):
+                prefix += "~"
+            elif isinstance(f, Bel):
+                prefix += f"B[{f.agent.name}] "
+            elif isinstance(f, Comp):
+                prefix += f"C[{f.agent.name}] "
+            else:
+                break
+            f = f.sub
+        if isinstance(f, Atom):
+            return prefix + f.name
+        # Prefix operators attach parentheses directly: "~(p & q)", "B[a](p | q)".
+        return f"{prefix.rstrip()}({render(f)})"
     if isinstance(f, And):
         return f"{_render_child(f.left, _PREC_AND)} & {_render_child(f.right, _PREC_AND + 1)}"
     if isinstance(f, Or):

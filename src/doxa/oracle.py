@@ -12,16 +12,22 @@ bit ``from_world * n + to_world`` set when the edge is present; masks ascend
 numerically, and with several agents the tuple of masks ascends
 lexicographically in budget agent order (first agent slowest).  Relation
 tuples that breach a frame condition of the profile, as listed in
-``models.PROFILE_RULES``, are skipped.  For each
-surviving frame, valuations ascend as ``n * len(atoms)``-bit masks with bit
+``models.PROFILE_RULES``, are skipped.  For each surviving frame,
+valuations ascend as ``n * len(atoms)``-bit masks with bit
 ``world * len(atoms) + atom_index`` set when the atom holds at the world.
 The designated world is always 0.
 
 ``sat_upto`` answers "is there a model within this budget", which is only a
 lower bound: ``None`` means no model that small exists, not that the
-formula is unsatisfiable.  With a single agent the scan is vectorized with
-numpy over all frames and valuations at once, in an order-faithful way, and
-any hit is re-verified with the reference evaluator before being returned.
+formula is unsatisfiable.  It is one numpy scan for any agent count.  Per
+world count it caches a reach tensor of the m admissible masks of one
+agent; frame ``i < m**k`` of a k-agent budget gives the agent at position
+``pos`` the mask ``(i // m**(k-1-pos)) % m``, which is the order above.
+Frames go through in chunks of at most ``CHUNK_CELLS`` booleans per truth
+array, so memory is bounded by the formula, not by the frame count.  The
+first hit of a chunk is the first in enumeration order; it is rebuilt and
+re-verified with the reference evaluator.  numpy is imported on the first
+call, not with the package.
 """
 
 from __future__ import annotations
@@ -29,11 +35,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .formula import And, Atom, Bel, Formula, Not, Or, agents, atoms, desugar
 from .models import LogicProfile, ModelSystem, evaluate, frame_breaches
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -112,43 +120,39 @@ def _succ_sets(mask: int, n: int) -> list[frozenset[int]]:
     return [rows[mask >> (w * n) & row_mask] for w in range(n)]
 
 
-_FRAME_CACHE: dict[tuple[int, tuple[str, ...], LogicProfile], list[tuple[int, ...]]] = {}
-_REACH_CACHE: dict[tuple[int, tuple[str, ...], LogicProfile], np.ndarray] = {}
+#: Most (world, frame, valuation) booleans in one truth array of ``sat_upto``;
+#: a chunk holds at least one frame, with all its valuations.
+CHUNK_CELLS = 1 << 20
+
+_MASK_CACHE: dict[tuple[int, LogicProfile], list[int]] = {}
+_REACH_CACHE: dict[tuple[int, LogicProfile], np.ndarray] = {}
 
 
-def _frames(n: int, agent_names: tuple[str, ...], profile: LogicProfile) -> list[tuple[int, ...]]:
-    """All admissible relation-mask tuples for ``n`` worlds, in order."""
-    key = (n, agent_names, profile)
-    cached = _FRAME_CACHE.get(key)
-    if cached is not None:
-        return cached
-    admissible = [
-        mask
-        for mask in range(1 << (n * n))
-        if next(frame_breaches(_succ_sets(mask, n), "a", profile), None) is None
-    ]
-    frames = [combo for combo in product(admissible, repeat=len(agent_names))]
-    _FRAME_CACHE[key] = frames
-    return frames
+def _frames(n: int, profile: LogicProfile) -> list[int]:
+    """Admissible relation masks of one agent on ``n`` worlds, ascending."""
+    key = (n, profile)
+    cached = _MASK_CACHE.get(key)
+    if cached is None:
+        cached = _MASK_CACHE[key] = [
+            mask
+            for mask in range(1 << (n * n))
+            if next(frame_breaches(_succ_sets(mask, n), "a", profile), None) is None
+        ]
+    return cached
 
 
-def _reach_tensor(
-    n: int, agent_names: tuple[str, ...], profile: LogicProfile
-) -> np.ndarray:
-    """Boolean (frames, worlds, worlds) adjacency for single-agent budgets."""
-    key = (n, agent_names, profile)
+def _reach_tensor(n: int, profile: LogicProfile) -> np.ndarray:
+    """Boolean (worlds, worlds, masks, 1) array of the admissible masks, true
+    at ``[w, u, i]`` when world u is *not* an alternative of w under mask i."""
+    import numpy as np
+
+    key = (n, profile)
     cached = _REACH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    frames = _frames(n, agent_names, profile)
-    if agent_names:
-        masks = np.asarray([frame[0] for frame in frames], dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n * n, dtype=np.int64)) & 1
-        reach = bits.astype(bool).reshape(len(frames), n, n)
-    else:
-        reach = np.zeros((len(frames), n, n), dtype=bool)
-    _REACH_CACHE[key] = reach
-    return reach
+    if cached is None:
+        masks = np.asarray(_frames(n, profile), dtype=np.int64)
+        bits = (masks[None, :] >> np.arange(n * n, dtype=np.int64)[:, None]) & 1
+        cached = _REACH_CACHE[key] = (bits == 0).reshape(n, n, len(masks), 1)
+    return cached
 
 
 def _build_model(
@@ -176,7 +180,7 @@ def _build_model(
 def enumerate_models(budget: EnumerationBudget, profile: LogicProfile):
     """Yield every model in the budget, smallest first, in canonical order."""
     for n in range(1, budget.max_worlds + 1):
-        for frame in _frames(n, budget.agents, profile):
+        for frame in product(_frames(n, profile), repeat=len(budget.agents)):
             for vmask in range(1 << (n * len(budget.atoms))):
                 yield _build_model(n, frame, vmask, budget)
 
@@ -193,15 +197,14 @@ def _check_vocabulary(f: Formula, budget: EnumerationBudget) -> None:
 def _vector_truth(
     f: Formula,
     atom_truth: dict[str, np.ndarray],
-    reach: np.ndarray,
-    n: int,
+    unreach: dict[str, np.ndarray],
     memo: dict[Formula, np.ndarray],
 ) -> np.ndarray:
-    """Truth table of ``f`` as a (frames, valuations, worlds) bool array.
+    """Truth table of ``f`` as a (worlds, frames, valuations) bool array, or
+    one with a single frame where it is the same in every frame.
 
-    ``reach[k, w, u]`` says world u is an alternative of w in frame k; the
-    formula must already be desugared and mention at most one agent, the one
-    ``reach`` describes.
+    ``unreach[agent][w, u, k]`` says world u is not an alternative of w for
+    that agent in frame k; the formula must already be desugared.
     """
     hit = memo.get(f)
     if hit is not None:
@@ -209,59 +212,22 @@ def _vector_truth(
     if isinstance(f, Atom):
         out = atom_truth[f.name]
     elif isinstance(f, Not):
-        out = ~_vector_truth(f.sub, atom_truth, reach, n, memo)
-    elif isinstance(f, And):
-        out = _vector_truth(f.left, atom_truth, reach, n, memo) & _vector_truth(
-            f.right, atom_truth, reach, n, memo
-        )
-    elif isinstance(f, Or):
-        out = _vector_truth(f.left, atom_truth, reach, n, memo) | _vector_truth(
-            f.right, atom_truth, reach, n, memo
-        )
+        out = ~_vector_truth(f.sub, atom_truth, unreach, memo)
+    elif isinstance(f, (And, Or)):
+        left = _vector_truth(f.left, atom_truth, unreach, memo)
+        right = _vector_truth(f.right, atom_truth, unreach, memo)
+        out = left & right if isinstance(f, And) else left | right
     elif isinstance(f, Bel):
-        sub = _vector_truth(f.sub, atom_truth, reach, n, memo)
-        out = np.empty_like(sub)
-        for w in range(n):
-            # true at w iff sub holds at every alternative of w
-            out[:, :, w] = (sub | ~reach[:, None, w, :]).all(axis=2)
+        sub = _vector_truth(f.sub, atom_truth, unreach, memo)
+        blocked = unreach[f.agent.name]
+        # true at w iff sub holds at every alternative u of w
+        out = sub[0] | blocked[:, 0]
+        for u in range(1, len(sub)):
+            out &= sub[u] | blocked[:, u]
     else:  # pragma: no cover - desugar removes Implies/Iff/Comp
         raise TypeError(f"unexpected connective {type(f).__name__}")
     memo[f] = out
     return out
-
-
-def _sat_upto_vectorized(
-    kernel: Formula, budget: EnumerationBudget, profile: LogicProfile
-) -> ModelSystem | None:
-    width = len(budget.atoms)
-    for n in range(1, budget.max_worlds + 1):
-        frames = _frames(n, budget.agents, profile)
-        if not frames:
-            continue
-        num_frames = len(frames)
-        num_vals = 1 << (n * width)
-        reach = _reach_tensor(n, budget.agents, profile)
-        vmasks = np.arange(num_vals, dtype=np.int64)
-        atom_truth = {
-            name: np.broadcast_to(
-                ((vmasks[:, None] >> (np.arange(n) * width + j)) & 1).astype(bool),
-                (num_frames, num_vals, n),
-            )
-            for j, name in enumerate(budget.atoms)
-        }
-        memo: dict[Formula, np.ndarray] = {}
-        truth = _vector_truth(kernel, atom_truth, reach, n, memo)
-        hits = truth[:, :, 0]
-        if hits.any():
-            flat = int(np.argmax(hits.reshape(-1)))
-            frame_index, vmask = divmod(flat, num_vals)
-            model = _build_model(n, frames[frame_index], vmask, budget)
-            if not evaluate(model, 0, kernel):
-                raise RuntimeError(
-                    "vectorized evaluation disagreed with the reference evaluator"
-                )
-            return model
-    return None
 
 
 def sat_upto(
@@ -273,11 +239,45 @@ def sat_upto(
     unsatisfiability proof.  The result is identical to scanning
     ``enumerate_models`` and returning the first satisfying model.
     """
+    import numpy as np
+
     _check_vocabulary(f, budget)
     kernel = desugar(f)
-    if len(budget.agents) <= 1:
-        return _sat_upto_vectorized(kernel, budget, profile)
-    for model in enumerate_models(budget, profile):
-        if evaluate(model, 0, kernel):
-            return model
+    width = len(budget.atoms)
+    k = len(budget.agents)
+    for n in range(1, budget.max_worlds + 1):
+        masks = _frames(n, profile) if k else []
+        m = len(masks)
+        num_frames = m**k  # 0**0 == 1: without agents the one frame is ()
+        strides = [m ** (k - 1 - pos) for pos in range(k)]
+        num_vals = 1 << (n * width)
+        vmasks = np.arange(num_vals, dtype=np.int64)
+        shifts = np.arange(n, dtype=np.int64)[:, None, None] * width
+        # (worlds, 1, valuations): an atom's truth is the same in every frame
+        atom_truth = {
+            name: (vmasks >> (shifts + j) & 1).astype(bool) for j, name in enumerate(budget.atoms)
+        }
+        tensor = _reach_tensor(n, profile) if k else None
+        step = max(1, CHUNK_CELLS // (num_vals * n))
+        for start in range(0, num_frames, step):
+            stop = min(start + step, num_frames)
+            if k == 1:  # a view: one agent copies no reach array
+                unreach = {budget.agents[0]: tensor[:, :, start:stop]}
+            else:
+                index = np.arange(start, stop)
+                unreach = {
+                    agent: tensor[:, :, index // stride % m]
+                    for agent, stride in zip(budget.agents, strides)
+                }
+            hits = _vector_truth(kernel, atom_truth, unreach, {})[0]
+            if hits.any():
+                offset, vmask = divmod(int(np.argmax(hits.reshape(-1))), num_vals)
+                index = start + offset
+                frame = tuple(masks[index // stride % m] for stride in strides)
+                model = _build_model(n, frame, vmask, budget)
+                if not evaluate(model, 0, kernel):
+                    raise RuntimeError(
+                        "vectorized evaluation disagreed with the reference evaluator"
+                    )
+                return model
     return None

@@ -79,8 +79,13 @@ class TestDecide:
         _, out, _ = run_cli(capsys, "decide", "p")
         assert "\x1b[" not in out
 
+    def test_deeply_nested_negations_print_their_verdict(self, capsys):
+        code, out, _ = run_cli(capsys, "decide", "~" * 500 + "p")
+        assert code == 0
+        assert out.startswith("SAT  " + "~" * 500 + "p  [hstar]")
+
     def test_too_deep_for_the_engine_is_an_input_error(self, capsys):
-        code, out, err = run_cli(capsys, "decide", "~" * 500 + "p")
+        code, out, err = run_cli(capsys, "decide", "~" * 5000 + "p")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -320,6 +325,15 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "SAT" in proc.stdout
+
+    def test_numpy_loads_only_with_the_oracle(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import doxa, doxa.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(shutil.which("doxa") is None, reason="script not on PATH")
     def test_console_script(self):
