@@ -17,7 +17,8 @@ set members and dictionary keys.  Each node computes its structural hash once,
 when it is constructed, from its children's stored hashes; ``hash`` then
 returns the stored value without recursing.  The value is the one a frozen
 dataclass would compute, ``hash`` of the tuple of the node's fields, so set
-and dictionary orders are those of plain frozen dataclasses.
+and dictionary orders are those of plain frozen dataclasses.  ``==`` walks
+both trees with an explicit stack, so neither depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -46,15 +47,48 @@ class Agent:
 class Formula:
     """Base class for formula nodes.  Rendering goes through ``render``.
 
-    Every node class sets ``_hash`` in ``__post_init__`` and names this
-    ``__hash__`` in its own body; otherwise the dataclass decorator would
-    generate one that hashes the fields, recursively.
+    Every node class sets ``_hash`` in ``__post_init__`` and is declared
+    with ``eq=False``, so that it inherits ``__eq__`` and ``__hash__`` from
+    here instead of the recursive ones the dataclass decorator generates.
     """
 
     __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        # pairs of nodes of one type still to compare; atoms and negations,
+        # by far the most compared, take the short paths
+        pending = [(self, other)]
+        while pending:
+            f, g = pending.pop()
+            if f._hash != g._hash:
+                return False
+            if type(f) is Atom:
+                if f.name != g.name:
+                    return False
+            elif type(f) is Not:
+                if f.sub is not g.sub:
+                    if type(f.sub) is not type(g.sub):
+                        return False
+                    pending.append((f.sub, g.sub))
+            else:
+                for name in f.__match_args__:
+                    a, b = getattr(f, name), getattr(g, name)
+                    if a is b:
+                        continue
+                    if type(a) is not type(b):
+                        return False
+                    if isinstance(a, Formula):
+                        pending.append((a, b))
+                    elif a != b:
+                        return False
+        return True
 
     def __reduce__(self):
         # rebuild through the constructor, which stores the hash again
@@ -64,11 +98,9 @@ class Formula:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
     name: str
-
-    __hash__ = Formula.__hash__
 
     def __post_init__(self) -> None:
         if not _ATOM_RE.match(self.name):
@@ -76,77 +108,63 @@ class Atom(Formula):
         object.__setattr__(self, "_hash", hash((self.name,)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
     sub: Formula
-
-    __hash__ = Formula.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.sub,)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
-    __hash__ = Formula.__hash__
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
-    __hash__ = Formula.__hash__
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
-    __hash__ = Formula.__hash__
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
-    __hash__ = Formula.__hash__
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bel(Formula):
     agent: Agent
     sub: Formula
-
-    __hash__ = Formula.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.agent, self.sub)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Comp(Formula):
     agent: Agent
     sub: Formula
-
-    __hash__ = Formula.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.agent, self.sub)))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .formula import Agent, And, Atom, Bel, Comp, Formula, Iff, Implies, Not, Or
 
@@ -149,15 +150,18 @@ class _Parser:
         return f
 
     def parse_unary(self) -> Formula:
+        # A chain of prefix operators is read in a loop, so its length is
+        # not bounded by the recursion limit.
+        prefixes = []
         tok = self.peek()
-        if tok.kind == "~":
+        while tok.kind in ("~", "modal"):
             self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "modal":
-            self.advance()
-            agent = self.parse_agent_bracket(tok)
-            sub = self.parse_unary()
-            return Bel(agent, sub) if tok.text == "B" else Comp(agent, sub)
+            if tok.kind == "~":
+                prefixes.append(Not)
+            else:
+                agent = self.parse_agent_bracket(tok)
+                prefixes.append(partial(Bel if tok.text == "B" else Comp, agent))
+            tok = self.peek()
         if tok.kind == "(":
             self.advance()
             f = self.parse_iff()
@@ -167,11 +171,14 @@ class _Parser:
                     "unbalanced parenthesis", SourceSpan(tok.start, closing.end)
                 )
             self.advance()
-            return f
-        if tok.kind == "ident":
+        elif tok.kind == "ident":
             self.advance()
-            return Atom(tok.text)
-        raise ParseError("missing operand", tok.span)
+            f = Atom(tok.text)
+        else:
+            raise ParseError("missing operand", tok.span)
+        while prefixes:
+            f = prefixes.pop()(f)
+        return f
 
     def parse_agent_bracket(self, modal: _Token) -> Agent:
         opening = self.peek()

@@ -27,7 +27,7 @@ formulas into alternatives per (C.B*) and spawns a seriality witness per
 (C.B) when a believing world has no alternative.  The hstar profile adds
 the weak-introspection witness (C.CB): each believing world designates one
 alternative that receives the belief formulas themselves, first trying to
-reuse an existing alternative and backtracking to a fresh witness world if
+reuse an existing alternative and falling back to a fresh witness world if
 reuse closes the branch.  The hintikka profile instead propagates beliefs
 into every alternative per (C.BB*).  The kd45 profile propagates beliefs
 and negated beliefs into every alternative.  A euclidean profile (kd45)
@@ -64,10 +64,56 @@ A choice point copies no label: the clone shares its worlds with the state
 it was made from until it writes to one, which it copies first, and the
 trace is a linked list whose common part the two share.
 
+Dependency-directed backjumping (Horrocks & Patel-Schneider, "Optimizing
+description logic subsumption", J. Logic Comput. 9(3), 1999): a choice
+point is a (C.v)/(C.~&) branch or a (C.CB) choice between reusing an
+alternative and spawning a fresh witness, and the choice points open on a
+branch are numbered by depth.  Every label entry, demand, edge and witness
+designation carries a dependency set, an int bitset whose bit d stands for
+the choice point at depth d:
+
+    - the seed has the empty set;
+    - an entry made by (C.&), (C.~~) or (C.~v), and the demand that
+      (C.BDef-rewrite) records, takes its premise's set; an entry made by
+      (C.C) or (C.B), and the edge to its new world, take the set of the
+      demand or belief;
+    - a branch alternative at choice d takes its premise's set plus d;
+    - (C.B*), (C.BB*), (C.~B*) and (C.B-lift) give the target entry the
+      source entry's set plus the edge's;
+    - a (C.CB) witness designated at choice d has d plus the set of its edge
+      (just d for a fresh witness), and (C.CB) adds that to the set of each
+      belief it sends there;
+    - a clash closes the branch with the union of its two entries' sets.
+
+At choice point d, the first alternative whose closing set lacks d closes
+the choice point at once with that set, and the remaining alternatives are
+skipped; if every alternative closes with d in its set, the choice point
+closes with the union of their sets minus d.  A set lacking d names only
+choices made before d, which every alternative of d shares, and the rules
+that derived the clash fire in each of them again, so each skipped
+alternative would have closed.  Three decisions read an absence, and each
+still closes the skipped alternatives:
+
+    - blocking: a blocked world's label equals its blocker's, so whatever
+      closes below one closes below the other;
+    - (C.B) fires only while its world has no alternative for the agent,
+      and (C.B*) sends every believed formula into any alternative, so an
+      alternative made otherwise receives all that the (C.B) witness would;
+    - the (C.CB) reuse candidate is the world's first alternative for the
+      agent.  A clash that uses the designation has d and the set of that
+      alternative's edge in its set.  A clash lacking d did not use it, and
+      a fresh witness, which only receives what (C.CB) and (C.B*) send,
+      leaves the rest of the branch as it was.
+
+Depth-first search therefore reaches the same first open branch, and so
+returns the same model, as chronological backtracking would.
+
 Branch exploration is depth-first and wholly deterministic: identical
 inputs yield byte-identical traces and models.  On an unsatisfiable input
-the reported trace is the last fully closed exploration, numbered
-consecutively, and its final step is always the (C.~-clash) that closed it.
+the reported trace is the closed branch that ended the search, numbered
+consecutively, and its final step is always the (C.~-clash) that closed
+it: the last alternative explored, or the one whose clash made the search
+jump past every remaining alternative.
 """
 
 from __future__ import annotations
@@ -155,6 +201,10 @@ class TableauStats:
     worlds_created: int = 0
     rules_fired: int = 0
     blocks_applied: int = 0
+    # choice points opened, branching and (C.CB), and the alternatives of
+    # theirs that a backjump skipped
+    choice_points: int = 0
+    skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -203,11 +253,13 @@ def _steps(trace: _Trace) -> tuple[ProofStep, ...]:
 
 
 class _Closed(Exception):
-    """Internal: the current branch closed; carries the branch trace."""
+    """Internal: the current branch closed; carries the branch trace and the
+    dependency set of the clash, the choice points it rests on."""
 
-    def __init__(self, trace: _Trace) -> None:
+    def __init__(self, trace: _Trace, deps: int) -> None:
         super().__init__("branch closed")
         self.trace = trace
+        self.deps = deps
 
 
 class _World:
@@ -221,17 +273,21 @@ class _World:
         self.parent = parent
         # the token of the one state that may write to this world
         self.owner = owner
-        self.label: dict[Formula, int] = {}
+        # formula -> (step index, dependency set)
+        self.label: dict[Formula, tuple[int, int]] = {}
         # the keys of ``label`` in insertion order, for the scan cursors
         self.entries: list[Formula] = []
-        # (agent, formula for the fresh alternative, premise step index)
-        self.demands: list[tuple[str, Formula, int]] = []
+        # (agent, formula for the fresh alternative, premise step index,
+        # dependency set)
+        self.demands: list[tuple[str, Formula, int, int]] = []
         self.spawn_cursor = 0
-        self.cb: dict[str, int] = {}
+        # agent -> (designated witness, dependency set of the designation)
+        self.cb: dict[str, tuple[int, int]] = {}
         # agent -> first believed formula of that agent, in label order
         self.beliefs: dict[str, Bel] = {}
-        # agent -> first alternative created for that agent
-        self.alternatives: dict[str, int] = {}
+        # agent -> (first alternative created for that agent, dependency
+        # set of its edge)
+        self.alternatives: dict[str, tuple[int, int]] = {}
         # scan cursors into ``entries`` of steps 1, 2 and 3 and of (C.CB)
         self.saturated = 0
         self.rewritten = 0
@@ -267,7 +323,8 @@ class _State:
     def __init__(self, rules: int) -> None:
         self.token = object()
         self.worlds: list[_World] = [_World(0, None, self.token)]
-        self.edges: list[tuple[str, int, int]] = []
+        # (agent, source, target, dependency set)
+        self.edges: list[tuple[str, int, int, int]] = []
         # one scan cursor per (propagation rule, edge)
         self.edge_cursors: list[list[int]] = [[] for _ in range(rules)]
         self.trace: _Trace = None
@@ -309,10 +366,11 @@ class _Engine:
 
     def run(self) -> ModelSystem:
         state = _State(len(self.propagation))
-        self._add(state, 0, self.kernel, "seed", ())
-        return self._expand(state)
+        self._add(state, 0, self.kernel, "seed", (), 0)
+        return self._expand(state, 0)
 
-    def _expand(self, state: _State) -> ModelSystem:
+    def _expand(self, state: _State, depth: int) -> ModelSystem:
+        """Saturate ``state``, on which ``depth`` choice points are open."""
         while True:
             action = self._step(state)
             if action is None:
@@ -320,45 +378,66 @@ class _Engine:
             if action[0] == "applied":
                 continue
             if action[0] == "branch":
-                return self._explore_branch(state, action[1], action[2])
-            return self._explore_cb(state, action[1], action[2])
+                return self._explore_branch(state, depth, action[1], action[2])
+            return self._explore_cb(state, depth, action[1], action[2])
 
-    def _explore_branch(self, state: _State, wid: int, f: Formula) -> ModelSystem:
+    def _choose(self, depth: int, count: int, alternative) -> ModelSystem:
+        """The choice point at ``depth``: expand ``alternative(k)``, the
+        state of the k-th alternative, for k < ``count`` in turn, and
+        backjump past the rest once a clash does not rest on this choice."""
+        bit = 1 << depth
+        self.stats.choice_points += 1
+        deps = 0
+        for k in range(count):
+            try:
+                return self._expand(alternative(k), depth + 1)
+            except _Closed as closed:
+                # keep the trace and the set only: the exception's traceback
+                # holds the closed branch's frames, and with them its states
+                trace, closed_deps = closed.trace, closed.deps
+            if not closed_deps & bit:
+                self.stats.skipped += count - k - 1
+                raise _Closed(trace, closed_deps)
+            deps |= closed_deps
+        raise _Closed(trace, deps & ~bit)
+
+    def _explore_branch(self, state: _State, depth: int, wid: int, f: Formula) -> ModelSystem:
         if isinstance(f, Or):
             options = ((f.left, "C.v-left"), (f.right, "C.v-right"))
         else:
             assert isinstance(f, Not) and isinstance(f.sub, And)
             options = ((neg(f.sub.left), "C.~&-left"), (neg(f.sub.right), "C.~&-right"))
-        premise = state.worlds[wid].label[f]
-        for g, rule in options:
-            sub = state.clone()
-            try:
-                self._add(sub, wid, g, rule, (premise,))
-                return self._expand(sub)
-            except _Closed as closed:
-                # keep the trace only: the exception's traceback holds the
-                # closed branch's frames, and with them its states
-                trace = closed.trace
-        raise _Closed(trace)
+        premise, deps = state.worlds[wid].label[f]
+        deps |= 1 << depth
 
-    def _explore_cb(self, state: _State, wid: int, agent: str) -> ModelSystem:
-        candidates: list[int | None] = []
+        def alternative(k: int) -> _State:
+            g, rule = options[k]
+            sub = state.clone()
+            self._add(sub, wid, g, rule, (premise,), deps)
+            return sub
+
+        return self._choose(depth, len(options), alternative)
+
+    def _explore_cb(self, state: _State, depth: int, wid: int, agent: str) -> ModelSystem:
+        bit = 1 << depth
+        candidates: list[tuple[int, int] | None] = []
         if agent in state.worlds[wid].alternatives:
             candidates.append(state.worlds[wid].alternatives[agent])
         candidates.append(None)  # None means: spawn a fresh witness world
-        for candidate in candidates:
+
+        def alternative(k: int) -> _State:
             sub = state.clone()
-            if candidate is None:
-                candidate = self._spawn(sub, wid, agent)
+            if candidates[k] is None:
+                target, via = self._spawn(sub, wid, agent, bit), bit
+            else:
+                target, via = candidates[k]
             w = sub.own(wid)
-            w.cb[agent] = candidate
+            w.cb[agent] = (target, via | bit)
             # the (C.CB) scan passed over this agent's beliefs: rescan them
             w.witnessed = 0
-            try:
-                return self._expand(sub)
-            except _Closed as closed:
-                trace = closed.trace
-        raise _Closed(trace)
+            return sub
+
+        return self._choose(depth, len(candidates), alternative)
 
     # ------------------------------------------------------------------
     # one deterministic rule application
@@ -377,24 +456,25 @@ class _Engine:
                 w.saturated += 1
                 if isinstance(f, And):
                     if f.left not in w.label or f.right not in w.label:
-                        premise = (w.label[f],)
+                        step, deps = w.label[f]
                         if f.left not in w.label:
-                            self._add(state, w.id, f.left, "C.&", premise)
+                            self._add(state, w.id, f.left, "C.&", (step,), deps)
                         if f.right not in w.label:
-                            self._add(state, w.id, f.right, "C.&", premise)
+                            self._add(state, w.id, f.right, "C.&", (step,), deps)
                         return ("applied",)
                 elif isinstance(f, Not):
                     g = f.sub
                     if isinstance(g, Not) and g.sub not in w.label:
-                        self._add(state, w.id, g.sub, "C.~~", (w.label[f],))
+                        step, deps = w.label[f]
+                        self._add(state, w.id, g.sub, "C.~~", (step,), deps)
                         return ("applied",)
                     if isinstance(g, Or):
                         if neg(g.left) not in w.label or neg(g.right) not in w.label:
-                            premise = (w.label[f],)
+                            step, deps = w.label[f]
                             if neg(g.left) not in w.label:
-                                self._add(state, w.id, neg(g.left), "C.~v", premise)
+                                self._add(state, w.id, neg(g.left), "C.~v", (step,), deps)
                             if neg(g.right) not in w.label:
-                                self._add(state, w.id, neg(g.right), "C.~v", premise)
+                                self._add(state, w.id, neg(g.right), "C.~v", (step,), deps)
                             return ("applied",)
 
         # 2. negated-modal rewrites: ~B[a] q is the demand C[a] ~q
@@ -408,11 +488,11 @@ class _Engine:
                 w.rewritten += 1
                 if isinstance(f, Not) and isinstance(f.sub, Bel):
                     demanded = neg(f.sub.sub)
+                    premise, deps = w.label[f]
                     step = self._record(
-                        state, w.id, Comp(f.sub.agent, demanded),
-                        "C.BDef-rewrite", (w.label[f],),
+                        state, w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
                     )
-                    w.demands.append((f.sub.agent.name, demanded, step))
+                    w.demands.append((f.sub.agent.name, demanded, step, deps))
                     return ("applied",)
 
         # 3. branching propositional rules
@@ -447,13 +527,14 @@ class _Engine:
                         f = entries[w.witnessed]
                         w.witnessed += 1
                         if isinstance(f, Bel) and f.agent.name in w.cb:
-                            target = state.worlds[w.cb[f.agent.name]]
-                            if f not in target.label:
-                                self._add(state, target.id, f, rule.kind, (w.label[f],))
+                            target, via = w.cb[f.agent.name]
+                            if f not in state.worlds[target].label:
+                                step, deps = w.label[f]
+                                self._add(state, target, f, rule.kind, (step,), deps | via)
                                 return ("applied",)
                 continue
             negated = rule.negated
-            for e, (agent, src, dst) in enumerate(state.edges):
+            for e, (agent, src, dst, via) in enumerate(state.edges):
                 if rule is _B_LIFT:
                     src, dst = dst, src
                 source = state.worlds[src]
@@ -470,7 +551,8 @@ class _Engine:
                     if isinstance(belief, Bel) and belief.agent.name == agent:
                         g = f.sub if rule.carries_sub else f
                         if g not in target.label:
-                            self._add(state, dst, g, rule.kind, (source.label[f],))
+                            step, deps = source.label[f]
+                            self._add(state, dst, g, rule.kind, (step,), deps | via)
                             return ("applied",)
 
         # 5. world creation (skipped while a world is blocked); only a world
@@ -484,16 +566,17 @@ class _Engine:
                 continue
             if demand:
                 w = state.own(w.id)
-                agent, g, premise = w.demands[w.spawn_cursor]
+                agent, g, premise, deps = w.demands[w.spawn_cursor]
                 w.spawn_cursor += 1
-                new_id = self._spawn(state, w.id, agent)
-                self._add(state, new_id, g, "C.C", (premise,))
+                new_id = self._spawn(state, w.id, agent, deps)
+                self._add(state, new_id, g, "C.C", (premise,), deps)
                 return ("applied",)
             if unwitnessed:
                 return ("cb", w.id, unwitnessed[0])
             first = w.beliefs[unserved[0]]
-            new_id = self._spawn(state, w.id, unserved[0])
-            self._add(state, new_id, first.sub, "C.B", (w.label[first],))
+            premise, deps = w.label[first]
+            new_id = self._spawn(state, w.id, unserved[0], deps)
+            self._add(state, new_id, first.sub, "C.B", (premise,), deps)
             return ("applied",)
         return None
 
@@ -509,12 +592,13 @@ class _Engine:
         return index
 
     def _add(
-        self, state: _State, wid: int, f: Formula, rule: str, premises: tuple[int, ...]
+        self, state: _State, wid: int, f: Formula, rule: str, premises: tuple[int, ...],
+        deps: int,
     ) -> None:
         if f in state.worlds[wid].label:
             return
         w = state.own(wid)
-        w.label[f] = self._record(state, wid, f, rule, premises)
+        w.label[f] = (self._record(state, wid, f, rule, premises), deps)
         w.entries.append(f)
         if isinstance(f, Bel) and f.agent.name not in w.beliefs:
             w.beliefs[f.agent.name] = f
@@ -524,15 +608,15 @@ class _Engine:
             positive = f
         else:
             return
-        clash_premises = tuple(sorted((w.label[positive], w.label[Not(positive)])))
-        self._record(state, wid, positive, "C.~-clash", clash_premises)
-        raise _Closed(state.trace)
+        (i, deps_i), (j, deps_j) = w.label[positive], w.label[Not(positive)]
+        self._record(state, wid, positive, "C.~-clash", (min(i, j), max(i, j)))
+        raise _Closed(state.trace, deps_i | deps_j)
 
-    def _spawn(self, state: _State, parent: int, agent: str) -> int:
+    def _spawn(self, state: _State, parent: int, agent: str, deps: int) -> int:
         new_id = len(state.worlds)
         state.worlds.append(_World(new_id, (agent, parent), state.token))
-        state.own(parent).alternatives.setdefault(agent, new_id)
-        state.edges.append((agent, parent, new_id))
+        state.own(parent).alternatives.setdefault(agent, (new_id, deps))
+        state.edges.append((agent, parent, new_id, deps))
         for cursors in state.edge_cursors:
             cursors.append(0)
         self.stats.worlds_created += 1
@@ -576,7 +660,7 @@ class _Engine:
 
         redirected = [
             (agent, src, resolve(dst))
-            for agent, src, dst in state.edges
+            for agent, src, dst, _ in state.edges
             if src not in blocked
         ]
 
@@ -607,7 +691,7 @@ class _Engine:
                 succ[agent][index[src]].add(index[dst])
 
         for agent in self.agent_names:
-            self._complete_relation(state, agent, succ[agent], labels, created_for, index, resolve, keep)
+            self._complete_relation(state, agent, succ[agent], created_for, index, resolve, keep)
 
         valuation = {
             w: frozenset(f.name for f in labels[w] if isinstance(f, Atom))
@@ -636,7 +720,6 @@ class _Engine:
         state: _State,
         agent: str,
         succ: list[set[int]],
-        labels: list[dict[Formula, int]],
         created_for: list[str | None],
         index: dict[int, int],
         resolve,
@@ -660,9 +743,9 @@ class _Engine:
             has_belief = [agent in state.worlds[old].beliefs for old in keep]
             witness: dict[int, int] = {}
             for old in keep:
-                target = state.worlds[old].cb.get(agent)
-                if target is not None:
-                    witness[index[old]] = index[resolve(target)]
+                designated = state.worlds[old].cb.get(agent)
+                if designated is not None:
+                    witness[index[old]] = index[resolve(designated[0])]
             for w in range(n):
                 if not has_belief[w]:
                     succ[w].add(w)

@@ -67,6 +67,18 @@ class TestGrammar:
         assert parse("p_1 & q2") == And(Atom("p_1"), Atom("q2"))
         assert parse("B[agent_two] p") == Bel(Agent("agent_two"), P)
 
+    def test_long_prefix_chains_parse(self):
+        # prefix chains are read in a loop and compared with an explicit
+        # stack, so neither is bounded by the recursion limit
+        assert parse("~" * 5000 + "p") is not None
+        f = P
+        for _ in range(500):
+            f = Not(f)
+        assert parse("~" * 500 + "p") == f
+        deep = parse("B[a] C[b] ~" * 1000 + "p")
+        assert deep == parse("B[a] C[b] ~" * 1000 + "p")
+        assert deep != parse("B[a] C[b] ~" * 1000 + "q")
+
 
 class TestErrors:
     @pytest.mark.parametrize(

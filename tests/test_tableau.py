@@ -11,6 +11,7 @@ import pytest
 from conftest import random_formula
 
 from doxa import (
+    EnumerationBudget,
     LogicProfile,
     PROFILES_BY_STRENGTH,
     RULES,
@@ -22,9 +23,11 @@ from doxa import (
     evaluate,
     parse,
     render_trace,
+    sat_upto,
     trace_to_json_dict,
     verdict_to_json_dict,
 )
+from doxa.formula import And, Atom, Iff, Implies, Not, Or
 
 HSTAR = LogicProfile.HSTAR
 HINTIKKA = LogicProfile.HINTIKKA
@@ -285,6 +288,27 @@ def _work_digest(verdicts) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _answer_digests(formulas, profile: LogicProfile, sat_verdicts=None) -> tuple[str, str]:
+    """sha256 of the verdict words of ``formulas`` in sat and then valid
+    mode, and of the model JSON of every SAT and INVALID verdict among
+    them.  Traces are left out: a change to the search may shorten them."""
+    if sat_verdicts is None:
+        sat_verdicts = [decide_sat(f, profile) for f in formulas]
+    verdicts = list(sat_verdicts) + [decide_valid(f, profile) for f in formulas]
+    data = [verdict_to_json_dict(v) for v in verdicts]
+    words = json.dumps([d["verdict"] for d in data])
+    models = json.dumps([d["model"] for d in data if "model" in d], sort_keys=True)
+    return tuple(hashlib.sha256(s.encode("utf-8")).hexdigest() for s in (words, models))
+
+
+def _two_agent_formulas() -> list:
+    rng = random.Random(20240917)
+    return [
+        random_formula(rng, depth=4, atom_names=("p", "q"), agent_names=("a", "b"))
+        for _ in range(200)
+    ]
+
+
 class TestPinnedVerdicts:
     """sha256 of the verdict JSON of seeded suites, so that a change to the
     rule order, the relation completion or the model layout cannot alter a
@@ -294,16 +318,16 @@ class TestPinnedVerdicts:
     stays the same."""
 
     SUITE = {
-        KD45: "126bf28a21ffec21e87a9e411d47d9022348ac7191351fa46f16cb34b878df6b",
-        HINTIKKA: "6554834c34ebd8b4e44d0d8ea2d5f74a1e82b81cb4c89b7c2f7e3185976e72e3",
-        HSTAR: "c175059c857e6d8ea06e7e8b57be8d661d9ca8eb0b247e98275a3676fc9b9e8b",
-        KD: "bec8ceda191918d8f12fb537fbdfc80ebc39a34526a6d8c528775c76dab45ec7",
+        KD45: "e0f5b9042b58c84e9bd09df4a78331e519b6a64c53478c1bdf4d6d26fd2f9b32",
+        HINTIKKA: "8d99d19a1056ef6a1fd7419b62bec4dd85e9dc3b49c601d5273813101f9613d8",
+        HSTAR: "a0c6065f937b3838cc587ed9afaa60e8003d3982498176bca00036427d336dca",
+        KD: "db8669a7da334e00b4b1b01195cc70b7769d7ebd60783b15abee2383e417e92b",
     }
     SUITE_WORK = {
-        KD45: "b32474665c9cebe4e1921c56689b0fc6a4678e1589943583b90f8f7a9943566d",
-        HINTIKKA: "64e78f83bf049665a40f277a4b337a9710c52950eac0421132dda9c989acce1f",
-        HSTAR: "ebf548f39d2ac6e57e62cd0903c85ce2367f893131e2222b113ba1c264314109",
-        KD: "d2fa88858d48d49ca9963277d1fe0e7db806fce88efb0f0c4e12c2c9a64312b1",
+        KD45: "a99e330334c53274ee9135ec9b891b3a3c31b3ffb91f0a9dfb3f6b1709873702",
+        HINTIKKA: "ea8f8647260c731ac0738a4884d68038f3467e87ecf56bf0f1ca04a82bc60840",
+        HSTAR: "a622fbdc0113de83739209743bb64f9e46a6e9577d11bb79acba81e23d9c16dc",
+        KD: "086b27bec6fb88bd22a5e919a0f5eda86cfd08eaa72c1c2a34ebd74160d1dc6d",
     }
     # kd45 is left out: some 2-agent formulas of this seed overrun the
     # engine's world bound or its recursion depth.
@@ -313,9 +337,44 @@ class TestPinnedVerdicts:
         KD: "d1a7eed871e7bd24afbb03c738ff87a8dd700abc069230f5c36935b6861464a7",
     }
     TWO_AGENT_WORK = {
-        HINTIKKA: "edf593db95a72d83ae4084720321fc3fa17e3acb72056ff6468255547c25239b",
-        HSTAR: "cbb7534d7531e9d8e224e6685dd1c736c4990bfb7021db1543825e17c4c76e7d",
-        KD: "133ae7dbbe51770bd08607b5ffdf05b9a8afc070a54672fba1e806777bf4a5c7",
+        HINTIKKA: "f8898e82595b1201d34375c36f0ab04b6e22553862a7aa26f147586267c47ebb",
+        HSTAR: "b7bdbe23bf0eb80533d405130707b0b654870441f7ade159528b591f0b4dab19",
+        KD: "c48a0ab718e743103da6f342edb2ea4e85bb064994440e959d48f0e0b37d3edf",
+    }
+
+    # (verdict words, models) per profile, in sat and valid mode; these stay
+    # fixed when the search changes and only traces and work counts move
+    SUITE_ANSWERS = {
+        KD45: (
+            "a0338c1d522f2c01d4b9d77c4fa4853745028a543a9494d5819a17492872bf24",
+            "73800ebd1f781a228de004d704e71e4716107bf9717dfa5b0ecffdc166b28ae1",
+        ),
+        HINTIKKA: (
+            "cf48a9873d30692f20ca17a847c5f5eb8ed41be24f96e4f70b58ffffec085af2",
+            "1786557137996858f6c25649fa9042d854ee77ff441ec4389e16658bd4b5254f",
+        ),
+        HSTAR: (
+            "ff98f3d03451ab9b4fe0ed9b9a08485d07eea1d82751ae7a2634c31d3ac466a0",
+            "b2e1cf5e0a954de787faa75526ece3b1ff174a0b8f46b6c410df668888a2ff5b",
+        ),
+        KD: (
+            "068dc539a651c02557cc49a5c729eae75fb533a2123570c008c3db0260b40131",
+            "baf849e397d22c92f87ef28c0a65b24f542df056463aed4e4062d88a157ca114",
+        ),
+    }
+    TWO_AGENT_ANSWERS = {
+        HINTIKKA: (
+            "b4eccbff4523293c342218b0dbf73270b31eedb630cde3e349da90366bfd55b9",
+            "a06c69a88e42b7c658feb0e1dcd6ac8918d805d51edc00593826a3220391c994",
+        ),
+        HSTAR: (
+            "b4eccbff4523293c342218b0dbf73270b31eedb630cde3e349da90366bfd55b9",
+            "f5278efaf7265ab055908b93500d034b06c78e966c2a92bf670c7a3bdf6df98e",
+        ),
+        KD: (
+            "f3c1bb9c8e872e57172701911772cb5067395f445909cd7ec664d0251f07dbb7",
+            "c7400cbac9480c4da213a502f69fa916519c01a9a72479b6b0485c13cac8cc92",
+        ),
     }
 
     def test_random_suite(self, suite_verdicts):
@@ -325,15 +384,22 @@ class TestPinnedVerdicts:
         assert work == self.SUITE_WORK
 
     def test_two_atoms_two_agents(self):
-        rng = random.Random(20240917)
-        formulas = [
-            random_formula(rng, depth=4, atom_names=("p", "q"), agent_names=("a", "b"))
-            for _ in range(200)
-        ]
+        formulas = _two_agent_formulas()
         verdicts = {p: [decide_sat(f, p) for f in formulas] for p in self.TWO_AGENT}
         assert {p: _digest(verdicts[p]) for p in self.TWO_AGENT} == self.TWO_AGENT
         work = {p: _work_digest(verdicts[p]) for p in self.TWO_AGENT}
         assert work == self.TWO_AGENT_WORK
+
+    def test_random_suite_answers(self, random_suite, suite_verdicts):
+        answers = {
+            p: _answer_digests(random_suite, p, suite_verdicts[p]) for p in PROFILES_BY_STRENGTH
+        }
+        assert answers == self.SUITE_ANSWERS
+
+    def test_two_atoms_two_agents_answers(self):
+        formulas = _two_agent_formulas()
+        answers = {p: _answer_digests(formulas, p) for p in self.TWO_AGENT}
+        assert answers == self.TWO_AGENT_ANSWERS
 
 
 def _compat(n: int) -> str:
@@ -349,9 +415,14 @@ def _prop(n: int) -> str:
     return " & ".join(pairs) + " & (x0 <-> y0)"
 
 
+#: A 1-agent formula from a fuzz run on which chronological backtracking
+#: made more than 221,000 branch points without an answer.
+_HINTIKKA_FUZZ = "B[a]((q | p) & B[a] q | (C[a] q | C[a] q) <-> ~B[a] B[a] q)"
+
+
 class TestPinnedWork:
     """Exact (rules fired, worlds created, blocks applied) on rows of the
-    scaling families, which exercise blocking, (C.CB) backtracking, the
+    scaling families, which exercise blocking, (C.CB) backjumping, the
     euclidean lift and deep propositional branching."""
 
     @pytest.mark.parametrize(
@@ -359,12 +430,69 @@ class TestPinnedWork:
         [
             (_compat(3), KD45, True, (442, 48, 33)),
             (_nest(6), KD45, False, (237, 16, 0)),
-            (_nest(6), HSTAR, False, (864, 192, 0)),
-            (_prop(8), KD, False, (3105, 0, 0)),
+            (_nest(6), HSTAR, False, (37, 6, 0)),
+            (_nest(12), HSTAR, False, (106, 12, 0)),
+            (_prop(8), KD, False, (106, 0, 0)),
+            (_prop(14), KD, False, (178, 0, 0)),
             (_compat(12), HINTIKKA, True, (121, 36, 12)),
+            (_HINTIKKA_FUZZ, HINTIKKA, True, (3778, 246, 11)),
         ],
     )
     def test_work_counts(self, text, profile, expect_sat, work):
         verdict = decide_sat(parse(text), profile)
         assert verdict.is_sat is expect_sat
         assert _work(verdict) == work
+
+    def test_propositional_work_grows_linearly(self):
+        # the clash needs only x0 and y0, so each further pair of
+        # disjunctions costs the same number of rules
+        fired = [decide_sat(parse(_prop(n)), KD).stats.rules_fired for n in (8, 10, 12, 14)]
+        assert len({b - a for a, b in zip(fired, fired[1:])}) == 1
+
+    @pytest.mark.parametrize(
+        ("text", "profile", "choices"),
+        [(_prop(8), KD, (32, 13)), (_nest(6), HSTAR, (5, 5))],
+    )
+    def test_choice_counts(self, text, profile, choices):
+        """(choice points opened, alternatives skipped by backjumps)."""
+        stats = decide_sat(parse(text), profile).stats
+        assert (stats.choice_points, stats.skipped) == choices
+
+
+_ATOMS = ("p", "q", "r", "s", "t")
+
+
+def _propositional(rng: random.Random, depth: int, conjuncts: int = 4):
+    """A random formula over ``_ATOMS`` without modal operators: a
+    conjunction of ``conjuncts`` subformulas, weighted towards
+    disjunctions, which open the most choice points.  With four conjuncts
+    at depth 6, about a third of the formulas are unsatisfiable."""
+    if conjuncts > 1:
+        half = conjuncts // 2
+        return And(
+            _propositional(rng, depth - 1, half), _propositional(rng, depth - 1, conjuncts - half)
+        )
+    if depth <= 0 or rng.random() < 0.15:
+        return Atom(rng.choice(_ATOMS))
+    kind = rng.choices(("not", "and", "or", "implies", "iff"), weights=(2, 3, 5, 1, 1))[0]
+    if kind == "not":
+        return Not(_propositional(rng, depth - 1, 1))
+    left, right = _propositional(rng, depth - 1, 1), _propositional(rng, depth - 1, 1)
+    return {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind](left, right)
+
+
+class TestPropositionalDifferential:
+    """Backjumping against the oracle on the propositional fragment, where a
+    one-world model search is complete: a formula without modal operators is
+    satisfiable exactly when some valuation of one world makes it true."""
+
+    @pytest.mark.parametrize("profile", [KD, KD45])
+    def test_agrees_with_one_world_oracle(self, profile):
+        rng = random.Random(20261018)
+        budget = EnumerationBudget(1, _ATOMS, ())
+        mismatches = []
+        for _ in range(1000):
+            f = _propositional(rng, depth=6)
+            if decide_sat(f, profile).is_sat != (sat_upto(f, budget, profile) is not None):
+                mismatches.append(f)
+        assert mismatches == []
