@@ -62,8 +62,13 @@ class Formula:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        # pairs of nodes of one type still to compare; atoms and negations,
-        # by far the most compared, take the short paths
+        # atoms and negations are by far the most compared: the common cases
+        # are answered first, and take the short paths in the walk
+        if type(self) is Atom:
+            return self.name == other.name
+        if type(self) is Not and self.sub is other.sub:
+            return True
+        # pairs of nodes of one type still to compare
         pending = [(self, other)]
         while pending:
             f, g = pending.pop()

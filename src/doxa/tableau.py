@@ -118,6 +118,7 @@ jump past every remaining alternative.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .formula import (
@@ -370,7 +371,9 @@ class _Engine:
         return self._expand(state, 0)
 
     def _expand(self, state: _State, depth: int) -> ModelSystem:
-        """Saturate ``state``, on which ``depth`` choice points are open."""
+        """Saturate ``state``, on which ``depth`` choice points are open, and
+        search the choice point it reaches, if any.  Each choice point adds
+        two frames, this one and ``_choose``, to the recursion."""
         while True:
             action = self._step(state)
             if action is None:
@@ -378,10 +381,14 @@ class _Engine:
             if action[0] == "applied":
                 continue
             if action[0] == "branch":
-                return self._explore_branch(state, depth, action[1], action[2])
-            return self._explore_cb(state, depth, action[1], action[2])
+                count, alternative = self._branches(state, depth, action[1], action[2])
+            else:
+                count, alternative = self._witnesses(state, depth, action[1], action[2])
+            return self._choose(depth, count, alternative)
 
-    def _choose(self, depth: int, count: int, alternative) -> ModelSystem:
+    def _choose(
+        self, depth: int, count: int, alternative: Callable[[int], _State]
+    ) -> ModelSystem:
         """The choice point at ``depth``: expand ``alternative(k)``, the
         state of the k-th alternative, for k < ``count`` in turn, and
         backjump past the rest once a clash does not rest on this choice."""
@@ -401,7 +408,10 @@ class _Engine:
             deps |= closed_deps
         raise _Closed(trace, deps & ~bit)
 
-    def _explore_branch(self, state: _State, depth: int, wid: int, f: Formula) -> ModelSystem:
+    def _branches(
+        self, state: _State, depth: int, wid: int, f: Formula
+    ) -> tuple[int, Callable[[int], _State]]:
+        """The (C.v) or (C.~&) alternatives for ``f`` in world ``wid``."""
         if isinstance(f, Or):
             options = ((f.left, "C.v-left"), (f.right, "C.v-right"))
         else:
@@ -416,9 +426,13 @@ class _Engine:
             self._add(sub, wid, g, rule, (premise,), deps)
             return sub
 
-        return self._choose(depth, len(options), alternative)
+        return len(options), alternative
 
-    def _explore_cb(self, state: _State, depth: int, wid: int, agent: str) -> ModelSystem:
+    def _witnesses(
+        self, state: _State, depth: int, wid: int, agent: str
+    ) -> tuple[int, Callable[[int], _State]]:
+        """The (C.CB) witnesses world ``wid`` may designate for ``agent``:
+        its first alternative for the agent, if any, then a fresh world."""
         bit = 1 << depth
         candidates: list[tuple[int, int] | None] = []
         if agent in state.worlds[wid].alternatives:
@@ -437,7 +451,7 @@ class _Engine:
             w.witnessed = 0
             return sub
 
-        return self._choose(depth, len(candidates), alternative)
+        return len(candidates), alternative
 
     # ------------------------------------------------------------------
     # one deterministic rule application
