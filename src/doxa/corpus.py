@@ -84,6 +84,9 @@ def _entry_from_dict(raw: dict, where: str) -> CorpusEntry:
     unknown = raw.keys() - _REQUIRED_KEYS
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    not_strings = sorted(k for k in _REQUIRED_KEYS if not isinstance(raw[k], str))
+    if not_strings:
+        raise ValueError(f"{where}: fields {not_strings} must be strings")
     mode = raw["mode"]
     if mode not in _MODES:
         raise ValueError(f"{where}: mode must be 'sat' or 'valid', got {mode!r}")
@@ -116,8 +119,12 @@ def load_corpus(path: str | Path | None = None) -> tuple[CorpusEntry, ...]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        raw = json.loads(line)
-        entries.append(_entry_from_dict(raw, f"{origin}:{lineno}"))
+        where = f"{origin}:{lineno}"
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{where}: {err}") from None
+        entries.append(_entry_from_dict(raw, where))
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{origin}: duplicate corpus ids")

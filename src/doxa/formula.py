@@ -12,19 +12,19 @@ procedure and the model-set checker operate on; ``Comp`` is kept as a first
 class node so that user input and proof traces can display compatibility
 statements directly.
 
-All nodes are immutable and compare structurally, so formulas can be used as
-set members and dictionary keys.  Each node computes its structural hash once,
-when it is constructed, from its children's stored hashes; ``hash`` then
-returns the stored value without recursing.  The value is the one a frozen
-dataclass would compute, ``hash`` of the tuple of the node's fields, so set
-and dictionary orders are those of plain frozen dataclasses.  ``==`` walks
-both trees with an explicit stack, so neither depends on the recursion limit.
+Nodes are hash-consed: constructing a node returns the one live node with
+the same class and fields, so structurally equal formulas are one object.
+``==`` and ``hash`` are therefore the identity defaults, and neither walks
+the tree.  The table of live nodes holds them weakly, so a formula nothing
+else refers to is freed.  Nodes are immutable, since every holder of a node
+shares it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 
 _AGENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _ATOM_RE = _AGENT_RE
@@ -44,135 +44,107 @@ class Agent:
         return self.name
 
 
+class _Ref(weakref.ref):
+    """A weak reference to a node, and the node's key in ``_NODES``."""
+
+    __slots__ = ("key",)
+
+
+# The live node of each (class, *fields) key.  A dying node's reference is
+# queued on ``_DEAD`` by ``list.append``, a C function: a weakref callback
+# written in Python would run signal handlers too, and lose the exception
+# of any it interrupted, such as a time limit's or KeyboardInterrupt.  The
+# next miss deletes each queued entry unless its key has a newer node.
+_NODES: dict[tuple, _Ref] = {}
+_DEAD: list[_Ref] = []
+
+
 class Formula:
     """Base class for formula nodes.  Rendering goes through ``render``.
 
-    Every node class sets ``_hash`` in ``__post_init__`` and is declared
-    with ``eq=False``, so that it inherits ``__eq__`` and ``__hash__`` from
-    here instead of the recursive ones the dataclass decorator generates.
+    Each node class names its fields in ``__match_args__``, and calling it
+    with those fields, positionally, returns the canonical node.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            while _DEAD:
+                dead = _DEAD.pop()
+                # a reference without a key was never entered: an exception,
+                # such as a time limit's, came between its two lines below
+                key_of_dead = getattr(dead, "key", None)
+                if _NODES.get(key_of_dead) is dead:
+                    del _NODES[key_of_dead]
+                # the key holds the node's children: dropping it queues
+                # those that die with it, so one miss frees a whole subtree
+                del dead, key_of_dead
+            names = cls.__match_args__
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes the fields {names}, got {len(fields)}")
+            if cls is Atom and not _ATOM_RE.match(fields[0]):
+                raise ValueError(f"invalid atom name: {fields[0]!r}")
+            node = object.__new__(cls)
+            for name, value in zip(names, fields):
+                object.__setattr__(node, name, value)
+            ref = _Ref(node, _DEAD.append)
+            ref.key = key
+            _NODES[key] = ref
+        return node
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        # atoms and negations are by far the most compared: the common cases
-        # are answered first, and take the short paths in the walk
-        if type(self) is Atom:
-            return self.name == other.name
-        if type(self) is Not and self.sub is other.sub:
-            return True
-        # pairs of nodes of one type still to compare
-        pending = [(self, other)]
-        while pending:
-            f, g = pending.pop()
-            if f._hash != g._hash:
-                return False
-            if type(f) is Atom:
-                if f.name != g.name:
-                    return False
-            elif type(f) is Not:
-                if f.sub is not g.sub:
-                    if type(f.sub) is not type(g.sub):
-                        return False
-                    pending.append((f.sub, g.sub))
-            else:
-                for name in f.__match_args__:
-                    a, b = getattr(f, name), getattr(g, name)
-                    if a is b:
-                        continue
-                    if type(a) is not type(b):
-                        return False
-                    if isinstance(a, Formula):
-                        pending.append((a, b))
-                    elif a != b:
-                        return False
-        return True
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"formula nodes are immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"formula nodes are immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        # rebuild through the constructor, which stores the hash again
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        # rebuild through the constructor, which returns the canonical node
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Formula):
-    name: str
-
-    def __post_init__(self) -> None:
-        if not _ATOM_RE.match(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
-        object.__setattr__(self, "_hash", hash((self.name,)))
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
-    sub: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.sub,)))
+    __slots__ = __match_args__ = ("sub",)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Iff(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Bel(Formula):
-    agent: Agent
-    sub: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.agent, self.sub)))
+    __slots__ = __match_args__ = ("agent", "sub")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Comp(Formula):
-    agent: Agent
-    sub: Formula
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.agent, self.sub)))
+    __slots__ = __match_args__ = ("agent", "sub")
 
 
 # Binding strength, loosest first.  "~", "B[a]" and "C[a]" bind tightest.
@@ -280,57 +252,33 @@ def neg(f: Formula) -> Formula:
     return Not(f)
 
 
-def agents(f: Formula) -> frozenset[Agent]:
-    """All agents whose modal operators occur in ``f``."""
-    found: set[Agent] = set()
-    _walk_agents(f, found)
+def subformulas(f: Formula) -> frozenset[Formula]:
+    """All subformulas of ``f``, including ``f`` itself.
+
+    The walk keeps an explicit stack, so its depth is not bounded by the
+    recursion limit, and visits each shared subformula once.
+    """
+    found = {f}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            continue
+        for child in (g.sub,) if isinstance(g, (Not, Bel, Comp)) else (g.left, g.right):
+            if child not in found:
+                found.add(child)
+                stack.append(child)
     return frozenset(found)
 
 
-def _walk_agents(f: Formula, out: set[Agent]) -> None:
-    if isinstance(f, (Bel, Comp)):
-        out.add(f.agent)
-        _walk_agents(f.sub, out)
-    elif isinstance(f, Not):
-        _walk_agents(f.sub, out)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _walk_agents(f.left, out)
-        _walk_agents(f.right, out)
+def agents(f: Formula) -> frozenset[Agent]:
+    """All agents whose modal operators occur in ``f``."""
+    return frozenset(g.agent for g in subformulas(f) if isinstance(g, (Bel, Comp)))
 
 
 def atoms(f: Formula) -> frozenset[str]:
     """Names of all propositional atoms occurring in ``f``."""
-    found: set[str] = set()
-    _walk_atoms(f, found)
-    return frozenset(found)
-
-
-def _walk_atoms(f: Formula, out: set[str]) -> None:
-    if isinstance(f, Atom):
-        out.add(f.name)
-    elif isinstance(f, (Not, Bel, Comp)):
-        _walk_atoms(f.sub, out)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _walk_atoms(f.left, out)
-        _walk_atoms(f.right, out)
-
-
-def subformulas(f: Formula) -> frozenset[Formula]:
-    """All subformulas of ``f``, including ``f`` itself."""
-    found: set[Formula] = set()
-    _walk_subformulas(f, found)
-    return frozenset(found)
-
-
-def _walk_subformulas(f: Formula, out: set[Formula]) -> None:
-    if f in out:
-        return
-    out.add(f)
-    if isinstance(f, (Not, Bel, Comp)):
-        _walk_subformulas(f.sub, out)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _walk_subformulas(f.left, out)
-        _walk_subformulas(f.right, out)
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
 def subformula_closure(f: Formula) -> frozenset[Formula]:

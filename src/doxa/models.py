@@ -49,6 +49,7 @@ from .formula import (
     desugar,
     neg,
     render,
+    subformulas,
 )
 from .parser import parse
 
@@ -151,13 +152,7 @@ class LabeledModelSystem:
 
 
 def _has_sugar(f: Formula) -> bool:
-    if isinstance(f, (Implies, Iff, Comp)):
-        return True
-    if isinstance(f, (Not, Bel)):
-        return _has_sugar(f.sub)
-    if isinstance(f, (And, Or)):
-        return _has_sugar(f.left) or _has_sugar(f.right)
-    return False
+    return any(isinstance(g, (Implies, Iff, Comp)) for g in subformulas(f))
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,21 @@ class TestCorpus:
         assert code == 1
         assert "FAIL" in out and "expected unsat, got sat" in out
 
+    def test_non_string_field_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        row = {
+            "id": "typed",
+            "formula": 5,
+            "profile": "kd",
+            "mode": "sat",
+            "expected": "sat",
+            "source": "a formula that is not a string",
+        }
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "corpus", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:1: fields ['formula'] must be strings\n"
+
     def test_unreadable_corpus(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "corpus", str(tmp_path / "missing.jsonl"))
         assert code == 2

@@ -54,6 +54,9 @@ class TestLoad:
             ([_row(expected="sat")], "expected verdict for mode 'valid'"),
             ([_row(profile="s5")], "unknown profile"),
             ([_row(), _row()], "duplicate corpus ids"),
+            ([_row(formula=5)], r"corpus.jsonl:1: fields \['formula'\] must be strings"),
+            ([_row(mode=["sat"])], r"corpus.jsonl:1: fields \['mode'\] must be strings"),
+            ([_row(id=5)], r"corpus.jsonl:1: fields \['id'\] must be strings"),
         ],
     )
     def test_strict_validation(self, tmp_path, rows, message):
@@ -69,6 +72,12 @@ class TestLoad:
     def test_errors_name_the_line(self, tmp_path):
         path = _write_corpus(tmp_path, [_row(), _row(id="bad", mode="oops")])
         with pytest.raises(ValueError, match=":2"):
+            load_corpus(path)
+
+    def test_malformed_json_names_the_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(_row()) + "\n{not json\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"corpus.jsonl:2: Expecting"):
             load_corpus(path)
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
+import gc
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doxa import formula
 from doxa.formula import (
     Agent,
     And,
@@ -164,14 +165,64 @@ class TestStructure:
         assert len(subformula_closure(f)) <= 2 * node_count(f)
 
     @given(formulas_st)
-    def test_stored_hash_is_the_hash_of_the_fields(self, f):
-        fields = tuple(getattr(f, x.name) for x in dataclasses.fields(f))
-        assert hash(f) == hash(fields)
+    def test_rebuilt_node_is_the_same_object(self, f):
+        g = type(f)(*(getattr(f, name) for name in f.__match_args__))
+        assert g is f and hash(g) == hash(f)
 
     @given(formulas_st)
     def test_copies_keep_equality_and_hash(self, f):
         for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert g == f and hash(g) == hash(f)
+
+
+def _fresh_chain(name: str, length: int):
+    f = Atom(name)
+    for _ in range(length - 1):
+        f = Not(f)
+    return f
+
+
+class TestInterning:
+    def test_equal_structures_are_one_node(self):
+        assert And(P, Q) is And(Atom("p"), Atom("q"))
+        assert Bel(A, Not(P)) is Bel(Agent("a"), Not(Atom("p")))
+        assert And(P, Q) is not And(Q, P)
+
+    @given(formulas_st)
+    @settings(max_examples=50)
+    def test_copies_are_the_canonical_node(self, f):
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        f = Bel(A, P)
+        with pytest.raises(AttributeError):
+            f.sub = Q
+        with pytest.raises(AttributeError):
+            del f.agent
+        with pytest.raises(AttributeError):
+            P.name = "q"
+        assert f.sub is P and f.agent == A and P.name == "p"
+
+    def test_wrong_field_count_is_rejected(self):
+        with pytest.raises(TypeError):
+            Not(P, Q)
+        with pytest.raises(TypeError):
+            And(P)
+
+    def test_dropped_nodes_leave_the_table(self):
+        gc.collect()
+        start = Atom("interning_probe_start")  # a miss empties the queue of dead nodes
+        before = len(formula._NODES)
+        f = _fresh_chain("interning_probe", 200)
+        assert len(formula._NODES) == before + 200
+        del f
+        gc.collect()
+        # the dead entries go at the next miss, which builds one new entry
+        g = Atom("interning_probe_end")
+        assert len(formula._NODES) == before + 1
+        assert _fresh_chain("interning_probe", 200) is _fresh_chain("interning_probe", 200)
+        assert g is Atom("interning_probe_end") and start is Atom("interning_probe_start")
 
 
 class TestNameValidation:

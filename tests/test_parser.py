@@ -15,8 +15,13 @@ from doxa.formula import (
     Implies,
     Not,
     Or,
+    agents,
+    atoms,
     render,
+    subformula_closure,
+    subformulas,
 )
+from doxa.models import LabeledModelSystem, ModelSystem
 from doxa.parser import ParseError, SourceSpan, format_parse_error, parse
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -68,8 +73,8 @@ class TestGrammar:
         assert parse("B[agent_two] p") == Bel(Agent("agent_two"), P)
 
     def test_long_prefix_chains_parse(self):
-        # prefix chains are read in a loop and compared with an explicit
-        # stack, so neither is bounded by the recursion limit
+        # prefix chains are read in a loop, so their length is not bounded
+        # by the recursion limit, and equal chains are one node
         assert parse("~" * 5000 + "p") is not None
         f = P
         for _ in range(500):
@@ -78,6 +83,17 @@ class TestGrammar:
         deep = parse("B[a] C[b] ~" * 1000 + "p")
         assert deep == parse("B[a] C[b] ~" * 1000 + "p")
         assert deep != parse("B[a] C[b] ~" * 1000 + "q")
+
+    def test_deep_input_walks_iteratively(self):
+        # the subformula walk keeps an explicit stack, so 5,000 nested
+        # negations are within reach of every reader of it
+        deep = parse("~" * 5000 + "p")
+        assert agents(deep) == frozenset()
+        assert atoms(deep) == {"p"}
+        assert len(subformulas(deep)) == 5001
+        assert len(subformula_closure(deep)) == 5001
+        labeled = LabeledModelSystem(ModelSystem(worlds=1, designated=0), {0: (deep,)})
+        assert labeled.label(0) == (deep,)
 
 
 class TestErrors:
