@@ -49,20 +49,27 @@ failed re-verification is an internal error, never a verdict.
 Incremental scanning: on a branch, labels only grow, and a rule can only
 stop applying to a label entry, never start again: what it would add stays
 in place once added.  Each world therefore keeps its label entries in
-insertion order, with one cursor each for the scans of steps 1, 2 and 3 and
-of (C.CB), and the state keeps one cursor per (propagation rule, edge).  A
-scan resumes at its cursor instead of at the first entry of the first world;
-no entry before a cursor can fire again.  The one exception is a belief that
-(C.CB) passes over while its world has no designated witness for the
-belief's agent: designating the witness resets that world's (C.CB) cursor.
-Cursors are cloned with the state at every choice point, so rules fire in
-exactly the order a full rescan after every firing would give.  Step 5 and
-the (C.CB) choice likewise read per-world records of each agent's first
-belief and first alternative instead of scanning labels and edges.
+insertion order, one cursor each for the scans of steps 1, 2 and 3, and
+one cursor per propagation rule: into its own entries for (C.CB) and
+(C.B-lift), into its creator's for the rules that send formulas down the
+edge from the creator.  Every world but the seed has exactly that one
+incoming edge, so a world records it as its parent (agent, creator,
+dependency set), and step 4 and model extraction walk the edges in world
+order.  A scan resumes at its cursor instead of at the first entry of the
+first world; no entry before a cursor can fire again.  The one exception is
+a belief that (C.CB) passes over while its world has no designated witness
+for the belief's agent: designating the witness resets that world's (C.CB)
+cursor.  Cursors are copied with their world, so rules fire in exactly the
+order a full rescan after every firing would give.  Step 5 and the (C.CB)
+choice likewise read per-world records of each agent's first belief and
+first alternative instead of scanning labels and edges.
 
-A choice point copies no label: the clone shares its worlds with the state
-it was made from until it writes to one, which it copies first, and the
-trace is a linked list whose common part the two share.
+A choice point copies no label: its clone copies only the list of world
+references and shares the worlds with the state it was made from until it
+writes to one, which it copies first, and the trace is a linked list whose
+common part the two share.  The search keeps the open choice points on an
+explicit stack instead of recursing, so its depth is bounded by memory
+only.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999): a choice
@@ -118,8 +125,7 @@ jump past every remaining alternative.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
     And,
@@ -266,11 +272,15 @@ class _Closed(Exception):
 class _World:
     __slots__ = (
         "id", "parent", "owner", "label", "entries", "demands", "spawn_cursor", "cb",
-        "beliefs", "alternatives", "saturated", "rewritten", "branched", "witnessed",
+        "beliefs", "alternatives", "saturated", "rewritten", "branched", "cursors",
     )
 
-    def __init__(self, wid: int, parent: tuple[str, int] | None, owner: object) -> None:
+    def __init__(
+        self, wid: int, parent: tuple[str, int, int] | None, owner: object, rules: int
+    ) -> None:
         self.id = wid
+        # (agent, creator, dependency set of the edge from the creator), the
+        # one edge into this world; None for the seed world
         self.parent = parent
         # the token of the one state that may write to this world
         self.owner = owner
@@ -289,11 +299,13 @@ class _World:
         # agent -> (first alternative created for that agent, dependency
         # set of its edge)
         self.alternatives: dict[str, tuple[int, int]] = {}
-        # scan cursors into ``entries`` of steps 1, 2 and 3 and of (C.CB)
+        # scan cursors into ``entries`` of steps 1, 2 and 3
         self.saturated = 0
         self.rewritten = 0
         self.branched = 0
-        self.witnessed = 0
+        # one scan cursor per propagation rule: into this world's own
+        # entries for (C.CB) and (C.B-lift), into its creator's otherwise
+        self.cursors = [0] * rules
 
     def clone(self, owner: object) -> _World:
         w = _World.__new__(_World)
@@ -310,7 +322,7 @@ class _World:
         w.saturated = self.saturated
         w.rewritten = self.rewritten
         w.branched = self.branched
-        w.witnessed = self.witnessed
+        w.cursors = list(self.cursors)
         return w
 
 
@@ -319,23 +331,17 @@ class _State:
     it was cloned from, and ``own`` copies a shared world before the first
     write to it; a state is never written to once it has been cloned."""
 
-    __slots__ = ("token", "worlds", "edges", "edge_cursors", "trace")
+    __slots__ = ("token", "worlds", "trace")
 
     def __init__(self, rules: int) -> None:
         self.token = object()
-        self.worlds: list[_World] = [_World(0, None, self.token)]
-        # (agent, source, target, dependency set)
-        self.edges: list[tuple[str, int, int, int]] = []
-        # one scan cursor per (propagation rule, edge)
-        self.edge_cursors: list[list[int]] = [[] for _ in range(rules)]
+        self.worlds: list[_World] = [_World(0, None, self.token, rules)]
         self.trace: _Trace = None
 
     def clone(self) -> _State:
         st = _State.__new__(_State)
         st.token = object()
         st.worlds = list(self.worlds)
-        st.edges = list(self.edges)
-        st.edge_cursors = [list(cursors) for cursors in self.edge_cursors]
         st.trace = self.trace
         return st
 
@@ -345,6 +351,10 @@ class _State:
         if w.owner is not self.token:
             w = self.worlds[wid] = w.clone(self.token)
         return w
+
+
+#: What ``_step`` returns after firing a rule.
+_APPLIED = ("applied",)
 
 
 class _Engine:
@@ -366,92 +376,79 @@ class _Engine:
     # search
 
     def run(self) -> ModelSystem:
-        state = _State(len(self.propagation))
+        """Depth-first search over an explicit stack of the open choice
+        points, the one at depth d at index d.  An entry is [the state the
+        choice was made in, its alternatives, the index of the next one to
+        try, the union of the closing sets of those tried].  ``state`` is
+        None while the innermost entry is due to try its next alternative."""
+        state: _State | None = _State(len(self.propagation))
         self._add(state, 0, self.kernel, "seed", (), 0)
-        return self._expand(state, 0)
-
-    def _expand(self, state: _State, depth: int) -> ModelSystem:
-        """Saturate ``state``, on which ``depth`` choice points are open, and
-        search the choice point it reaches, if any.  Each choice point adds
-        two frames, this one and ``_choose``, to the recursion."""
+        stack: list[list] = []
         while True:
-            action = self._step(state)
-            if action is None:
-                return self._extract(state)
-            if action[0] == "applied":
-                continue
-            if action[0] == "branch":
-                count, alternative = self._branches(state, depth, action[1], action[2])
-            else:
-                count, alternative = self._witnesses(state, depth, action[1], action[2])
-            return self._choose(depth, count, alternative)
-
-    def _choose(
-        self, depth: int, count: int, alternative: Callable[[int], _State]
-    ) -> ModelSystem:
-        """The choice point at ``depth``: expand ``alternative(k)``, the
-        state of the k-th alternative, for k < ``count`` in turn, and
-        backjump past the rest once a clash does not rest on this choice."""
-        bit = 1 << depth
-        self.stats.choice_points += 1
-        deps = 0
-        for k in range(count):
             try:
-                return self._expand(alternative(k), depth + 1)
+                if state is None:
+                    saved, alternatives, k, _ = entry = stack[-1]
+                    entry[2] = k + 1
+                    state = self._apply(saved, alternatives[k])
+                choice = self._step(state)
+                if choice is None:
+                    return self._extract(state)
+                if choice is not _APPLIED:
+                    self.stats.choice_points += 1
+                    stack.append([state, self._alternatives(state, len(stack), *choice), 0, 0])
+                    state = None
             except _Closed as closed:
-                # keep the trace and the set only: the exception's traceback
-                # holds the closed branch's frames, and with them its states
-                trace, closed_deps = closed.trace, closed.deps
-            if not closed_deps & bit:
-                self.stats.skipped += count - k - 1
-                raise _Closed(trace, closed_deps)
-            deps |= closed_deps
-        raise _Closed(trace, deps & ~bit)
+                state, deps = None, closed.deps
+                while stack:
+                    entry = stack[-1]
+                    bit = 1 << (len(stack) - 1)
+                    if deps & bit and entry[2] < len(entry[1]):
+                        entry[3] |= deps
+                        break
+                    stack.pop()
+                    if deps & bit:
+                        deps = (entry[3] | deps) & ~bit
+                    else:
+                        # the clash does not rest on this choice: backjump
+                        self.stats.skipped += len(entry[1]) - entry[2]
+                else:
+                    raise _Closed(closed.trace, deps) from None
 
-    def _branches(
-        self, state: _State, depth: int, wid: int, f: Formula
-    ) -> tuple[int, Callable[[int], _State]]:
-        """The (C.v) or (C.~&) alternatives for ``f`` in world ``wid``."""
-        if isinstance(f, Or):
-            options = ((f.left, "C.v-left"), (f.right, "C.v-right"))
-        else:
-            assert isinstance(f, Not) and isinstance(f.sub, And)
-            options = ((neg(f.sub.left), "C.~&-left"), (neg(f.sub.right), "C.~&-right"))
-        premise, deps = state.worlds[wid].label[f]
-        deps |= 1 << depth
-
-        def alternative(k: int) -> _State:
-            g, rule = options[k]
-            sub = state.clone()
-            self._add(sub, wid, g, rule, (premise,), deps)
-            return sub
-
-        return len(options), alternative
-
-    def _witnesses(
-        self, state: _State, depth: int, wid: int, agent: str
-    ) -> tuple[int, Callable[[int], _State]]:
-        """The (C.CB) witnesses world ``wid`` may designate for ``agent``:
-        its first alternative for the agent, if any, then a fresh world."""
+    def _alternatives(
+        self, state: _State, depth: int, kind: str, wid: int, x: Formula | str
+    ) -> list[tuple]:
+        """The alternatives of the choice point at ``depth`` that ``_step``
+        reached, each as (rule, world, formula or agent, premise or witness,
+        dependency set).  A branch on ``x`` tries its (C.v) or (C.~&)
+        disjuncts left first; a (C.CB) choice for agent ``x`` tries the
+        world's first alternative for the agent, if any, then a fresh world
+        (witness None)."""
         bit = 1 << depth
-        candidates: list[tuple[int, int] | None] = []
-        if agent in state.worlds[wid].alternatives:
-            candidates.append(state.worlds[wid].alternatives[agent])
-        candidates.append(None)  # None means: spawn a fresh witness world
-
-        def alternative(k: int) -> _State:
-            sub = state.clone()
-            if candidates[k] is None:
-                target, via = self._spawn(sub, wid, agent, bit), bit
+        if kind == "branch":
+            premise, deps = state.worlds[wid].label[x]
+            if isinstance(x, Or):
+                options = ((x.left, "C.v-left"), (x.right, "C.v-right"))
             else:
-                target, via = candidates[k]
-            w = sub.own(wid)
-            w.cb[agent] = (target, via | bit)
-            # the (C.CB) scan passed over this agent's beliefs: rescan them
-            w.witnessed = 0
-            return sub
+                assert isinstance(x, Not) and isinstance(x.sub, And)
+                options = ((neg(x.sub.left), "C.~&-left"), (neg(x.sub.right), "C.~&-right"))
+            return [(rule, wid, g, premise, deps | bit) for g, rule in options]
+        reuse = state.worlds[wid].alternatives.get(x)
+        fresh = (C_CB.kind, wid, x, None, bit)
+        return [fresh] if reuse is None else [(C_CB.kind, wid, x, reuse[0], reuse[1] | bit), fresh]
 
-        return len(candidates), alternative
+    def _apply(self, state: _State, alternative: tuple) -> _State:
+        """A clone of ``state`` with ``alternative`` applied."""
+        rule, wid, x, y, deps = alternative
+        sub = state.clone()
+        if rule != C_CB.kind:
+            self._add(sub, wid, x, rule, (y,), deps)
+            return sub
+        target = self._spawn(sub, wid, x, deps) if y is None else y
+        w = sub.own(wid)
+        w.cb[x] = (target, deps)
+        # the (C.CB) scan passed over this agent's beliefs: rescan them
+        w.cursors[self.propagation.index(C_CB)] = 0
+        return sub
 
     # ------------------------------------------------------------------
     # one deterministic rule application
@@ -475,13 +472,13 @@ class _Engine:
                             self._add(state, w.id, f.left, "C.&", (step,), deps)
                         if f.right not in w.label:
                             self._add(state, w.id, f.right, "C.&", (step,), deps)
-                        return ("applied",)
+                        return _APPLIED
                 elif isinstance(f, Not):
                     g = f.sub
                     if isinstance(g, Not) and g.sub not in w.label:
                         step, deps = w.label[f]
                         self._add(state, w.id, g.sub, "C.~~", (step,), deps)
-                        return ("applied",)
+                        return _APPLIED
                     if isinstance(g, Or):
                         if neg(g.left) not in w.label or neg(g.right) not in w.label:
                             step, deps = w.label[f]
@@ -489,7 +486,7 @@ class _Engine:
                                 self._add(state, w.id, neg(g.left), "C.~v", (step,), deps)
                             if neg(g.right) not in w.label:
                                 self._add(state, w.id, neg(g.right), "C.~v", (step,), deps)
-                            return ("applied",)
+                            return _APPLIED
 
         # 2. negated-modal rewrites: ~B[a] q is the demand C[a] ~q
         for w in state.worlds:
@@ -507,7 +504,7 @@ class _Engine:
                         state, w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
                     )
                     w.demands.append((f.sub.agent.name, demanded, step, deps))
-                    return ("applied",)
+                    return _APPLIED
 
         # 3. branching propositional rules
         for w in state.worlds:
@@ -528,46 +525,45 @@ class _Engine:
                 ):
                     return ("branch", w.id, f)
 
-        # 4. propagation, rule by rule in the profile's order
-        for rule, cursors in zip(self.propagation, state.edge_cursors):
-            if not rule.every:
-                # (C.CB) goes world by world into each designated witness
-                for w in state.worlds:
-                    if w.witnessed == len(w.entries):
-                        continue
-                    w = state.own(w.id)
-                    entries = w.entries
-                    while w.witnessed < len(entries):
-                        f = entries[w.witnessed]
-                        w.witnessed += 1
-                        if isinstance(f, Bel) and f.agent.name in w.cb:
-                            target, via = w.cb[f.agent.name]
-                            if f not in state.worlds[target].label:
-                                step, deps = w.label[f]
-                                self._add(state, target, f, rule.kind, (step,), deps | via)
-                                return ("applied",)
-                continue
-            negated = rule.negated
-            for e, (agent, src, dst, via) in enumerate(state.edges):
-                if rule is _B_LIFT:
-                    src, dst = dst, src
-                source = state.worlds[src]
-                target = state.worlds[dst]
+        # 4. propagation, rule by rule in the profile's order, world by world
+        for r, rule in enumerate(self.propagation):
+            every, negated, carries_sub = rule.every, rule.negated, rule.carries_sub
+            # (C.CB) and (C.B-lift) scan a world's own entries, the rest
+            # send its creator's down the edge into it
+            down = every and rule is not _B_LIFT
+            for w in state.worlds:
+                if every and w.parent is None:
+                    continue
+                source = state.worlds[w.parent[1]] if down else w
                 entries = source.entries
-                while cursors[e] < len(entries):
-                    f = entries[cursors[e]]
-                    cursors[e] += 1
+                if w.cursors[r] == len(entries):
+                    continue
+                w = state.own(w.id)
+                cursors = w.cursors
+                if every:
+                    agent, dst, via = w.parent
+                    if down:
+                        dst = w.id
+                while cursors[r] < len(entries):
+                    f = entries[cursors[r]]
+                    cursors[r] += 1
                     belief = f
                     if negated:
-                        if not isinstance(f, Not):
+                        belief = f.sub if isinstance(f, Not) else None
+                    if not isinstance(belief, Bel):
+                        continue
+                    if not every:
+                        # (C.CB) sends a belief into its world's designated witness
+                        if belief.agent.name not in w.cb:
                             continue
-                        belief = f.sub
-                    if isinstance(belief, Bel) and belief.agent.name == agent:
-                        g = f.sub if rule.carries_sub else f
-                        if g not in target.label:
-                            step, deps = source.label[f]
-                            self._add(state, dst, g, rule.kind, (step,), deps | via)
-                            return ("applied",)
+                        dst, via = w.cb[belief.agent.name]
+                    elif belief.agent.name != agent:
+                        continue
+                    g = f.sub if carries_sub else f
+                    if g not in state.worlds[dst].label:
+                        step, deps = source.label[f]
+                        self._add(state, dst, g, rule.kind, (step,), deps | via)
+                        return _APPLIED
 
         # 5. world creation (skipped while a world is blocked); only a world
         # with something left to create is tested for blocking
@@ -584,14 +580,14 @@ class _Engine:
                 w.spawn_cursor += 1
                 new_id = self._spawn(state, w.id, agent, deps)
                 self._add(state, new_id, g, "C.C", (premise,), deps)
-                return ("applied",)
+                return _APPLIED
             if unwitnessed:
                 return ("cb", w.id, unwitnessed[0])
             first = w.beliefs[unserved[0]]
             premise, deps = w.label[first]
             new_id = self._spawn(state, w.id, unserved[0], deps)
             self._add(state, new_id, first.sub, "C.B", (premise,), deps)
-            return ("applied",)
+            return _APPLIED
         return None
 
     # ------------------------------------------------------------------
@@ -628,11 +624,9 @@ class _Engine:
 
     def _spawn(self, state: _State, parent: int, agent: str, deps: int) -> int:
         new_id = len(state.worlds)
-        state.worlds.append(_World(new_id, (agent, parent), state.token))
+        world = _World(new_id, (agent, parent, deps), state.token, len(self.propagation))
+        state.worlds.append(world)
         state.own(parent).alternatives.setdefault(agent, (new_id, deps))
-        state.edges.append((agent, parent, new_id, deps))
-        for cursors in state.edge_cursors:
-            cursors.append(0)
         self.stats.worlds_created += 1
         if len(state.worlds) > self.world_bound:
             raise InternalVerificationError(
@@ -672,10 +666,11 @@ class _Engine:
                 i = blocked[i]
             return i
 
+        # one edge into each world but the seed, in creation order
         redirected = [
-            (agent, src, resolve(dst))
-            for agent, src, dst, _ in state.edges
-            if src not in blocked
+            (w.parent[0], w.parent[1], resolve(w.id))
+            for w in state.worlds
+            if w.parent is not None and w.parent[1] not in blocked
         ]
 
         reachable = {0}

@@ -259,7 +259,8 @@ class TestEngineAgreement:
     """The tableau against the oracle over two atoms and two agents.  Every
     other seeded formula is conjoined with ``C[b] q & C[a] ~q``, which takes
     two worlds.  kd45 is left out: some 2-agent formulas of this generator
-    overrun the engine's world bound or its recursion depth under kd45."""
+    overrun the engine's world bound under kd45, formula 186 only after
+    about five minutes."""
 
     BUDGET = EnumerationBudget(max_worlds=2, atoms=("p", "q"), agents=("a", "b"))
 

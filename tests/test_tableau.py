@@ -97,6 +97,17 @@ class TestVerdicts:
         # hashing a node no longer recurses into its children
         assert sat("~" * 500 + "p", KD) is True
 
+    def test_deep_choice_stack_decides(self):
+        # a balanced tree keeps the formula shallow, so only the search is
+        # deep: 1,000 choice points open at once
+        level = [Or(Atom(f"p{i}"), Atom(f"q{i}")) for i in range(1000)]
+        while len(level) > 1:
+            pairs = [And(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+            level = pairs + level[len(level) - len(level) % 2:]
+        verdict = decide_sat(level[0], KD)
+        assert verdict.is_sat
+        assert verdict.stats.choice_points == 1000
+
 
 class TestSatModels:
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
@@ -177,6 +188,13 @@ class TestTraceStructure:
         first = decide_sat(parse(text), profile)
         second = decide_sat(parse(text), profile)
         assert first.trace == second.trace
+
+    def test_propagation_visits_worlds_in_creation_order(self):
+        # B[a] s, lifted from w2's alternative, reaches w0, which then sends
+        # s into both of its alternatives: w1 first, so w1 clashes
+        verdict = decide_sat(parse("C[a](p & ~s) & C[a](q & ~s & C[a] B[a] s)"), KD45)
+        assert isinstance(verdict, UnsatVerdict)
+        assert (len(verdict.trace), verdict.trace[-1].world) == (51, "w1")
 
     def test_sat_models_are_deterministic(self):
         f = parse("B[a](p | q) & ~B[a] p")
@@ -330,7 +348,7 @@ class TestPinnedVerdicts:
         KD: "086b27bec6fb88bd22a5e919a0f5eda86cfd08eaa72c1c2a34ebd74160d1dc6d",
     }
     # kd45 is left out: some 2-agent formulas of this seed overrun the
-    # engine's world bound or its recursion depth.
+    # engine's world bound, formula 186 only after about five minutes.
     TWO_AGENT = {
         HINTIKKA: "9baa2d6a08f37f888573c449c6b2adc9ccd172f1299141ba62f21f8a7483c264",
         HSTAR: "ce0e5059795ace0a5c519eff16cf4b7b8cbb79053e64523ed0fc6166aff9264d",
