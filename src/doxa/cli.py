@@ -198,7 +198,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if args.output == "json":
         _dump_json(result.to_json_dict())
     else:
-        width = max(len(row.entry.id) for row in result.rows)
+        width = max((len(row.entry.id) for row in result.rows), default=0)
         for row in result.rows:
             mark = _verdict_word("pass", True) if row.ok else _verdict_word("FAIL", False)
             print(

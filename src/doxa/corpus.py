@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .models import LogicProfile
-from .parser import parse
+from .parser import ParseError, parse
 from .tableau import decide_sat, decide_valid
 
 _REQUIRED_KEYS = {"id", "formula", "profile", "mode", "expected", "source"}
@@ -94,11 +94,18 @@ def _entry_from_dict(raw: dict, where: str) -> CorpusEntry:
         raise ValueError(
             f"{where}: expected verdict for mode {mode!r} must be one of {_MODES[mode]}"
         )
-    parse(raw["formula"])  # fail fast on malformed rows
+    try:
+        parse(raw["formula"])  # fail fast on malformed rows
+    except ParseError as err:
+        raise ParseError(f"{where}: {err.message}", err.span) from None
+    try:
+        profile = LogicProfile.from_name(raw["profile"])
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
     return CorpusEntry(
         id=raw["id"],
         formula=raw["formula"],
-        profile=LogicProfile.from_name(raw["profile"]),
+        profile=profile,
         mode=mode,
         expected=raw["expected"],
         source=raw["source"],

@@ -59,17 +59,24 @@ order.  A scan resumes at its cursor instead of at the first entry of the
 first world; no entry before a cursor can fire again.  The one exception is
 a belief that (C.CB) passes over while its world has no designated witness
 for the belief's agent: designating the witness resets that world's (C.CB)
-cursor.  Cursors are copied with their world, so rules fire in exactly the
-order a full rescan after every firing would give.  Step 5 and the (C.CB)
-choice likewise read per-world records of each agent's first belief and
-first alternative instead of scanning labels and edges.
+cursor.  Cursors are restored with their world on backtracking, so rules
+fire in exactly the order a full rescan after every firing would give.
+Step 5 and the (C.CB) choice likewise read per-world records of each
+agent's first belief and first alternative instead of scanning labels and
+edges.
 
-A choice point copies no label: its clone copies only the list of world
-references and shares the worlds with the state it was made from until it
-writes to one, which it copies first, and the trace is a linked list whose
-common part the two share.  The search keeps the open choice points on an
-explicit stack instead of recursing, so its depth is bounded by memory
-only.
+The search changes one branch in place and undoes it from a trail (Eén &
+Sörensson, "An extensible SAT-solver", SAT 2003).  Before its first change
+since the current alternative was applied, a world is logged on the trail
+with a mark: the lengths of its lists and records and its cursors, which
+is all that undoing the later changes needs, since along a branch those
+lists and records only grow.  A choice point keeps the trail length, the
+world count and the trace, a linked list whose steps before the choice
+point stay shared; trying its next alternative restores the worlds logged
+since, drops the worlds made since and resets the trace.  The open choice
+points sit on an explicit stack instead of the call stack, so the search
+depth is bounded by memory only, and memory grows with the work done on
+the branch, not with its depth times its label size.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999): a choice
@@ -152,7 +159,6 @@ from .models import (
     euclidean,
     evaluate,
     model_to_json_dict,
-    serial,
     transitive,
 )
 
@@ -246,8 +252,8 @@ class ValidityVerdict:
     stats: TableauStats
 
 
-#: A branch's trace as (last step, trace before it) pairs, so that a state
-#: and its clones share the steps they have in common.
+#: A branch's trace as (last step, trace before it) pairs, so that the
+#: branch and the choice points open on it share the steps before them.
 _Trace = tuple[ProofStep, "_Trace"] | None
 
 
@@ -271,19 +277,20 @@ class _Closed(Exception):
 
 class _World:
     __slots__ = (
-        "id", "parent", "owner", "label", "entries", "demands", "spawn_cursor", "cb",
+        "id", "parent", "epoch", "label", "entries", "demands", "spawn_cursor", "cb",
         "beliefs", "alternatives", "saturated", "rewritten", "branched", "cursors",
     )
 
     def __init__(
-        self, wid: int, parent: tuple[str, int, int] | None, owner: object, rules: int
+        self, wid: int, parent: tuple[str, int, int] | None, epoch: int, rules: int
     ) -> None:
         self.id = wid
         # (agent, creator, dependency set of the edge from the creator), the
         # one edge into this world; None for the seed world
         self.parent = parent
-        # the token of the one state that may write to this world
-        self.owner = owner
+        # the engine's epoch when this world was made or last logged on the
+        # trail
+        self.epoch = epoch
         # formula -> (step index, dependency set)
         self.label: dict[Formula, tuple[int, int]] = {}
         # the keys of ``label`` in insertion order, for the scan cursors
@@ -307,50 +314,33 @@ class _World:
         # entries for (C.CB) and (C.B-lift), into its creator's otherwise
         self.cursors = [0] * rules
 
-    def clone(self, owner: object) -> _World:
-        w = _World.__new__(_World)
-        w.id = self.id
-        w.parent = self.parent
-        w.owner = owner
-        w.label = dict(self.label)
-        w.entries = list(self.entries)
-        w.demands = list(self.demands)
-        w.spawn_cursor = self.spawn_cursor
-        w.cb = dict(self.cb)
-        w.beliefs = dict(self.beliefs)
-        w.alternatives = dict(self.alternatives)
-        w.saturated = self.saturated
-        w.rewritten = self.rewritten
-        w.branched = self.branched
-        w.cursors = list(self.cursors)
-        return w
+    def mark(self) -> tuple:
+        """What ``restore`` needs to undo every later change.  Along a
+        branch ``label``, ``entries``, ``demands``, ``cb``, ``beliefs`` and
+        ``alternatives`` only gain entries, and no dict key is ever
+        overwritten, so their lengths are enough: ``restore`` pops the
+        newest keys of the dicts, which keep insertion order."""
+        return (
+            len(self.entries), len(self.demands), len(self.cb), len(self.beliefs),
+            len(self.alternatives), self.saturated, self.rewritten, self.branched,
+            self.spawn_cursor, tuple(self.cursors),
+        )
 
-
-class _State:
-    """One branch of the search.  A clone shares its worlds with the state
-    it was cloned from, and ``own`` copies a shared world before the first
-    write to it; a state is never written to once it has been cloned."""
-
-    __slots__ = ("token", "worlds", "trace")
-
-    def __init__(self, rules: int) -> None:
-        self.token = object()
-        self.worlds: list[_World] = [_World(0, None, self.token, rules)]
-        self.trace: _Trace = None
-
-    def clone(self) -> _State:
-        st = _State.__new__(_State)
-        st.token = object()
-        st.worlds = list(self.worlds)
-        st.trace = self.trace
-        return st
-
-    def own(self, wid: int) -> _World:
-        """World ``wid``, copied first if another state shares it."""
-        w = self.worlds[wid]
-        if w.owner is not self.token:
-            w = self.worlds[wid] = w.clone(self.token)
-        return w
+    def restore(self, mark: tuple) -> None:
+        (
+            entries, demands, cb, beliefs, alternatives,
+            self.saturated, self.rewritten, self.branched, self.spawn_cursor, cursors,
+        ) = mark
+        for f in self.entries[entries:]:
+            del self.label[f]
+        del self.entries[entries:]
+        del self.demands[demands:]
+        for records, length in (
+            (self.cb, cb), (self.beliefs, beliefs), (self.alternatives, alternatives)
+        ):
+            while len(records) > length:
+                records.popitem()
+        self.cursors[:] = cursors
 
 
 #: What ``_step`` returns after firing a rule.
@@ -371,34 +361,50 @@ class _Engine:
         self.agent_names = sorted(a.name for a in agents(self.kernel))
         closure = subformula_closure(self.kernel)
         self.world_bound = 2 ** min(len(closure), 20)
+        # the one branch the search is on, changed in place
+        self.worlds = [_World(0, None, 0, len(self.propagation))]
+        self.trace: _Trace = None
+        # (world, mark) of each world changed since the alternative that
+        # began the world's epoch was applied; nothing is logged before the
+        # first choice point, whose first alternative begins epoch 1
+        self.trail: list[tuple[_World, tuple]] = []
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     # search
 
     def run(self) -> ModelSystem:
         """Depth-first search over an explicit stack of the open choice
-        points, the one at depth d at index d.  An entry is [the state the
-        choice was made in, its alternatives, the index of the next one to
-        try, the union of the closing sets of those tried].  ``state`` is
-        None while the innermost entry is due to try its next alternative."""
-        state: _State | None = _State(len(self.propagation))
-        self._add(state, 0, self.kernel, "seed", (), 0)
+        points, the one at depth d at index d.  An entry is [(trail length,
+        world count, trace) when the choice was made, its alternatives, the
+        index of the next one to try, the union of the closing sets of
+        those tried].  ``pending`` says that the innermost entry is due to
+        try its next alternative."""
+        self._add(0, self.kernel, "seed", (), 0)
         stack: list[list] = []
+        pending = False
         while True:
             try:
-                if state is None:
-                    saved, alternatives, k, _ = entry = stack[-1]
+                if pending:
+                    (length, count, self.trace), alternatives, k, _ = entry = stack[-1]
                     entry[2] = k + 1
-                    state = self._apply(saved, alternatives[k])
-                choice = self._step(state)
+                    while len(self.trail) > length:
+                        w, mark = self.trail.pop()
+                        w.restore(mark)
+                    del self.worlds[count:]
+                    self.epoch += 1
+                    pending = False
+                    self._apply(alternatives[k])
+                choice = self._step()
                 if choice is None:
-                    return self._extract(state)
+                    return self._extract()
                 if choice is not _APPLIED:
                     self.stats.choice_points += 1
-                    stack.append([state, self._alternatives(state, len(stack), *choice), 0, 0])
-                    state = None
+                    saved = (len(self.trail), len(self.worlds), self.trace)
+                    stack.append([saved, self._alternatives(len(stack), *choice), 0, 0])
+                    pending = True
             except _Closed as closed:
-                state, deps = None, closed.deps
+                pending, deps = True, closed.deps
                 while stack:
                     entry = stack[-1]
                     bit = 1 << (len(stack) - 1)
@@ -414,9 +420,7 @@ class _Engine:
                 else:
                     raise _Closed(closed.trace, deps) from None
 
-    def _alternatives(
-        self, state: _State, depth: int, kind: str, wid: int, x: Formula | str
-    ) -> list[tuple]:
+    def _alternatives(self, depth: int, kind: str, wid: int, x: Formula | str) -> list[tuple]:
         """The alternatives of the choice point at ``depth`` that ``_step``
         reached, each as (rule, world, formula or agent, premise or witness,
         dependency set).  A branch on ``x`` tries its (C.v) or (C.~&)
@@ -425,42 +429,40 @@ class _Engine:
         (witness None)."""
         bit = 1 << depth
         if kind == "branch":
-            premise, deps = state.worlds[wid].label[x]
+            premise, deps = self.worlds[wid].label[x]
             if isinstance(x, Or):
                 options = ((x.left, "C.v-left"), (x.right, "C.v-right"))
             else:
                 assert isinstance(x, Not) and isinstance(x.sub, And)
                 options = ((neg(x.sub.left), "C.~&-left"), (neg(x.sub.right), "C.~&-right"))
             return [(rule, wid, g, premise, deps | bit) for g, rule in options]
-        reuse = state.worlds[wid].alternatives.get(x)
+        reuse = self.worlds[wid].alternatives.get(x)
         fresh = (C_CB.kind, wid, x, None, bit)
         return [fresh] if reuse is None else [(C_CB.kind, wid, x, reuse[0], reuse[1] | bit), fresh]
 
-    def _apply(self, state: _State, alternative: tuple) -> _State:
-        """A clone of ``state`` with ``alternative`` applied."""
+    def _apply(self, alternative: tuple) -> None:
         rule, wid, x, y, deps = alternative
-        sub = state.clone()
         if rule != C_CB.kind:
-            self._add(sub, wid, x, rule, (y,), deps)
-            return sub
-        target = self._spawn(sub, wid, x, deps) if y is None else y
-        w = sub.own(wid)
+            self._add(wid, x, rule, (y,), deps)
+            return
+        target = self._spawn(wid, x, deps) if y is None else y
+        w = self.worlds[wid]
+        self._touch(w)
         w.cb[x] = (target, deps)
         # the (C.CB) scan passed over this agent's beliefs: rescan them
         w.cursors[self.propagation.index(C_CB)] = 0
-        return sub
 
     # ------------------------------------------------------------------
     # one deterministic rule application
 
-    def _step(self, state: _State) -> tuple | None:
+    def _step(self) -> tuple | None:
         # Every scan resumes at its cursor: the entries before it can never
         # fire again (see the module docstring).
         # 1. non-branching propositional saturation
-        for w in state.worlds:
+        for w in self.worlds:
             if w.saturated == len(w.entries):
                 continue
-            w = state.own(w.id)
+            self._touch(w)
             entries = w.entries
             while w.saturated < len(entries):
                 f = entries[w.saturated]
@@ -469,30 +471,30 @@ class _Engine:
                     if f.left not in w.label or f.right not in w.label:
                         step, deps = w.label[f]
                         if f.left not in w.label:
-                            self._add(state, w.id, f.left, "C.&", (step,), deps)
+                            self._add(w.id, f.left, "C.&", (step,), deps)
                         if f.right not in w.label:
-                            self._add(state, w.id, f.right, "C.&", (step,), deps)
+                            self._add(w.id, f.right, "C.&", (step,), deps)
                         return _APPLIED
                 elif isinstance(f, Not):
                     g = f.sub
                     if isinstance(g, Not) and g.sub not in w.label:
                         step, deps = w.label[f]
-                        self._add(state, w.id, g.sub, "C.~~", (step,), deps)
+                        self._add(w.id, g.sub, "C.~~", (step,), deps)
                         return _APPLIED
                     if isinstance(g, Or):
                         if neg(g.left) not in w.label or neg(g.right) not in w.label:
                             step, deps = w.label[f]
                             if neg(g.left) not in w.label:
-                                self._add(state, w.id, neg(g.left), "C.~v", (step,), deps)
+                                self._add(w.id, neg(g.left), "C.~v", (step,), deps)
                             if neg(g.right) not in w.label:
-                                self._add(state, w.id, neg(g.right), "C.~v", (step,), deps)
+                                self._add(w.id, neg(g.right), "C.~v", (step,), deps)
                             return _APPLIED
 
         # 2. negated-modal rewrites: ~B[a] q is the demand C[a] ~q
-        for w in state.worlds:
+        for w in self.worlds:
             if w.rewritten == len(w.entries):
                 continue
-            w = state.own(w.id)
+            self._touch(w)
             entries = w.entries
             while w.rewritten < len(entries):
                 f = entries[w.rewritten]
@@ -501,16 +503,16 @@ class _Engine:
                     demanded = neg(f.sub.sub)
                     premise, deps = w.label[f]
                     step = self._record(
-                        state, w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
+                        w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
                     )
                     w.demands.append((f.sub.agent.name, demanded, step, deps))
                     return _APPLIED
 
         # 3. branching propositional rules
-        for w in state.worlds:
+        for w in self.worlds:
             if w.branched == len(w.entries):
                 continue
-            w = state.own(w.id)
+            self._touch(w)
             entries = w.entries
             while w.branched < len(entries):
                 f = entries[w.branched]
@@ -531,14 +533,14 @@ class _Engine:
             # (C.CB) and (C.B-lift) scan a world's own entries, the rest
             # send its creator's down the edge into it
             down = every and rule is not _B_LIFT
-            for w in state.worlds:
+            for w in self.worlds:
                 if every and w.parent is None:
                     continue
-                source = state.worlds[w.parent[1]] if down else w
+                source = self.worlds[w.parent[1]] if down else w
                 entries = source.entries
                 if w.cursors[r] == len(entries):
                     continue
-                w = state.own(w.id)
+                self._touch(w)
                 cursors = w.cursors
                 if every:
                     agent, dst, via = w.parent
@@ -560,55 +562,59 @@ class _Engine:
                     elif belief.agent.name != agent:
                         continue
                     g = f.sub if carries_sub else f
-                    if g not in state.worlds[dst].label:
+                    if g not in self.worlds[dst].label:
                         step, deps = source.label[f]
-                        self._add(state, dst, g, rule.kind, (step,), deps | via)
+                        self._add(dst, g, rule.kind, (step,), deps | via)
                         return _APPLIED
 
         # 5. world creation (skipped while a world is blocked); only a world
         # with something left to create is tested for blocking
         witnesses = C_CB in self.propagation
-        for w in state.worlds:
+        for w in self.worlds:
             demand = w.spawn_cursor < len(w.demands)
             unwitnessed = [a for a in w.beliefs if a not in w.cb] if witnesses else []
             unserved = [a for a in w.beliefs if a not in w.alternatives]
-            if not (demand or unwitnessed or unserved) or self._blocker(state, w) is not None:
+            if not (demand or unwitnessed or unserved) or self._blocker(w) is not None:
                 continue
             if demand:
-                w = state.own(w.id)
+                self._touch(w)
                 agent, g, premise, deps = w.demands[w.spawn_cursor]
                 w.spawn_cursor += 1
-                new_id = self._spawn(state, w.id, agent, deps)
-                self._add(state, new_id, g, "C.C", (premise,), deps)
+                new_id = self._spawn(w.id, agent, deps)
+                self._add(new_id, g, "C.C", (premise,), deps)
                 return _APPLIED
             if unwitnessed:
                 return ("cb", w.id, unwitnessed[0])
             first = w.beliefs[unserved[0]]
             premise, deps = w.label[first]
-            new_id = self._spawn(state, w.id, unserved[0], deps)
-            self._add(state, new_id, first.sub, "C.B", (premise,), deps)
+            new_id = self._spawn(w.id, unserved[0], deps)
+            self._add(new_id, first.sub, "C.B", (premise,), deps)
             return _APPLIED
         return None
 
     # ------------------------------------------------------------------
     # primitive actions
 
-    def _record(
-        self, state: _State, wid: int, f: Formula, rule: str, premises: tuple[int, ...]
-    ) -> int:
-        index = state.trace[0].i + 1 if state.trace else 1
-        state.trace = (ProofStep(index, f"w{wid}", f, rule, premises), state.trace)
+    def _record(self, wid: int, f: Formula, rule: str, premises: tuple[int, ...]) -> int:
+        index = self.trace[0].i + 1 if self.trace else 1
+        self.trace = (ProofStep(index, f"w{wid}", f, rule, premises), self.trace)
         self.stats.rules_fired += 1
         return index
 
+    def _touch(self, w: _World) -> None:
+        """Log ``w`` on the trail before its first change in this epoch."""
+        if w.epoch != self.epoch:
+            w.epoch = self.epoch
+            self.trail.append((w, w.mark()))
+
     def _add(
-        self, state: _State, wid: int, f: Formula, rule: str, premises: tuple[int, ...],
-        deps: int,
+        self, wid: int, f: Formula, rule: str, premises: tuple[int, ...], deps: int
     ) -> None:
-        if f in state.worlds[wid].label:
+        w = self.worlds[wid]
+        if f in w.label:
             return
-        w = state.own(wid)
-        w.label[f] = (self._record(state, wid, f, rule, premises), deps)
+        self._touch(w)
+        w.label[f] = (self._record(wid, f, rule, premises), deps)
         w.entries.append(f)
         if isinstance(f, Bel) and f.agent.name not in w.beliefs:
             w.beliefs[f.agent.name] = f
@@ -619,22 +625,23 @@ class _Engine:
         else:
             return
         (i, deps_i), (j, deps_j) = w.label[positive], w.label[Not(positive)]
-        self._record(state, wid, positive, "C.~-clash", (min(i, j), max(i, j)))
-        raise _Closed(state.trace, deps_i | deps_j)
+        self._record(wid, positive, "C.~-clash", (min(i, j), max(i, j)))
+        raise _Closed(self.trace, deps_i | deps_j)
 
-    def _spawn(self, state: _State, parent: int, agent: str, deps: int) -> int:
-        new_id = len(state.worlds)
-        world = _World(new_id, (agent, parent, deps), state.token, len(self.propagation))
-        state.worlds.append(world)
-        state.own(parent).alternatives.setdefault(agent, (new_id, deps))
+    def _spawn(self, parent: int, agent: str, deps: int) -> int:
+        new_id = len(self.worlds)
+        self.worlds.append(_World(new_id, (agent, parent, deps), self.epoch, len(self.propagation)))
+        creator = self.worlds[parent]
+        self._touch(creator)
+        creator.alternatives.setdefault(agent, (new_id, deps))
         self.stats.worlds_created += 1
-        if len(state.worlds) > self.world_bound:
+        if len(self.worlds) > self.world_bound:
             raise InternalVerificationError(
                 f"world count exceeded the closure bound {self.world_bound}"
             )
         return new_id
 
-    def _blocker(self, state: _State, w: _World) -> _World | None:
+    def _blocker(self, w: _World) -> _World | None:
         """Nearest strict ancestor with an identical label, reached through
         an unbroken chain of alternatives for the creating agent.  Only an
         ancestor that was itself created for that agent can block, so a
@@ -643,67 +650,47 @@ class _Engine:
             return None
         agent = w.parent[0]
         keys = w.label.keys()
-        current = state.worlds[w.parent[1]]
+        current = self.worlds[w.parent[1]]
         while current.parent is not None and current.parent[0] == agent:
             if current.label.keys() == keys:
                 return current
-            current = state.worlds[current.parent[1]]
+            current = self.worlds[current.parent[1]]
         return None
 
     # ------------------------------------------------------------------
     # model extraction
 
-    def _extract(self, state: _State) -> ModelSystem:
-        blocked: dict[int, int] = {}
-        for w in state.worlds:
-            blocker = self._blocker(state, w)
+    def _extract(self) -> ModelSystem:
+        # A world is kept when it is not blocked and its creator is kept, and
+        # creators precede their worlds.  The edge into a blocked world with
+        # a kept creator enters its blocker instead, an ancestor and so kept.
+        keep: list[_World] = []
+        index: dict[int, int] = {}  # kept world -> model world
+        into: dict[int, int] = {}  # world with a kept creator -> model world its edge enters
+        succ: dict[str, list[set[int]]] = {a: [] for a in self.agent_names}
+        for w in self.worlds:
+            blocker = self._blocker(w)
             if blocker is not None:
-                blocked[w.id] = blocker.id
-        self.stats.blocks_applied += len(blocked)
-
-        def resolve(i: int) -> int:
-            while i in blocked:
-                i = blocked[i]
-            return i
-
-        # one edge into each world but the seed, in creation order
-        redirected = [
-            (w.parent[0], w.parent[1], resolve(w.id))
-            for w in state.worlds
-            if w.parent is not None and w.parent[1] not in blocked
-        ]
-
-        reachable = {0}
-        frontier = [0]
-        outgoing: dict[int, list[int]] = {}
-        for _, src, dst in redirected:
-            outgoing.setdefault(src, []).append(dst)
-        while frontier:
-            u = frontier.pop()
-            for v in outgoing.get(u, ()):
-                if v not in reachable:
-                    reachable.add(v)
-                    frontier.append(v)
-
-        keep = sorted(reachable)
-        index = {old: new for new, old in enumerate(keep)}
-        n = len(keep)
-        labels = [state.worlds[old].label for old in keep]
-        created_for = [
-            None if state.worlds[old].parent is None else state.worlds[old].parent[0]
-            for old in keep
-        ]
-
-        succ: dict[str, list[set[int]]] = {a: [set() for _ in range(n)] for a in self.agent_names}
-        for agent, src, dst in redirected:
-            if src in reachable and dst in reachable:
-                succ[agent][index[src]].add(index[dst])
+                self.stats.blocks_applied += 1
+            if w.parent is not None and w.parent[1] not in index:
+                continue
+            if blocker is None:
+                index[w.id] = into[w.id] = len(keep)
+                keep.append(w)
+                for rows in succ.values():
+                    rows.append(set())
+            else:
+                into[w.id] = index[blocker.id]
+            if w.parent is not None:
+                agent, creator, _ = w.parent
+                succ[agent][index[creator]].add(into[w.id])
 
         for agent in self.agent_names:
-            self._complete_relation(state, agent, succ[agent], created_for, index, resolve, keep)
+            self._complete_relation(agent, succ[agent], keep, into)
 
+        n = len(keep)
         valuation = {
-            w: frozenset(f.name for f in labels[w] if isinstance(f, Atom))
+            w: frozenset(f.name for f in keep[w].label if isinstance(f, Atom))
             for w in range(n)
         }
         alternatives = {
@@ -725,40 +712,26 @@ class _Engine:
         return model
 
     def _complete_relation(
-        self,
-        state: _State,
-        agent: str,
-        succ: list[set[int]],
-        created_for: list[str | None],
-        index: dict[int, int],
-        resolve,
-        keep: list[int],
+        self, agent: str, succ: list[set[int]], keep: list[_World], into: dict[int, int]
     ) -> None:
         """Grow the raw tableau relation for one agent into the profile's
         frame class without disturbing any labeled formula's truth.  The
         profile's strongest frame condition, the last of its table row,
-        decides how."""
-        n = len(succ)
+        decides how; every world then still without an alternative is its
+        own."""
         strongest = self.frame[-1]
-        if strongest is serial:
-            for w in range(n):
-                if not succ[w]:
-                    succ[w].add(w)
-        elif strongest is a3_witness:
+        if strongest is a3_witness:
             # A world with no beliefs of this agent is its own witness; a
             # believing world inherits the successors of its designated
             # witness so that the witness's successor set nests inside its
             # own.
-            has_belief = [agent in state.worlds[old].beliefs for old in keep]
             witness: dict[int, int] = {}
-            for old in keep:
-                designated = state.worlds[old].cb.get(agent)
-                if designated is not None:
-                    witness[index[old]] = index[resolve(designated[0])]
-            for w in range(n):
-                if not has_belief[w]:
+            for w, world in enumerate(keep):
+                if agent not in world.beliefs:
                     succ[w].add(w)
-                elif w not in witness:
+                elif agent in world.cb:
+                    witness[w] = into[world.cb[agent][0]]
+                else:
                     raise InternalVerificationError(
                         f"believing world {w} saturated without a witness"
                     )
@@ -774,12 +747,10 @@ class _Engine:
             while missing := [edge for _, edge, _ in transitive(succ, agent)]:
                 for w, v in missing:
                     succ[w].add(v)
-            for w in range(n):
-                if not succ[w]:
-                    succ[w].add(w)
-        else:  # euclidean: each tree of alternatives collapses into one cluster
-            for root in range(n):
-                if created_for[root] == agent:
+        elif strongest is euclidean:
+            # each tree of alternatives collapses into one cluster
+            for root, world in enumerate(keep):
+                if world.parent is not None and world.parent[0] == agent:
                     continue
                 members: set[int] = set()
                 frontier = [root]
@@ -789,11 +760,11 @@ class _Engine:
                         if v not in members:
                             members.add(v)
                             frontier.append(v)
-                if members:
-                    for u in members | {root}:
-                        succ[u] = set(members)
-                else:
-                    succ[root].add(root)
+                for u in members | {root}:
+                    succ[u] = set(members)
+        for w, successors in enumerate(succ):
+            if not successors:
+                successors.add(w)
 
 
 def decide_sat(f: Formula, profile: LogicProfile) -> SatVerdict | UnsatVerdict:

@@ -265,6 +265,12 @@ class TestCorpus:
         assert code == 2 and out == ""
         assert err == f"error: {path}:1: fields ['formula'] must be strings\n"
 
+    def test_empty_corpus(self, capsys, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "corpus", str(path))
+        assert (code, out, err) == (0, "passed: 0  failed: 0\n", "")
+
     def test_unreadable_corpus(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "corpus", str(tmp_path / "missing.jsonl"))
         assert code == 2

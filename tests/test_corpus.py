@@ -52,7 +52,7 @@ class TestLoad:
             ([_row(extra=1)], "unknown keys"),
             ([_row(mode="decide")], "mode must be 'sat' or 'valid'"),
             ([_row(expected="sat")], "expected verdict for mode 'valid'"),
-            ([_row(profile="s5")], "unknown profile"),
+            ([_row(profile="s5")], r"corpus.jsonl:1: unknown profile 's5'"),
             ([_row(), _row()], "duplicate corpus ids"),
             ([_row(formula=5)], r"corpus.jsonl:1: fields \['formula'\] must be strings"),
             ([_row(mode=["sat"])], r"corpus.jsonl:1: fields \['mode'\] must be strings"),
@@ -66,7 +66,7 @@ class TestLoad:
 
     def test_malformed_formula_fails_fast(self, tmp_path):
         path = _write_corpus(tmp_path, [_row(formula="p &")])
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"corpus.jsonl:1: missing operand \(at 3\.\.3\)"):
             load_corpus(path)
 
     def test_errors_name_the_line(self, tmp_path):

@@ -26,3 +26,50 @@ def test_every_import_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert imported <= used, sorted(imported - used)
+
+
+def _references() -> set[str]:
+    """Every name read, attribute read and ``__all__`` string in the package."""
+    found: set[str] = set()
+    for path in Path(doxa.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                found |= {
+                    c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+                }
+    return found
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level function, class and
+    constant, and of each method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id != "__all__":
+                    yield t.id, t.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(doxa.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_definition_is_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    references = _references()
+    dead = [qualified for qualified, name in _definitions(tree) if name not in references]
+    assert not dead, dead

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from conftest import random_formula
@@ -104,9 +105,17 @@ class TestVerdicts:
         while len(level) > 1:
             pairs = [And(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
             level = pairs + level[len(level) - len(level) % 2:]
-        verdict = decide_sat(level[0], KD)
+        tracemalloc.start()
+        try:
+            verdict = decide_sat(level[0], KD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert verdict.is_sat
         assert verdict.stats.choice_points == 1000
+        # memory grows with the work on the branch, not with depth times
+        # label size (a copy per choice point peaked at 112 MB here)
+        assert peak < 16 * 2**20
 
 
 class TestSatModels:
@@ -437,6 +446,12 @@ def _prop(n: int) -> str:
 #: made more than 221,000 branch points without an answer.
 _HINTIKKA_FUZZ = "B[a]((q | p) & B[a] q | (C[a] q | C[a] q) <-> ~B[a] B[a] q)"
 
+#: An input on which two undo-trail mistakes change the answer or the work:
+#: a world's creator left off the trail when the world is made, and one
+#: epoch kept across the alternatives of a choice point.  The rest of the
+#: suite passes both.
+_TRAIL_CATCH = "B[a]((B[a] p -> p & p) -> ~B[a] p)"
+
 
 class TestPinnedWork:
     """Exact (rules fired, worlds created, blocks applied) on rows of the
@@ -454,6 +469,8 @@ class TestPinnedWork:
             (_prop(14), KD, False, (178, 0, 0)),
             (_compat(12), HINTIKKA, True, (121, 36, 12)),
             (_HINTIKKA_FUZZ, HINTIKKA, True, (3778, 246, 11)),
+            (_TRAIL_CATCH, HSTAR, True, (70, 9, 2)),
+            (_TRAIL_CATCH, KD45, True, (40, 3, 1)),
         ],
     )
     def test_work_counts(self, text, profile, expect_sat, work):
