@@ -201,10 +201,19 @@ def render(f: Formula) -> str:
             return prefix + f.name
         # Prefix operators attach parentheses directly: "~(p & q)", "B[a](p | q)".
         return f"{prefix.rstrip()}({render(f)})"
-    if isinstance(f, And):
-        return f"{_render_child(f.left, _PREC_AND)} & {_render_child(f.right, _PREC_AND + 1)}"
-    if isinstance(f, Or):
-        return f"{_render_child(f.left, _PREC_OR)} | {_render_child(f.right, _PREC_OR + 1)}"
+    if isinstance(f, (And, Or)):
+        # A left-nested chain of one operator, as the parser builds "p & q &
+        # r", renders in a loop along its left spine, so its length is not
+        # bounded by the recursion limit.
+        kind = type(f)
+        op, prec = (" & ", _PREC_AND) if kind is And else (" | ", _PREC_OR)
+        rights = []
+        while type(f) is kind:
+            rights.append(f.right)
+            f = f.left
+        parts = [_render_child(f, prec)]
+        parts += [_render_child(g, prec + 1) for g in reversed(rights)]
+        return op.join(parts)
     if isinstance(f, Implies):
         return f"{_render_child(f.left, _PREC_IMPLIES + 1)} -> {_render_child(f.right, _PREC_IMPLIES)}"
     if isinstance(f, Iff):

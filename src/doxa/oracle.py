@@ -25,6 +25,9 @@ agent; frame ``i < m**k`` of a k-agent budget gives the agent at position
 ``pos`` the mask ``(i // m**(k-1-pos)) % m``, which is the order above.
 Frames go through in chunks of at most ``CHUNK_CELLS`` booleans per truth
 array, so memory is bounded by the formula, not by the frame count.  The
+valuations of a world count are held all at once, so a budget may have at
+most ``MAX_VALUATION_BITS`` (20) valuation bits, ``max_worlds * len(atoms)``:
+past that, ``EnumerationBudget`` raises ``ValueError``.  The
 first hit of a chunk is the first in enumeration order; it is rebuilt and
 re-verified with the reference evaluator.  numpy is imported on the first
 call, not with the package.
@@ -47,6 +50,10 @@ _NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 #: Hard ceiling on budget size; 5 worlds already means 2**25 relations.
 MAX_BUDGET_WORLDS = 5
+
+#: Most valuation bits, ``max_worlds * len(atoms)``, a budget may have:
+#: ``sat_upto`` holds all ``2**bits`` valuations of a world count at once.
+MAX_VALUATION_BITS = 20
 
 #: Hand-computed model counts, keyed by (profile, exact world count, atom
 #: count, agent count).  Each entry counts the models of that exact size,
@@ -104,6 +111,12 @@ class EnumerationBudget:
                     raise ValueError(f"invalid {kind} name {name!r}")
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate {kind} names in budget")
+        if self.max_worlds * len(self.atoms) > MAX_VALUATION_BITS:
+            raise ValueError(
+                f"budget of {self.max_worlds} worlds and {len(self.atoms)} atoms needs"
+                f" 2**{self.max_worlds * len(self.atoms)} valuations; max_worlds * atoms"
+                f" must be at most {MAX_VALUATION_BITS}"
+            )
 
 
 _ROWS: dict[int, tuple[frozenset[int], ...]] = {}

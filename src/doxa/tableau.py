@@ -55,25 +55,41 @@ one cursor per propagation rule: into its own entries for (C.CB) and
 edge from the creator.  Every world but the seed has exactly that one
 incoming edge, so a world records it as its parent (agent, creator,
 dependency set), and step 4 and model extraction walk the edges in world
-order.  A scan resumes at its cursor instead of at the first entry of the
-first world; no entry before a cursor can fire again.  The one exception is
-a belief that (C.CB) passes over while its world has no designated witness
-for the belief's agent: designating the witness resets that world's (C.CB)
+order.  A scan resumes at its cursor instead of at the first entry; no
+entry before a cursor can fire again.  The one exception is a belief that
+(C.CB) passes over while its world has no designated witness for the
+belief's agent: designating the witness resets that world's (C.CB)
 cursor.  Cursors are restored with their world on backtracking, so rules
 fire in exactly the order a full rescan after every firing would give.
 Step 5 and the (C.CB) choice likewise read per-world records of each
 agent's first belief and first alternative instead of scanning labels and
 edges.
 
+Steps 1-3 scan one world only, the focus: the world that ``_add`` wrote
+last.  Steps 1-3 read and write only the world they scan.  Every other
+action writes exactly one world: a step-4 propagation, a step-5 creation
+or a branch alternative (a (C.CB) alternative writes no label, so it
+leaves the focus where it was).  Steps 1-3 outrank steps 4 and 5, so once
+they have nothing left in the focus they have nothing left anywhere, and
+the next action leaves work for them in the world it writes only.  A
+choice point saves the focus with the rest of its state, since the world
+it names may be dropped below it.  Steps 1 and 2 add entries to the focus
+only, so each runs to completion in one call.
+
 The search changes one branch in place and undoes it from a trail (Eén &
 Sörensson, "An extensible SAT-solver", SAT 2003).  Before its first change
 since the current alternative was applied, a world is logged on the trail
 with a mark: the lengths of its lists and records and its cursors, which
 is all that undoing the later changes needs, since along a branch those
-lists and records only grow.  A choice point keeps the trail length, the
-world count and the trace, a linked list whose steps before the choice
-point stay shared; trying its next alternative restores the worlds logged
-since, drops the worlds made since and resets the trace.  The open choice
+lists and records only grow.  At a choice point steps 1 and 2 have scanned
+every entry of every world, so a mark leaves out their cursors, and
+restoring a world sets them to its entry count.  For the same reason a
+cursor of steps 1-3 moves only in a world already logged: by the entry it
+reaches, or by the branch alternative written into it.  A choice point
+keeps the trail length, the world count, the trace and the focus; the
+trace is a linked list whose steps before the choice point stay shared.
+Trying its next alternative restores the worlds logged since, drops the
+worlds made since and resets the trace and the focus.  The open choice
 points sit on an explicit stack instead of the call stack, so the search
 depth is bounded by memory only, and memory grows with the work done on
 the branch, not with its depth times its label size.
@@ -322,15 +338,17 @@ class _World:
         newest keys of the dicts, which keep insertion order."""
         return (
             len(self.entries), len(self.demands), len(self.cb), len(self.beliefs),
-            len(self.alternatives), self.saturated, self.rewritten, self.branched,
-            self.spawn_cursor, tuple(self.cursors),
+            len(self.alternatives), self.branched, self.spawn_cursor, tuple(self.cursors),
         )
 
     def restore(self, mark: tuple) -> None:
         (
             entries, demands, cb, beliefs, alternatives,
-            self.saturated, self.rewritten, self.branched, self.spawn_cursor, cursors,
+            self.branched, self.spawn_cursor, cursors,
         ) = mark
+        # a mark holds the world as it was at a choice point, where steps 1
+        # and 2 had scanned every entry
+        self.saturated = self.rewritten = entries
         for f in self.entries[entries:]:
             del self.label[f]
         del self.entries[entries:]
@@ -369,6 +387,8 @@ class _Engine:
         # first choice point, whose first alternative begins epoch 1
         self.trail: list[tuple[_World, tuple]] = []
         self.epoch = 0
+        # the world ``_add`` wrote last, the only one steps 1-3 scan
+        self.focus = 0
 
     # ------------------------------------------------------------------
     # search
@@ -376,9 +396,9 @@ class _Engine:
     def run(self) -> ModelSystem:
         """Depth-first search over an explicit stack of the open choice
         points, the one at depth d at index d.  An entry is [(trail length,
-        world count, trace) when the choice was made, its alternatives, the
-        index of the next one to try, the union of the closing sets of
-        those tried].  ``pending`` says that the innermost entry is due to
+        world count, trace, focus) when the choice was made, its
+        alternatives, the index of the next one to try, the union of the
+        closing sets of those tried].  ``pending`` says that the innermost entry is due to
         try its next alternative."""
         self._add(0, self.kernel, "seed", (), 0)
         stack: list[list] = []
@@ -386,7 +406,8 @@ class _Engine:
         while True:
             try:
                 if pending:
-                    (length, count, self.trace), alternatives, k, _ = entry = stack[-1]
+                    saved, alternatives, k, _ = entry = stack[-1]
+                    length, count, self.trace, self.focus = saved
                     entry[2] = k + 1
                     while len(self.trail) > length:
                         w, mark = self.trail.pop()
@@ -400,7 +421,7 @@ class _Engine:
                     return self._extract()
                 if choice is not _APPLIED:
                     self.stats.choice_points += 1
-                    saved = (len(self.trail), len(self.worlds), self.trace)
+                    saved = (len(self.trail), len(self.worlds), self.trace, self.focus)
                     stack.append([saved, self._alternatives(len(stack), *choice), 0, 0])
                     pending = True
             except _Closed as closed:
@@ -456,76 +477,53 @@ class _Engine:
     # one deterministic rule application
 
     def _step(self) -> tuple | None:
-        # Every scan resumes at its cursor: the entries before it can never
-        # fire again (see the module docstring).
+        # Steps 1-3 scan only the focus, the world written last: no other
+        # world has entries they have not scanned, and no entry before a
+        # cursor can fire again (see the module docstring).  Steps 1 and 2
+        # write only the focus, so each runs to completion at once.
+        w = self.worlds[self.focus]
+        label, entries = w.label, w.entries
         # 1. non-branching propositional saturation
-        for w in self.worlds:
-            if w.saturated == len(w.entries):
+        while w.saturated < len(entries):
+            f = entries[w.saturated]
+            w.saturated += 1
+            if isinstance(f, And):
+                rule, parts = "C.&", (f.left, f.right)
+            elif isinstance(f, Not) and isinstance(f.sub, Not):
+                rule, parts = "C.~~", (f.sub.sub,)
+            elif isinstance(f, Not) and isinstance(f.sub, Or):
+                rule, parts = "C.~v", (neg(f.sub.left), neg(f.sub.right))
+            else:
                 continue
-            self._touch(w)
-            entries = w.entries
-            while w.saturated < len(entries):
-                f = entries[w.saturated]
-                w.saturated += 1
-                if isinstance(f, And):
-                    if f.left not in w.label or f.right not in w.label:
-                        step, deps = w.label[f]
-                        if f.left not in w.label:
-                            self._add(w.id, f.left, "C.&", (step,), deps)
-                        if f.right not in w.label:
-                            self._add(w.id, f.right, "C.&", (step,), deps)
-                        return _APPLIED
-                elif isinstance(f, Not):
-                    g = f.sub
-                    if isinstance(g, Not) and g.sub not in w.label:
-                        step, deps = w.label[f]
-                        self._add(w.id, g.sub, "C.~~", (step,), deps)
-                        return _APPLIED
-                    if isinstance(g, Or):
-                        if neg(g.left) not in w.label or neg(g.right) not in w.label:
-                            step, deps = w.label[f]
-                            if neg(g.left) not in w.label:
-                                self._add(w.id, neg(g.left), "C.~v", (step,), deps)
-                            if neg(g.right) not in w.label:
-                                self._add(w.id, neg(g.right), "C.~v", (step,), deps)
-                            return _APPLIED
+            step, deps = label[f]
+            for g in parts:
+                self._add(w.id, g, rule, (step,), deps)
 
         # 2. negated-modal rewrites: ~B[a] q is the demand C[a] ~q
-        for w in self.worlds:
-            if w.rewritten == len(w.entries):
-                continue
-            self._touch(w)
-            entries = w.entries
-            while w.rewritten < len(entries):
-                f = entries[w.rewritten]
-                w.rewritten += 1
-                if isinstance(f, Not) and isinstance(f.sub, Bel):
-                    demanded = neg(f.sub.sub)
-                    premise, deps = w.label[f]
-                    step = self._record(
-                        w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
-                    )
-                    w.demands.append((f.sub.agent.name, demanded, step, deps))
-                    return _APPLIED
+        while w.rewritten < len(entries):
+            f = entries[w.rewritten]
+            w.rewritten += 1
+            if isinstance(f, Not) and isinstance(f.sub, Bel):
+                demanded = neg(f.sub.sub)
+                premise, deps = label[f]
+                step = self._record(
+                    w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
+                )
+                w.demands.append((f.sub.agent.name, demanded, step, deps))
 
         # 3. branching propositional rules
-        for w in self.worlds:
-            if w.branched == len(w.entries):
-                continue
-            self._touch(w)
-            entries = w.entries
-            while w.branched < len(entries):
-                f = entries[w.branched]
-                w.branched += 1
-                if isinstance(f, Or) and f.left not in w.label and f.right not in w.label:
-                    return ("branch", w.id, f)
-                if (
-                    isinstance(f, Not)
-                    and isinstance(f.sub, And)
-                    and neg(f.sub.left) not in w.label
-                    and neg(f.sub.right) not in w.label
-                ):
-                    return ("branch", w.id, f)
+        while w.branched < len(entries):
+            f = entries[w.branched]
+            w.branched += 1
+            if isinstance(f, Or) and f.left not in label and f.right not in label:
+                return ("branch", w.id, f)
+            if (
+                isinstance(f, Not)
+                and isinstance(f.sub, And)
+                and neg(f.sub.left) not in label
+                and neg(f.sub.right) not in label
+            ):
+                return ("branch", w.id, f)
 
         # 4. propagation, rule by rule in the profile's order, world by world
         for r, rule in enumerate(self.propagation):
@@ -614,6 +612,7 @@ class _Engine:
         if f in w.label:
             return
         self._touch(w)
+        self.focus = wid
         w.label[f] = (self._record(wid, f, rule, premises), deps)
         w.entries.append(f)
         if isinstance(f, Bel) and f.agent.name not in w.beliefs:
@@ -826,24 +825,14 @@ def verdict_to_json_dict(
     return {"verdict": "invalid", "model": model_to_json_dict(verdict.countermodel)}
 
 
-def render_trace(
-    trace: tuple[ProofStep, ...] | list[ProofStep], output: str = "text"
-) -> str:
-    """Render a refutation trace.
-
-    Text format prints one step per line:
+def render_trace(trace: tuple[ProofStep, ...] | list[ProofStep]) -> str:
+    """Render a refutation trace as text, one step per line:
 
         (3) p ∈ w1   From (2) by (C.B*)
 
-    with "By (seed)" on premise-free steps.  JSON format returns the
-    serialized step list.
+    with "By (seed)" on premise-free steps.  ``trace_to_json_dict`` gives
+    the JSON form.
     """
-    if output == "json":
-        import json
-
-        return json.dumps(trace_to_json_dict(trace), sort_keys=True)
-    if output != "text":
-        raise ValueError(f"unknown trace format {output!r}")
     lines = []
     for step in trace:
         if step.premises:

@@ -84,6 +84,22 @@ class TestDecide:
         assert code == 0
         assert out.startswith("SAT  " + "~" * 500 + "p  [hstar]")
 
+    def test_wide_conjunction_prints_its_verdict(self, capsys):
+        text = " & ".join(f"p{i}" for i in range(500))
+        code, out, _ = run_cli(capsys, "decide", text)
+        assert code == 0
+        assert out.startswith(f"SAT  {text}  [hstar]")
+
+    def test_wide_refutation_prints_its_steps(self, capsys):
+        text = " & ".join(f"p{i}" for i in range(499)) + " & ~p0"
+        code, out, _ = run_cli(capsys, "decide", text, "--output", "json")
+        assert code == 1
+        steps = json.loads(out)["steps"]
+        assert steps[0]["formula"] == text
+        assert steps[-1] == {
+            "i": 999, "world": "w0", "formula": "p0", "rule": "C.~-clash", "from": [3, 998]
+        }
+
     def test_too_deep_for_the_engine_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "decide", "~" * 5000 + "p")
         assert code == 2
@@ -303,6 +319,12 @@ class TestCompare:
         assert data["verdicts"] == {"hstar": "sat", "hintikka": "unsat"}
         assert data["agree"] is False
 
+    def test_wide_conjunction(self, capsys):
+        text = " | ".join(f"p{i}" for i in range(500))
+        code, out, _ = run_cli(capsys, "compare", text)
+        assert code == 0
+        assert out.startswith(f"formula: {text}\n")
+
     def test_json_agreement_flag(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "p", "--output", "json")
         assert json.loads(out)["agree"] is True
@@ -325,6 +347,13 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "p", "--max-worlds", bound)
         assert code == 2
         assert "--max-worlds must be between 1 and 5" in err
+
+    def test_too_many_valuation_bits_is_an_input_error(self, capsys):
+        # 4 worlds of 7 atoms would need 2**28 valuations at once
+        code, out, err = run_cli(capsys, "oracle", "p & ~p & q0 & q1 & q2 & q3 & q4 & q5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: budget of 4 worlds and 7 atoms") and err.count("\n") == 1
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(

@@ -59,6 +59,13 @@ class TestBudget:
         with pytest.raises(ValueError, match="duplicate atom names"):
             EnumerationBudget(max_worlds=1, atoms=("p", "p"), agents=("a",))
 
+    def test_rejects_too_many_valuation_bits(self):
+        # all 2**(worlds * atoms) valuations of a world count are held at once
+        names = tuple(f"p{i}" for i in range(5))
+        assert EnumerationBudget(max_worlds=4, atoms=names, agents=()).max_worlds == 4
+        with pytest.raises(ValueError, match="budget of 5 worlds and 5 atoms"):
+            EnumerationBudget(max_worlds=5, atoms=names, agents=("a",))
+
     def test_normalises_sequences(self):
         budget = EnumerationBudget(max_worlds=2, atoms=["p", "q"], agents=["a"])
         assert budget.atoms == ("p", "q")

@@ -73,3 +73,72 @@ def test_every_definition_is_referenced(path):
     references = _references()
     dead = [qualified for qualified, name in _definitions(tree) if name not in references]
     assert not dead, dead
+
+
+#: The functions that recurse, directly or through others of their module,
+#: once per nesting level of a formula.  Each bounds the input depth by the
+#: recursion limit, so the set may only shrink: a new recursive helper fails
+#: here, and turning one of these into a loop must remove it from the set.
+RECURSIVE = {
+    "formula._render_child",
+    "formula.desugar",
+    "formula.modal_depth",
+    "formula.node_count",
+    "formula.render",
+    "models.evaluate",
+    "oracle._vector_truth",
+    "parser._Parser.parse_and",
+    "parser._Parser.parse_iff",
+    "parser._Parser.parse_implies",
+    "parser._Parser.parse_or",
+    "parser._Parser.parse_unary",
+}
+
+
+def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
+    """Each top-level function and method of a module, by qualified name,
+    with the functions of the same module it calls: ``f(...)`` names a
+    top-level function and ``self.f(...)`` a method of its own class."""
+    scopes = [(f.name, None, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            scopes += [
+                (f"{cls.name}.{f.name}", cls.name, f)
+                for f in cls.body
+                if isinstance(f, ast.FunctionDef)
+            ]
+    names = {name for name, _, _ in scopes}
+    graph = {}
+    for name, cls, f in scopes:
+        calls = set()
+        for node in ast.walk(f):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                calls.add(node.func.id)
+            elif (
+                cls
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"
+            ):
+                calls.add(f"{cls}.{node.func.attr}")
+        graph[name] = calls & names
+    return graph
+
+
+def test_recursion_is_confined_to_the_listed_functions():
+    found = set()
+    for path in MODULES:
+        graph = _call_graph(ast.parse(path.read_text(encoding="utf-8")))
+        for start in graph:
+            # on a cycle when it can reach itself
+            seen, stack = set(), list(graph[start])
+            while stack:
+                name = stack.pop()
+                if name not in seen:
+                    seen.add(name)
+                    stack += graph[name]
+            if start in seen:
+                found.add(f"{path.stem}.{start}")
+    assert found == RECURSIVE
