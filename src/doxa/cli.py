@@ -8,10 +8,10 @@ evaluate a formula in it), ``corpus`` (replay a verdict corpus), ``compare``
 
 Exit codes follow one convention everywhere: 0 for a positive outcome
 (satisfiable, valid, all checks pass, model found), 1 for a negative one,
-2 for usage, parse or input-format errors and for an input that cannot be
-decided (nested too deeply, or an internal engine error).  Text output
-colors verdicts when attached to a terminal unless ``DOXA_COLOR=0``;
-``--output json`` prints stable machine-readable JSON with sorted keys.
+2 for usage, parse or input-format errors and for an internal engine
+error.  Text output colors verdicts when attached to a terminal unless
+``DOXA_COLOR=0``; ``--output json`` prints stable machine-readable JSON
+with sorted keys.
 """
 
 from __future__ import annotations
@@ -72,8 +72,20 @@ def _parse_formula(text: str) -> Formula | None:
         return None
 
 
+def _out(text: str) -> None:
+    """Write one line of a command's output.  Once the reader has gone, as
+    under ``doxa corpus | head -1``, stdout is pointed at the null device,
+    so the command still finishes and exits with its verdict's code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _dump_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    _out(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _render_model_text(model: ModelSystem) -> str:
@@ -108,15 +120,15 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if args.output == "json":
         _dump_json(verdict_to_json_dict(verdict))
     else:
-        print(f"{_verdict_word(word, positive)}  {render(f)}  [{profile.value}]")
+        _out(f"{_verdict_word(word, positive)}  {render(f)}  [{profile.value}]")
         if isinstance(verdict, UnsatVerdict):
-            print(render_trace(verdict.trace))
+            _out(render_trace(verdict.trace))
         elif isinstance(verdict, SatVerdict):
-            print(_render_model_text(verdict.model))
+            _out(_render_model_text(verdict.model))
         elif verdict.valid:
-            print(render_trace(verdict.trace))
+            _out(render_trace(verdict.trace))
         else:
-            print(_render_model_text(verdict.countermodel))
+            _out(_render_model_text(verdict.countermodel))
     return 0 if positive else 1
 
 
@@ -180,11 +192,11 @@ def cmd_check_model(args: argparse.Namespace) -> int:
             where = ", ".join(f"w{w}" for w in v.worlds)
             detail = f" {v.message}" if v.message else ""
             shown = f" [{render(v.formula)}]" if v.formula is not None else ""
-            print(f"violation: {v.kind} at {where}{shown}{detail}")
+            _out(f"violation: {v.kind} at {where}{shown}{detail}")
         if not violations:
-            print(f"ok: model satisfies the {profile.value} frame conditions")
+            _out(f"ok: model satisfies the {profile.value} frame conditions")
         if value is not None:
-            print("true" if value else "false")
+            _out("true" if value else "false")
     return 0 if not violations else 1
 
 
@@ -201,12 +213,12 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         width = max((len(row.entry.id) for row in result.rows), default=0)
         for row in result.rows:
             mark = _verdict_word("pass", True) if row.ok else _verdict_word("FAIL", False)
-            print(
+            _out(
                 f"{mark}  {row.entry.id:<{width}}  {row.entry.profile.value:<8}"
                 f"  {row.entry.mode:<5}  expected {row.entry.expected},"
                 f" got {row.actual}"
             )
-        print(f"passed: {result.passed}  failed: {result.failed}")
+        _out(f"passed: {result.passed}  failed: {result.failed}")
     return 0 if result.failed == 0 else 1
 
 
@@ -222,16 +234,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.output == "json":
         _dump_json({"formula": render(f), "verdicts": verdicts, "agree": agree})
     else:
-        print(f"formula: {render(f)}")
+        _out(f"formula: {render(f)}")
         for profile in profiles:
             word = verdicts[profile.value]
-            print(f"  {profile.value:<9} {_verdict_word(word.upper(), word == 'sat')}")
+            _out(f"  {profile.value:<9} {_verdict_word(word.upper(), word == 'sat')}")
         if agree:
-            print("all profiles agree")
+            _out("all profiles agree")
         else:
             sat_in = sorted(p for p, v in verdicts.items() if v == "sat")
             unsat_in = sorted(p for p, v in verdicts.items() if v == "unsat")
-            print(
+            _out(
                 "profiles disagree: sat in "
                 + ", ".join(sat_in)
                 + "; unsat in "
@@ -266,13 +278,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             }
         )
     elif model is None:
-        print(
+        _out(
             f"not-found up to {args.max_worlds} worlds"
             " (no model that small; this is not an unsatisfiability proof)"
         )
     else:
-        print(f"found a model with {model.worlds} world(s)")
-        print(_render_model_text(model))
+        _out(f"found a model with {model.worlds} world(s)")
+        _out(_render_model_text(model))
     return 0 if model is not None else 1
 
 
@@ -353,9 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-    except RecursionError:
-        print("error: formula nested too deeply (recursion limit reached)", file=sys.stderr)
-    except InternalVerificationError as err:
+    except (InternalVerificationError, RecursionError) as err:
         print(f"error: internal engine error: {err}", file=sys.stderr)
     return 2
 

@@ -147,31 +147,52 @@ class Comp(Formula):
     __slots__ = __match_args__ = ("agent", "sub")
 
 
-# Binding strength, loosest first.  "~", "B[a]" and "C[a]" bind tightest.
-_PREC_IFF = 1
-_PREC_IMPLIES = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_UNARY = 5
+#: The infix connectives: symbol, binding strength (loosest first), and the
+#: strength each of the left and right operands needs to show without
+#: parentheses.  Atoms and the prefix operators "~", "B[a]" and "C[a]" bind
+#: tightest, at 5.  "&" and "|" associate to the left and the arrows to the
+#: right, so a same-strength operand shows bare on that side only.  The
+#: parser reads its precedence and associativity off this table too.
+INFIX = {
+    Iff: (" <-> ", 1, 2, 1),
+    Implies: (" -> ", 2, 3, 2),
+    Or: (" | ", 3, 3, 4),
+    And: (" & ", 4, 4, 5),
+}
+
+#: Pushed after a node in ``postorder``: the node is emitted when it pops.
+_EMIT = object()
 
 
-def _precedence(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _PREC_IFF
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    return _PREC_UNARY
+def postorder(f: Formula) -> list[Formula]:
+    """Every distinct node of ``f``, children before their parents.
 
-
-def _render_child(child: Formula, min_prec: int) -> str:
-    text = render(child)
-    if _precedence(child) < min_prec:
-        return f"({text})"
-    return text
+    The walk keeps an explicit stack, so its depth is not bounded by the
+    recursion limit, and lists each shared node of the hash-consed DAG once;
+    ``f`` itself comes last.  Every fold over a formula is a loop over this
+    list, reading each child's value from a dict filled earlier in the loop.
+    """
+    order = []
+    seen = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is _EMIT:
+            order.append(stack.pop())
+        elif g not in seen:
+            # marked when expanded, not when pushed: a node pushed again
+            # below a parent must still come out before that parent
+            seen.add(g)
+            t = type(g)
+            if t is Atom:
+                order.append(g)
+            elif t is Not or t is Bel or t is Comp:
+                stack += (g, _EMIT, g.sub)
+            elif t in INFIX:
+                stack += (g, _EMIT, g.right, g.left)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+    return order
 
 
 def render(f: Formula) -> str:
@@ -180,45 +201,42 @@ def render(f: Formula) -> str:
     "&" and "|" associate to the left, "->" and "<->" to the right, so a
     right-nested Or such as ``Or(p, Or(q, r))`` renders as ``p | (q | r)``
     while the left-nested tree renders flat.
+
+    The printer keeps a stack of pieces still to write: a string, or a node
+    with the weakest binding strength it may show bare in its place.  Its
+    depth is therefore not bounded by the recursion limit.
     """
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, (Not, Bel, Comp)):
-        # A chain of prefix operators renders in a loop, so its length is
-        # not bounded by the recursion limit.
-        prefix = ""
-        while True:
-            if isinstance(f, Not):
-                prefix += "~"
-            elif isinstance(f, Bel):
-                prefix += f"B[{f.agent.name}] "
-            elif isinstance(f, Comp):
-                prefix += f"C[{f.agent.name}] "
-            else:
+    out = []
+    stack = [(f, 1)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        g, need = piece
+        while True:  # down the left spine; what comes after is pushed
+            t = type(g)
+            if t is Atom:
+                out.append(g.name)
                 break
-            f = f.sub
-        if isinstance(f, Atom):
-            return prefix + f.name
-        # Prefix operators attach parentheses directly: "~(p & q)", "B[a](p | q)".
-        return f"{prefix.rstrip()}({render(f)})"
-    if isinstance(f, (And, Or)):
-        # A left-nested chain of one operator, as the parser builds "p & q &
-        # r", renders in a loop along its left spine, so its length is not
-        # bounded by the recursion limit.
-        kind = type(f)
-        op, prec = (" & ", _PREC_AND) if kind is And else (" | ", _PREC_OR)
-        rights = []
-        while type(f) is kind:
-            rights.append(f.right)
-            f = f.left
-        parts = [_render_child(f, prec)]
-        parts += [_render_child(g, prec + 1) for g in reversed(rights)]
-        return op.join(parts)
-    if isinstance(f, Implies):
-        return f"{_render_child(f.left, _PREC_IMPLIES + 1)} -> {_render_child(f.right, _PREC_IMPLIES)}"
-    if isinstance(f, Iff):
-        return f"{_render_child(f.left, _PREC_IFF + 1)} <-> {_render_child(f.right, _PREC_IFF)}"
-    raise TypeError(f"not a formula: {f!r}")
+            if t is Not:
+                out.append("~")
+            elif t is Bel or t is Comp:
+                # prefix operators attach parentheses directly: "B[a](p | q)"
+                space = "" if type(g.sub) in INFIX else " "
+                out.append(f"{'B' if t is Bel else 'C'}[{g.agent.name}]{space}")
+            elif t in INFIX:
+                text, strength, left, right = INFIX[t]
+                if strength < need:
+                    out.append("(")
+                    stack.append(")")
+                stack += ((g.right, right), text)
+                g, need = g.left, left
+                continue
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            g, need = g.sub, 5
+    return "".join(out)
 
 
 def desugar(f: Formula) -> Formula:
@@ -232,26 +250,30 @@ def desugar(f: Formula) -> Formula:
         C[a] p    becomes  ~B[a] ~p
 
     The result is idempotent: desugaring a kernel formula returns it as is.
+    A node whose children come back unchanged is kept, not rebuilt.
     """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.sub))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right))
-    if isinstance(f, Implies):
-        return Or(Not(desugar(f.left)), desugar(f.right))
-    if isinstance(f, Iff):
-        left = desugar(f.left)
-        right = desugar(f.right)
-        return And(Or(Not(left), right), Or(Not(right), left))
-    if isinstance(f, Bel):
-        return Bel(f.agent, desugar(f.sub))
-    if isinstance(f, Comp):
-        return Not(Bel(f.agent, Not(desugar(f.sub))))
-    raise TypeError(f"not a formula: {f!r}")
+    out: dict[Formula, Formula] = {}
+    for g in postorder(f):
+        t = type(g)
+        if t is Atom:
+            k = g
+        elif t is Not or t is Bel:
+            sub = out[g.sub]
+            k = g if sub is g.sub else Not(sub) if t is Not else Bel(g.agent, sub)
+        elif t is Comp:
+            k = Not(Bel(g.agent, Not(out[g.sub])))
+        else:
+            left, right = out[g.left], out[g.right]
+            if t is Implies:
+                k = Or(Not(left), right)
+            elif t is Iff:
+                k = And(Or(Not(left), right), Or(Not(right), left))
+            elif left is g.left and right is g.right:
+                k = g
+            else:
+                k = t(left, right)
+        out[g] = k
+    return out[f]
 
 
 def neg(f: Formula) -> Formula:
@@ -262,22 +284,8 @@ def neg(f: Formula) -> Formula:
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
-    """All subformulas of ``f``, including ``f`` itself.
-
-    The walk keeps an explicit stack, so its depth is not bounded by the
-    recursion limit, and visits each shared subformula once.
-    """
-    found = {f}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            continue
-        for child in (g.sub,) if isinstance(g, (Not, Bel, Comp)) else (g.left, g.right):
-            if child not in found:
-                found.add(child)
-                stack.append(child)
-    return frozenset(found)
+    """All subformulas of ``f``, including ``f`` itself."""
+    return frozenset(postorder(f))
 
 
 def agents(f: Formula) -> frozenset[Agent]:
@@ -300,28 +308,34 @@ def subformula_closure(f: Formula) -> frozenset[Formula]:
 
     Expects ``f`` to be desugared; apply ``desugar`` first otherwise.
     """
-    subs = subformulas(f)
-    closed = set(subs)
-    for g in subs:
-        closed.add(neg(g))
-    return frozenset(closed)
+    order = postorder(f)
+    return frozenset(order + [neg(g) for g in order])
 
 
 def node_count(f: Formula) -> int:
-    """Number of nodes in the syntax tree of ``f``."""
-    if isinstance(f, (Not, Bel, Comp)):
-        return 1 + node_count(f.sub)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return 1 + node_count(f.left) + node_count(f.right)
-    return 1
+    """Number of nodes in the syntax tree of ``f``, a shared node counted
+    once per occurrence."""
+    count: dict[Formula, int] = {}
+    for g in postorder(f):
+        t = type(g)
+        if t is Atom:
+            count[g] = 1
+        elif t in INFIX:
+            count[g] = 1 + count[g.left] + count[g.right]
+        else:
+            count[g] = 1 + count[g.sub]
+    return count[f]
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting depth of modal operators in ``f``."""
-    if isinstance(f, (Bel, Comp)):
-        return 1 + modal_depth(f.sub)
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 0
+    depth: dict[Formula, int] = {}
+    for g in postorder(f):
+        t = type(g)
+        if t is Atom:
+            depth[g] = 0
+        elif t in INFIX:
+            depth[g] = max(depth[g.left], depth[g.right])
+        else:
+            depth[g] = depth[g.sub] + (t is not Not)
+    return depth[f]

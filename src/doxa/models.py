@@ -48,6 +48,7 @@ from .formula import (
     Or,
     desugar,
     neg,
+    postorder,
     render,
     subformulas,
 )
@@ -118,10 +119,6 @@ class ModelSystem:
         if not 0 <= w < self.worlds:
             raise ValueError(f"world {w} out of range 0..{self.worlds - 1}")
 
-    def successors(self, agent: str, w: int) -> frozenset[int]:
-        """a-alternatives of world ``w``."""
-        return frozenset(v for (u, v) in self.alternatives.get(agent, ()) if u == w)
-
     def atoms_at(self, w: int) -> frozenset[str]:
         return self.valuation.get(w, frozenset())
 
@@ -177,25 +174,51 @@ def evaluate(m: ModelSystem, w: int, f: Formula) -> bool:
 
     The two modalities are exact duals by construction:
     ``evaluate(m, w, Bel(a, f))`` equals ``not evaluate(m, w, Comp(a, Not(f)))``.
+
+    This is the labelling algorithm of Clarke, Emerson & Sistla (ACM TOPLAS
+    8(2), 1986): children first, each subformula is labelled once with the
+    set of worlds where it holds, an int with bit v set for world v, so the
+    cost is linear in the size of ``f`` times the worlds and edges of ``m``.
     """
     m._check_world(w)
-    if isinstance(f, Atom):
-        return f.name in m.atoms_at(w)
-    if isinstance(f, Not):
-        return not evaluate(m, w, f.sub)
-    if isinstance(f, And):
-        return evaluate(m, w, f.left) and evaluate(m, w, f.right)
-    if isinstance(f, Or):
-        return evaluate(m, w, f.left) or evaluate(m, w, f.right)
-    if isinstance(f, Implies):
-        return not evaluate(m, w, f.left) or evaluate(m, w, f.right)
-    if isinstance(f, Iff):
-        return evaluate(m, w, f.left) == evaluate(m, w, f.right)
-    if isinstance(f, Bel):
-        return all(evaluate(m, v, f.sub) for v in sorted(m.successors(f.agent.name, w)))
-    if isinstance(f, Comp):
-        return any(evaluate(m, v, f.sub) for v in sorted(m.successors(f.agent.name, w)))
-    raise TypeError(f"not a formula: {f!r}")
+    everywhere = (1 << m.worlds) - 1
+    rows: dict[str, list[int]] = {}  # an agent's successor set per world
+    truth: dict[Formula, int] = {}
+    for g in postorder(f):
+        t = type(g)
+        if t is Atom:
+            s = 0
+            for v, true_atoms in m.valuation.items():
+                if g.name in true_atoms:
+                    s |= 1 << v
+        elif t is Not:
+            s = everywhere ^ truth[g.sub]
+        elif t is And:
+            s = truth[g.left] & truth[g.right]
+        elif t is Or:
+            s = truth[g.left] | truth[g.right]
+        elif t is Implies:
+            s = (everywhere ^ truth[g.left]) | truth[g.right]
+        elif t is Iff:
+            s = everywhere ^ truth[g.left] ^ truth[g.right]
+        else:
+            agent = g.agent.name
+            row = rows.get(agent)
+            if row is None:
+                row = rows[agent] = [0] * m.worlds
+                for u, v in m.alternatives.get(agent, ()):
+                    row[u] |= 1 << v
+            # Bel holds where no alternative lies outside the worlds of its
+            # subformula; Comp fails where none lies inside them
+            outside = everywhere ^ truth[g.sub] if t is Bel else truth[g.sub]
+            s = 0
+            for v, succ in enumerate(row):
+                if not succ & outside:
+                    s |= 1 << v
+            if t is Comp:
+                s ^= everywhere
+        truth[g] = s
+    return bool(truth[f] >> w & 1)
 
 
 def _successor_map(m: ModelSystem, agent: str) -> dict[int, set[int]]:

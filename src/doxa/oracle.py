@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .formula import And, Atom, Bel, Formula, Not, Or, agents, atoms, desugar
+from .formula import And, Atom, Bel, Formula, Not, Or, desugar, postorder
 from .models import LogicProfile, ModelSystem, evaluate, frame_breaches
 
 if TYPE_CHECKING:
@@ -198,48 +198,50 @@ def enumerate_models(budget: EnumerationBudget, profile: LogicProfile):
                 yield _build_model(n, frame, vmask, budget)
 
 
-def _check_vocabulary(f: Formula, budget: EnumerationBudget) -> None:
-    missing_atoms = sorted(atoms(f) - set(budget.atoms))
+def _check_vocabulary(order: list[Formula], budget: EnumerationBudget) -> None:
+    """Reject a formula, given as its ``postorder`` walk, whose atoms or
+    agents the budget lacks."""
+    missing_atoms = sorted({g.name for g in order if type(g) is Atom} - set(budget.atoms))
     if missing_atoms:
         raise ValueError(f"formula atoms {missing_atoms} not in budget atoms")
-    missing_agents = sorted(a.name for a in agents(f) if a.name not in budget.agents)
+    missing_agents = sorted({g.agent.name for g in order if type(g) is Bel} - set(budget.agents))
     if missing_agents:
         raise ValueError(f"formula agents {missing_agents} not in budget agents")
 
 
 def _vector_truth(
-    f: Formula,
+    order: list[Formula],
     atom_truth: dict[str, np.ndarray],
     unreach: dict[str, np.ndarray],
-    memo: dict[Formula, np.ndarray],
 ) -> np.ndarray:
-    """Truth table of ``f`` as a (worlds, frames, valuations) bool array, or
-    one with a single frame where it is the same in every frame.
+    """Truth table of a kernel formula, given as its ``postorder`` walk, as a
+    (worlds, frames, valuations) bool array, or one with a single frame
+    where it is the same in every frame.
 
     ``unreach[agent][w, u, k]`` says world u is not an alternative of w for
-    that agent in frame k; the formula must already be desugared.
+    that agent in frame k.
     """
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, Atom):
-        out = atom_truth[f.name]
-    elif isinstance(f, Not):
-        out = ~_vector_truth(f.sub, atom_truth, unreach, memo)
-    elif isinstance(f, (And, Or)):
-        left = _vector_truth(f.left, atom_truth, unreach, memo)
-        right = _vector_truth(f.right, atom_truth, unreach, memo)
-        out = left & right if isinstance(f, And) else left | right
-    elif isinstance(f, Bel):
-        sub = _vector_truth(f.sub, atom_truth, unreach, memo)
-        blocked = unreach[f.agent.name]
-        # true at w iff sub holds at every alternative u of w
-        out = sub[0] | blocked[:, 0]
-        for u in range(1, len(sub)):
-            out &= sub[u] | blocked[:, u]
-    else:  # pragma: no cover - desugar removes Implies/Iff/Comp
-        raise TypeError(f"unexpected connective {type(f).__name__}")
-    memo[f] = out
+    truth: dict[Formula, np.ndarray] = {}
+    for g in order:
+        t = type(g)
+        if t is Atom:
+            out = atom_truth[g.name]
+        elif t is Not:
+            out = ~truth[g.sub]
+        elif t is And:
+            out = truth[g.left] & truth[g.right]
+        elif t is Or:
+            out = truth[g.left] | truth[g.right]
+        elif t is Bel:
+            sub = truth[g.sub]
+            blocked = unreach[g.agent.name]
+            # true at w iff sub holds at every alternative u of w
+            out = sub[0] | blocked[:, 0]
+            for u in range(1, len(sub)):
+                out &= sub[u] | blocked[:, u]
+        else:  # pragma: no cover - desugar removes Implies/Iff/Comp
+            raise TypeError(f"unexpected connective {t.__name__}")
+        truth[g] = out
     return out
 
 
@@ -254,8 +256,10 @@ def sat_upto(
     """
     import numpy as np
 
-    _check_vocabulary(f, budget)
     kernel = desugar(f)
+    # the kernel has the atoms and agents of ``f``
+    order = postorder(kernel)
+    _check_vocabulary(order, budget)
     width = len(budget.atoms)
     k = len(budget.agents)
     for n in range(1, budget.max_worlds + 1):
@@ -282,7 +286,7 @@ def sat_upto(
                     agent: tensor[:, :, index // stride % m]
                     for agent, stride in zip(budget.agents, strides)
                 }
-            hits = _vector_truth(kernel, atom_truth, unreach, {})[0]
+            hits = _vector_truth(order, atom_truth, unreach)[0]
             if hits.any():
                 offset, vmask = divmod(int(np.argmax(hits.reshape(-1))), num_vals)
                 index = start + offset

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
-from .formula import Agent, And, Atom, Bel, Comp, Formula, Iff, Implies, Not, Or
+from .formula import INFIX, Agent, Atom, Bel, Comp, Formula, Not
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 _WS_RE = re.compile(r"\s*")
@@ -98,116 +98,97 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+#: Infix token kind -> (binding strength, connective, strength its left
+#: operand needs), read off the renderer's table.
+_BINARY = {text.strip(): (strength, cls, left) for cls, (text, strength, left, _) in INFIX.items()}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _agent_bracket(tokens: list[_Token], i: int) -> Agent:
+    """The agent in the bracket after the modal token ``tokens[i]``."""
+    modal, opening = tokens[i], tokens[i + 1]
+    if opening.kind != "[":
+        raise ParseError(
+            f"malformed agent bracket: expected '[' after {modal.text!r}",
+            SourceSpan(modal.start, opening.end if opening.kind != "eof" else modal.end),
+        )
+    name = tokens[i + 2]
+    if name.kind != "ident":
+        raise ParseError(
+            "malformed agent bracket: expected an agent name",
+            SourceSpan(opening.start, name.end),
+        )
+    closing = tokens[i + 3]
+    if closing.kind != "]":
+        raise ParseError(
+            "malformed agent bracket: expected ']'",
+            SourceSpan(opening.start, closing.end),
+        )
+    return Agent(name.text)
 
-    def parse(self) -> Formula:
-        f = self.parse_iff()
-        tok = self.peek()
-        if tok.kind != "eof":
-            if tok.kind == ")":
-                raise ParseError("unbalanced parenthesis", tok.span)
-            raise ParseError(f"unexpected token {tok.text!r} after formula", tok.span)
-        return f
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek().kind == "<->":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek().kind == "|":
-            self.advance()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek().kind == "&":
-            self.advance()
-            f = And(f, self.parse_unary())
-        return f
-
-    def parse_unary(self) -> Formula:
-        # A chain of prefix operators is read in a loop, so its length is
-        # not bounded by the recursion limit.
-        prefixes = []
-        tok = self.peek()
-        while tok.kind in ("~", "modal"):
-            self.advance()
-            if tok.kind == "~":
-                prefixes.append(Not)
-            else:
-                agent = self.parse_agent_bracket(tok)
-                prefixes.append(partial(Bel if tok.text == "B" else Comp, agent))
-            tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            f = self.parse_iff()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError(
-                    "unbalanced parenthesis", SourceSpan(tok.start, closing.end)
-                )
-            self.advance()
-        elif tok.kind == "ident":
-            self.advance()
-            f = Atom(tok.text)
-        else:
-            raise ParseError("missing operand", tok.span)
-        while prefixes:
-            f = prefixes.pop()(f)
-        return f
-
-    def parse_agent_bracket(self, modal: _Token) -> Agent:
-        opening = self.peek()
-        if opening.kind != "[":
-            raise ParseError(
-                f"malformed agent bracket: expected '[' after {modal.text!r}",
-                SourceSpan(modal.start, opening.end if opening.kind != "eof" else modal.end),
-            )
-        self.advance()
-        name = self.peek()
-        if name.kind != "ident":
-            raise ParseError(
-                "malformed agent bracket: expected an agent name",
-                SourceSpan(opening.start, name.end),
-            )
-        self.advance()
-        closing = self.peek()
-        if closing.kind != "]":
-            raise ParseError(
-                "malformed agent bracket: expected ']'",
-                SourceSpan(opening.start, closing.end),
-            )
-        self.advance()
-        return Agent(name.text)
+def _apply(prefixes: list, f: Formula) -> Formula:
+    """Apply a chain of prefix operators, innermost last, to ``f``."""
+    while prefixes:
+        f = prefixes.pop()(f)
+    return f
 
 
 def parse(text: str) -> Formula:
-    """Parse ``text`` into a Formula, raising ParseError on bad input."""
-    return _Parser(text).parse()
+    """Parse ``text`` into a Formula, raising ParseError on bad input.
+
+    Operator precedence over explicit stacks of operands and pending
+    operators, so the nesting depth of the input is bounded by memory only.
+    The loop alternates between reading an operand and reading what follows
+    one, and raises the error the grammar meets first.
+    """
+    tokens = _tokenize(text)
+    i = 0
+    operands: list[Formula] = []
+    # innermost last: (strength, connective) of an infix operator, or
+    # (0, token, prefixes) of an open "(" and the prefixes before it
+    pending: list[tuple] = []
+    while True:
+        prefixes = []
+        tok = tokens[i]
+        while tok.kind in ("~", "modal", "("):
+            if tok.kind == "~":
+                prefixes.append(Not)
+            elif tok.kind == "modal":
+                agent = _agent_bracket(tokens, i)
+                prefixes.append(partial(Bel if tok.text == "B" else Comp, agent))
+                i += 3
+            else:
+                pending.append((0, tok, prefixes))
+                prefixes = []
+            i += 1
+            tok = tokens[i]
+        if tok.kind != "ident":
+            raise ParseError("missing operand", tok.span)
+        operands.append(_apply(prefixes, Atom(tok.text)))
+        while True:
+            i += 1
+            tok = tokens[i]
+            infix = _BINARY.get(tok.kind)
+            # everything pending that binds at least as tightly as the left
+            # operand of this token needs becomes that operand
+            need = infix[2] if infix else 1
+            while pending and pending[-1][0] >= need:
+                right = operands.pop()
+                operands[-1] = pending.pop()[1](operands[-1], right)
+            if infix:
+                pending.append(infix[:2])
+                i += 1
+                break
+            if not pending:
+                if tok.kind == "eof":
+                    return operands[0]
+                if tok.kind == ")":
+                    raise ParseError("unbalanced parenthesis", tok.span)
+                raise ParseError(f"unexpected token {tok.text!r} after formula", tok.span)
+            _, opening, outer = pending.pop()
+            if tok.kind != ")":
+                raise ParseError("unbalanced parenthesis", SourceSpan(opening.start, tok.end))
+            operands[-1] = _apply(outer, operands[-1])
 
 
 def format_parse_error(text: str, err: ParseError) -> str:

@@ -158,7 +158,6 @@ from .formula import (
     Formula,
     Not,
     Or,
-    agents,
     desugar,
     neg,
     render,
@@ -376,8 +375,8 @@ class _Engine:
         if euclidean in self.frame:
             self.propagation += (_B_LIFT,)
         self.stats = stats
-        self.agent_names = sorted(a.name for a in agents(self.kernel))
         closure = subformula_closure(self.kernel)
+        self.agent_names = sorted({g.agent.name for g in closure if type(g) is Bel})
         self.world_bound = 2 ** min(len(closure), 20)
         # the one branch the search is on, changed in place
         self.worlds = [_World(0, None, 0, len(self.propagation))]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from doxa import LogicProfile, PROFILES_BY_STRENGTH, decide_sat
 from doxa.formula import (
@@ -110,6 +111,22 @@ def random_formula(
     if kind == "implies":
         return Implies(left, right)
     return Iff(left, right)
+
+
+#: Formulas over atoms p, q, r and agents a, b, with every connective.
+formulas_st = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), Atom("r")]),
+    lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Implies, children, children),
+        st.builds(Iff, children, children),
+        st.builds(Bel, st.sampled_from([Agent("a"), Agent("b")]), children),
+        st.builds(Comp, st.sampled_from([Agent("a"), Agent("b")]), children),
+    ),
+    max_leaves=12,
+)
 
 
 @pytest.fixture(scope="session")

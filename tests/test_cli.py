@@ -100,11 +100,36 @@ class TestDecide:
             "i": 999, "world": "w0", "formula": "p0", "rule": "C.~-clash", "from": [3, 998]
         }
 
-    def test_too_deep_for_the_engine_is_an_input_error(self, capsys):
-        code, out, err = run_cli(capsys, "decide", "~" * 5000 + "p")
+    def test_recursion_limit_is_not_a_verdict(self, capsys, monkeypatch):
+        def fail(f, profile):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("doxa.cli.decide_sat", fail)
+        code, out, err = run_cli(capsys, "decide", "p")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~" * 5000 + "p",
+            " & ".join(f"p{i}" for i in range(1000)),
+            "(" * 5000 + "p" + ")" * 5000,
+            " -> ".join(["p"] * 3000),
+            "~(q & " * 2000 + "p" + ")" * 2000,
+        ],
+        ids=["5000-negations", "1000-conjuncts", "5000-parentheses", "3000-arrows",
+             "2000-nested-conjunctions"],
+    )
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_deep_input_decides(self, capsys, text, output):
+        code, out, err = run_cli(capsys, "decide", text, "--output", output)
+        assert (code, err) == (0, "")
+        if output == "json":
+            assert json.loads(out)["verdict"] == "sat"
+        else:
+            assert out.startswith("SAT  ")
 
     def test_internal_engine_error_is_not_a_verdict(self, capsys, monkeypatch):
         def fail(f, profile):
@@ -159,6 +184,21 @@ class TestCheckModel:
         )
         assert code == 1
         assert "violation: serial at w0 world 0 has no a-alternative" in out
+
+    def test_deep_formula_on_a_complete_model(self, capsys, tmp_path):
+        path = self._write(
+            tmp_path,
+            {
+                "worlds": 8,
+                "valuation": {str(w): ["p"] for w in range(8)},
+                "alternatives": {"a": [[u, v] for u in range(8) for v in range(8)]},
+            },
+        )
+        code, out, _ = run_cli(
+            capsys, "check-model", path, "--profile", "kd45", "--formula", "B[a] " * 12 + "p"
+        )
+        assert code == 0
+        assert out.rstrip().endswith("true")
 
     def test_serial_violation(self, capsys, tmp_path):
         path = self._write(tmp_path, {"worlds": 1, "alternatives": {"a": []}})
@@ -384,6 +424,21 @@ class TestEntryPoints:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_closed_pipe_keeps_the_verdict_code(self):
+        # the trace of this valid formula is about 0.9 MB, more than a pipe
+        # holds, so the reader is gone before the output is written
+        text = "~(" + " & ".join(f"p{i}" for i in range(499)) + " & ~p0)"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "doxa", "decide", "--mode", "valid", text],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"VALID")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
     @pytest.mark.skipif(shutil.which("doxa") is None, reason="script not on PATH")
     def test_console_script(self):

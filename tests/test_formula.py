@@ -7,6 +7,7 @@ import gc
 import pickle
 
 import pytest
+from conftest import formulas_st
 from hypothesis import given, settings, strategies as st
 
 from doxa import formula
@@ -33,24 +34,6 @@ from doxa.formula import (
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 A, B = Agent("a"), Agent("b")
-
-_atoms_st = st.sampled_from([P, Q, R])
-_agents_st = st.sampled_from([A, B])
-
-formulas_st = st.recursive(
-    _atoms_st,
-    lambda children: st.one_of(
-        st.builds(Not, children),
-        st.builds(And, children, children),
-        st.builds(Or, children, children),
-        st.builds(Implies, children, children),
-        st.builds(Iff, children, children),
-        st.builds(Bel, _agents_st, children),
-        st.builds(Comp, _agents_st, children),
-    ),
-    max_leaves=12,
-)
-
 
 class TestRender:
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from conftest import formulas_st
 from hypothesis import given, settings, strategies as st
 
 from doxa.formula import Agent, And, Atom, Bel, Comp, Iff, Implies, Not, Or
@@ -62,16 +63,76 @@ class TestConstruction:
         assert m.valuation[0] == frozenset({"p"})
         assert m.alternatives["a"] == frozenset({(0, 0)})
 
-    def test_successors_and_atoms(self):
+    def test_atoms_at(self):
         m = chain_model()
-        assert m.successors("a", 0) == frozenset({1})
-        assert m.successors("a", 1) == frozenset({1})
-        assert m.successors("b", 0) == frozenset()
         assert m.atoms_at(0) == frozenset({"q"})
         assert m.atoms_at(1) == frozenset({"p"})
 
 
+def reference_evaluate(m: ModelSystem, w: int, f) -> bool:
+    """The reference semantics: one clause per connective, recursing into
+    subformulas at each world, as ``evaluate`` was written before it
+    labelled each subformula once."""
+    m._check_world(w)
+    if isinstance(f, Atom):
+        return f.name in m.atoms_at(w)
+    if isinstance(f, Not):
+        return not reference_evaluate(m, w, f.sub)
+    if isinstance(f, And):
+        return reference_evaluate(m, w, f.left) and reference_evaluate(m, w, f.right)
+    if isinstance(f, Or):
+        return reference_evaluate(m, w, f.left) or reference_evaluate(m, w, f.right)
+    if isinstance(f, Implies):
+        return not reference_evaluate(m, w, f.left) or reference_evaluate(m, w, f.right)
+    if isinstance(f, Iff):
+        return reference_evaluate(m, w, f.left) == reference_evaluate(m, w, f.right)
+    successors = sorted(v for u, v in m.alternatives.get(f.agent.name, ()) if u == w)
+    if isinstance(f, Bel):
+        return all(reference_evaluate(m, v, f.sub) for v in successors)
+    if isinstance(f, Comp):
+        return any(reference_evaluate(m, v, f.sub) for v in successors)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+@st.composite
+def small_models(draw) -> ModelSystem:
+    """Up to 4 worlds; each of agents a and b has a random relation, or is
+    absent from ``alternatives``."""
+    n = draw(st.integers(1, 4))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    valuation = {
+        w: draw(st.frozensets(st.sampled_from(["p", "q", "r"]))) for w in range(n)
+    }
+    alternatives = {
+        agent: draw(st.frozensets(pairs))
+        for agent in ("a", "b")
+        if draw(st.booleans())
+    }
+    return ModelSystem(worlds=n, designated=0, valuation=valuation, alternatives=alternatives)
+
+
 class TestEvaluate:
+    @given(small_models(), formulas_st)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_reference_semantics(self, m, f):
+        for w in range(m.worlds):
+            assert evaluate(m, w, f) == reference_evaluate(m, w, f)
+
+    def test_deep_nesting_is_labelled_once(self):
+        # 8 worlds that all see each other: the reference semantics visits
+        # 8**12 paths, the labelling 13 subformulas
+        m = ModelSystem(
+            worlds=8,
+            designated=0,
+            valuation={w: frozenset({"p"}) for w in range(8)},
+            alternatives={"a": frozenset(itertools.product(range(8), repeat=2))},
+        )
+        f = P
+        for _ in range(12):
+            f = Bel(A, f)
+        assert evaluate(m, 0, f)
+        assert not evaluate(m, 0, Bel(A, Not(f)))
+
     def test_propositional_connectives(self):
         m = chain_model()
         assert evaluate(m, 0, Q)

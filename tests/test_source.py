@@ -76,46 +76,53 @@ def test_every_definition_is_referenced(path):
 
 
 #: The functions that recurse, directly or through others of their module,
-#: once per nesting level of a formula.  Each bounds the input depth by the
-#: recursion limit, so the set may only shrink: a new recursive helper fails
-#: here, and turning one of these into a loop must remove it from the set.
-RECURSIVE = {
-    "formula._render_child",
-    "formula.desugar",
-    "formula.modal_depth",
-    "formula.node_count",
-    "formula.render",
-    "models.evaluate",
-    "oracle._vector_truth",
-    "parser._Parser.parse_and",
-    "parser._Parser.parse_iff",
-    "parser._Parser.parse_implies",
-    "parser._Parser.parse_or",
-    "parser._Parser.parse_unary",
-}
+#: once per nesting level of a formula.  Each would bound the input depth
+#: by the recursion limit, so the set is empty and may only stay so: every
+#: fold over a formula is a loop over ``formula.postorder``.
+RECURSIVE: set[str] = set()
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function, without descending into the functions,
+    lambdas and classes defined in it, whose nodes are their own."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack += ast.iter_child_nodes(node)
 
 
 def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
-    """Each top-level function and method of a module, by qualified name,
-    with the functions of the same module it calls: ``f(...)`` names a
-    top-level function and ``self.f(...)`` a method of its own class."""
-    scopes = [(f.name, None, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    """Each function of a module by qualified name, with the functions of
+    the same module it calls.  A method is ``Class.method`` and a function
+    defined in another is ``outer.inner``.  ``f(...)`` names the innermost
+    function ``f`` defined around the call, else a top-level one, and
+    ``self.f(...)`` names a method of its own class."""
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    top = {f.name: f.name for f in functions}
+    # (qualified name, class of a method, definition, the names it can call)
+    work = [(f.name, None, f, top) for f in functions]
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef):
-            scopes += [
-                (f"{cls.name}.{f.name}", cls.name, f)
+            work += [
+                (f"{cls.name}.{f.name}", cls.name, f, top)
                 for f in cls.body
                 if isinstance(f, ast.FunctionDef)
             ]
-    names = {name for name, _, _ in scopes}
     graph = {}
-    for name, cls, f in scopes:
+    while work:
+        name, cls, func, visible = work.pop()
+        nodes = list(_own_nodes(func))
+        nested = [n for n in nodes if isinstance(n, ast.FunctionDef)]
+        visible = {**visible, **{n.name: f"{name}.{n.name}" for n in nested}}
+        work += [(f"{name}.{n.name}", cls, n, visible) for n in nested]
         calls = set()
-        for node in ast.walk(f):
+        for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
-            if isinstance(node.func, ast.Name):
-                calls.add(node.func.id)
+            if isinstance(node.func, ast.Name) and node.func.id in visible:
+                calls.add(visible[node.func.id])
             elif (
                 cls
                 and isinstance(node.func, ast.Attribute)
@@ -123,22 +130,57 @@ def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
                 and node.func.value.id == "self"
             ):
                 calls.add(f"{cls}.{node.func.attr}")
-        graph[name] = calls & names
-    return graph
+        graph[name] = calls
+    return {name: calls & graph.keys() for name, calls in graph.items()}
+
+
+def _on_cycles(graph: dict[str, set[str]]) -> set[str]:
+    """The functions of a call graph that can reach themselves."""
+    found = set()
+    for start in graph:
+        seen, stack = set(), list(graph[start])
+        while stack:
+            name = stack.pop()
+            if name not in seen:
+                seen.add(name)
+                stack += graph[name]
+        if start in seen:
+            found.add(start)
+    return found
+
+
+def test_call_graph_sees_nested_and_mutual_recursion():
+    source = """
+def fold(f):
+    def walk(g):
+        return [walk(c) for c in g]
+    return walk(f)
+
+def loop(f):
+    def walk(g):
+        return g
+    return [walk(c) for c in f]
+
+def even(n):
+    return n == 0 or odd(n - 1)
+
+def odd(n):
+    return n != 0 and even(n - 1)
+
+class Parser:
+    def parse(self):
+        return self.unary()
+
+    def unary(self):
+        return self.parse()
+"""
+    found = _on_cycles(_call_graph(ast.parse(source)))
+    assert found == {"fold.walk", "even", "odd", "Parser.parse", "Parser.unary"}
 
 
 def test_recursion_is_confined_to_the_listed_functions():
     found = set()
     for path in MODULES:
         graph = _call_graph(ast.parse(path.read_text(encoding="utf-8")))
-        for start in graph:
-            # on a cycle when it can reach itself
-            seen, stack = set(), list(graph[start])
-            while stack:
-                name = stack.pop()
-                if name not in seen:
-                    seen.add(name)
-                    stack += graph[name]
-            if start in seen:
-                found.add(f"{path.stem}.{start}")
-    assert found == RECURSIVE
+        found |= {f"{path.stem}.{name}" for name in _on_cycles(graph)}
+    assert found == RECURSIVE == set()
