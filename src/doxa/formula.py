@@ -104,15 +104,55 @@ class Formula:
         raise AttributeError(f"formula nodes are immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        # rebuild through the constructor, which returns the canonical node
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # the DAG as a flat list of nodes, children first, each naming its
+        # children by position, so that neither pickling nor unpickling
+        # recurses along a deep formula
+        order = postorder(self)
+        position = {g: i for i, g in enumerate(order)}
+        nodes = []
+        for g in order:
+            fields = (getattr(g, name) for name in g.__match_args__)
+            nodes.append(
+                (type(g), *(position[v] if isinstance(v, Formula) else v for v in fields))
+            )
+        return _rebuild, (nodes,)
+
+    # a node is immutable and canonical, so any copy of it is the node itself
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # a stack of pieces still to write, text or a node, as in ``render``
+        out = []
+        stack = [self]
+        while stack:
+            g = stack.pop()
+            if type(g) is str:
+                out.append(g)
+                continue
+            out.append(f"{type(g).__name__}(")
+            stack.append(")")
+            names = g.__match_args__
+            for i in reversed(range(len(names))):
+                value = getattr(g, names[i])
+                stack.append(value if isinstance(value, Formula) else repr(value))
+                stack.append(f", {names[i]}=" if i else f"{names[i]}=")
+        return "".join(out)
 
     def __str__(self) -> str:
         return render(self)
+
+
+def _rebuild(nodes: list[tuple]) -> Formula:
+    """The formula that ``Formula.__reduce__`` flattened into ``nodes``: each
+    is rebuilt through its constructor, which returns the canonical node."""
+    built: list[Formula] = []
+    for cls, *fields in nodes:
+        built.append(cls(*(built[v] if type(v) is int else v for v in fields)))
+    return built[-1]
 
 
 class Atom(Formula):

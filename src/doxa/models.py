@@ -32,7 +32,7 @@ of the profile, reporting each breach as a ``Violation``.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -205,9 +205,7 @@ def evaluate(m: ModelSystem, w: int, f: Formula) -> bool:
             agent = g.agent.name
             row = rows.get(agent)
             if row is None:
-                row = rows[agent] = [0] * m.worlds
-                for u, v in m.alternatives.get(agent, ()):
-                    row[u] |= 1 << v
+                row = rows[agent] = _successor_rows(m, agent)
             # Bel holds where no alternative lies outside the worlds of its
             # subformula; Comp fails where none lies inside them
             outside = everywhere ^ truth[g.sub] if t is Bel else truth[g.sub]
@@ -221,62 +219,108 @@ def evaluate(m: ModelSystem, w: int, f: Formula) -> bool:
     return bool(truth[f] >> w & 1)
 
 
-def _successor_map(m: ModelSystem, agent: str) -> dict[int, set[int]]:
-    succ: dict[int, set[int]] = {w: set() for w in range(m.worlds)}
+def _successor_rows(m: ModelSystem, agent: str) -> list[int]:
+    """One agent's successor rows: bit v of ``rows[w]`` is set when w sees v."""
+    rows = [0] * m.worlds
     for u, v in m.alternatives.get(agent, ()):
-        succ[u].add(v)
-    return succ
+        rows[u] |= 1 << v
+    return rows
 
 
-# Frame conditions.  Each takes one agent's successor sets, indexed by world,
-# and yields its breaches as (kind, worlds, message) in a fixed order;
-# ``check_frame`` reports them all and the oracle's frame filter stops at the
-# first.
+# Frame conditions.  Each is one bitwise predicate per cell, a world w or a
+# pair w -> u of worlds, over one agent's successor rows, ``rows[w]`` being
+# the mask of w's alternatives.  The predicates use operators only, no
+# ``not``, ``and``, ``any`` or ``all``, so the same code reads Python ints in
+# ``check_frame`` and numpy int64 arrays, one candidate relation per element,
+# in the oracle's frame filter.  ``frame_breaches`` expands every cell whose
+# predicate fails into (kind, worlds, message) breaches, in a fixed order.
 Breach = tuple[str, tuple[int, ...], str]
 
 
-def serial(succ, agent: str) -> Iterator[Breach]:
-    """Every world has an alternative."""
-    for w in range(len(succ)):
-        if not succ[w]:
-            yield "serial", (w,), f"world {w} has no {agent}-alternative"
+def _edge(rows, w, u):
+    """w sees u."""
+    return (rows[w] >> u & 1) == 1
 
 
-def a3_witness(succ, agent: str) -> Iterator[Breach]:
-    """Every world with alternatives has an alternative v whose successors
-    are among its own (the weak-introspection witness)."""
-    for w in range(len(succ)):
-        if succ[w] and not any(succ[v] <= succ[w] for v in succ[w]):
-            yield (
-                "a3-witness", (w,),
-                f"no {agent}-alternative of {w} has successors within those of {w}",
-            )
+def _within(rows, v, w):
+    """Every alternative of v is an alternative of w."""
+    return (rows[v] & ~rows[w]) == 0
 
 
-def transitive(succ, agent: str) -> Iterator[Breach]:
-    """wRu and uRv imply wRv."""
-    seen: set[tuple[int, int]] = set()
-    for w in range(len(succ)):
-        for u in sorted(succ[w]):
-            if succ[u] <= succ[w]:
-                continue
-            for v in sorted(succ[u] - succ[w]):
-                if (w, v) not in seen:
-                    seen.add((w, v))
-                    yield "transitive", (w, v), f"missing {agent}-edge {w}->{v} (via {u})"
+def _bits(mask: int) -> list[int]:
+    """The worlds in ``mask``, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def euclidean(succ, agent: str) -> Iterator[Breach]:
-    """wRu and wRv imply uRv."""
-    seen: set[tuple[int, int]] = set()
-    for w in range(len(succ)):
-        for u in sorted(succ[w]):
-            if succ[w] <= succ[u]:
-                continue
-            for v in sorted(succ[w] - succ[u]):
-                if (u, v) not in seen:
-                    seen.add((u, v))
-                    yield "euclidean", (u, v), f"missing {agent}-edge {u}->{v} (both seen from {w})"
+def _serial(rows):
+    return [rows[w] != 0 for w in range(len(rows))]
+
+
+def _serial_breaches(rows, w, agent):
+    return [((w,), f"world {w} has no {agent}-alternative")]
+
+
+def _witness(rows):
+    cells = []
+    for w in range(len(rows)):
+        holds = rows[w] == 0
+        for v in range(len(rows)):
+            holds = holds | (_edge(rows, w, v) & _within(rows, v, w))
+        cells.append(holds)
+    return cells
+
+
+def _witness_breaches(rows, w, agent):
+    return [((w,), f"no {agent}-alternative of {w} has successors within those of {w}")]
+
+
+def _transitive(rows):
+    n = len(rows)
+    return [_edge(rows, w, u) <= _within(rows, u, w) for w in range(n) for u in range(n)]
+
+
+def _transitive_breaches(rows, position, agent):
+    w, u = divmod(position, len(rows))
+    return [
+        ((w, v), f"missing {agent}-edge {w}->{v} (via {u})") for v in _bits(rows[u] & ~rows[w])
+    ]
+
+
+def _euclidean(rows):
+    n = len(rows)
+    return [_edge(rows, w, u) <= _within(rows, w, u) for w in range(n) for u in range(n)]
+
+
+def _euclidean_breaches(rows, position, agent):
+    w, u = divmod(position, len(rows))
+    return [
+        ((u, v), f"missing {agent}-edge {u}->{v} (both seen from {w})")
+        for v in _bits(rows[w] & ~rows[u])
+    ]
+
+
+class FrameCondition(NamedTuple):
+    """A frame condition.  ``cells(rows)`` lists its predicate at each cell:
+    at world w in position w, or at the pair w -> u in position
+    ``w * len(rows) + u``.  ``breaches(rows, position, agent)`` lists the
+    (worlds, message) of the breaches at a cell whose predicate fails."""
+
+    kind: str
+    cells: Callable[[Sequence], list]
+    breaches: Callable[[Sequence[int], int, str], list[tuple[tuple[int, ...], str]]]
+
+
+#: Every world has an alternative.
+serial = FrameCondition("serial", _serial, _serial_breaches)
+#: Every world with alternatives has an alternative v whose successors are
+#: among its own (the weak-introspection witness).
+a3_witness = FrameCondition("a3-witness", _witness, _witness_breaches)
+#: wRu and uRv imply wRv: at the cell w -> u, an edge means that the
+#: alternatives of u are among those of w.
+transitive = FrameCondition("transitive", _transitive, _transitive_breaches)
+#: wRu and wRv imply uRv: at the cell w -> u, an edge means that the
+#: alternatives of w are among those of u.
+euclidean = FrameCondition("euclidean", _euclidean, _euclidean_breaches)
 
 
 class ModalRule(NamedTuple):
@@ -311,7 +355,7 @@ class ProfileRules(NamedTuple):
     first, and its propagation rules, in the order they are checked and
     fired."""
 
-    frame: tuple[Callable[..., Iterator[Breach]], ...]
+    frame: tuple[FrameCondition, ...]
     propagation: tuple[ModalRule, ...]
 
 
@@ -328,20 +372,28 @@ PROFILE_RULES: dict[LogicProfile, ProfileRules] = {
 }
 
 
-def frame_breaches(succ, agent: str, profile: LogicProfile) -> Iterator[Breach]:
+def frame_breaches(rows: Sequence[int], agent: str, profile: LogicProfile) -> Iterator[Breach]:
     """Breaches of ``profile``'s frame conditions by one agent's successor
-    sets ``succ``, indexed by world."""
+    rows: condition by condition, cell by cell in ascending position, each
+    listed once."""
     for condition in PROFILE_RULES[profile].frame:
-        yield from condition(succ, agent)
+        seen: set[tuple[int, ...]] = set()
+        for position, holds in enumerate(condition.cells(rows)):
+            if holds:
+                continue
+            for worlds, message in condition.breaches(rows, position, agent):
+                if worlds not in seen:
+                    seen.add(worlds)
+                    yield condition.kind, worlds, message
 
 
 def check_frame(m: ModelSystem, profile: LogicProfile) -> list[Violation]:
     """Frame-condition violations of ``m`` for ``profile``, empty if none."""
-    violations: list[Violation] = []
-    for agent in sorted(m.alternatives):
-        for kind, worlds, message in frame_breaches(_successor_map(m, agent), agent, profile):
-            violations.append(Violation(kind, worlds, None, message))
-    return violations
+    return [
+        Violation(kind, worlds, None, message)
+        for agent in sorted(m.alternatives)
+        for kind, worlds, message in frame_breaches(_successor_rows(m, agent), agent, profile)
+    ]
 
 
 def _neg_in(label: set[Formula], f: Formula) -> bool:
@@ -361,7 +413,7 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
     m = lm.model
     violations = check_frame(m, profile)
     rules = PROFILE_RULES[profile]
-    succ_by_agent = {agent: _successor_map(m, agent) for agent in m.alternatives}
+    rows_by_agent = {agent: _successor_rows(m, agent) for agent in m.alternatives}
     label_sets = {w: set(lm.label(w)) for w in range(m.worlds)}
 
     for w in range(m.worlds):
@@ -416,7 +468,7 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
             if not isinstance(belief, Bel):
                 continue
             agent = belief.agent.name
-            succ = succ_by_agent.get(agent, {}).get(w, set())
+            succ = _bits(rows_by_agent[agent][w]) if agent in rows_by_agent else []
             if negated and not any(
                 neg(belief.sub) in label_sets[v] or Not(belief.sub) in label_sets[v]
                 for v in succ
@@ -432,7 +484,7 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
                     continue
                 carried = f.sub if rule.carries_sub else f
                 if rule.every:
-                    for v in sorted(succ):
+                    for v in succ:
                         if carried not in label_sets[v]:
                             violations.append(
                                 Violation(rule.kind, (w, v), f, rule.message.format(agent=agent, v=v))

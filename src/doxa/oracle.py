@@ -12,9 +12,14 @@ bit ``from_world * n + to_world`` set when the edge is present; masks ascend
 numerically, and with several agents the tuple of masks ascends
 lexicographically in budget agent order (first agent slowest).  Relation
 tuples that breach a frame condition of the profile, as listed in
-``models.PROFILE_RULES``, are skipped.  For each surviving frame,
-valuations ascend as ``n * len(atoms)``-bit masks with bit
-``world * len(atoms) + atom_index`` set when the atom holds at the world.
+``models.PROFILE_RULES``, are skipped.  The admissible masks of one agent
+are listed once per world count and profile: the ``2**(n*n)`` candidate
+masks go through in ascending chunks, each read as ``n`` numpy int64 arrays
+of successor rows, one candidate per element, by the profile's frame
+predicates all at once, and the masks that satisfy every predicate are kept
+in ascending order.  For each surviving frame, valuations ascend as
+``n * len(atoms)``-bit masks with bit ``world * len(atoms) + atom_index``
+set when the atom holds at the world.
 The designated world is always 0.
 
 ``sat_upto`` answers "is there a model within this budget", which is only a
@@ -41,7 +46,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .formula import And, Atom, Bel, Formula, Not, Or, desugar, postorder
-from .models import LogicProfile, ModelSystem, evaluate, frame_breaches
+from .models import PROFILE_RULES, LogicProfile, ModelSystem, evaluate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,22 +124,9 @@ class EnumerationBudget:
             )
 
 
-_ROWS: dict[int, tuple[frozenset[int], ...]] = {}
-
-
-def _succ_sets(mask: int, n: int) -> list[frozenset[int]]:
-    """Successor set of each world under relation mask ``mask``."""
-    rows = _ROWS.get(n)
-    if rows is None:
-        rows = _ROWS[n] = tuple(
-            frozenset(v for v in range(n) if row >> v & 1) for row in range(1 << n)
-        )
-    row_mask = (1 << n) - 1
-    return [rows[mask >> (w * n) & row_mask] for w in range(n)]
-
-
-#: Most (world, frame, valuation) booleans in one truth array of ``sat_upto``;
-#: a chunk holds at least one frame, with all its valuations.
+#: Most (world, frame, valuation) booleans in one truth array of ``sat_upto``,
+#: and most (world, candidate mask) rows in one chunk of ``_frames``; a
+#: chunk of ``sat_upto`` holds at least one frame, with all its valuations.
 CHUNK_CELLS = 1 << 20
 
 _MASK_CACHE: dict[tuple[int, LogicProfile], list[int]] = {}
@@ -142,15 +134,30 @@ _REACH_CACHE: dict[tuple[int, LogicProfile], np.ndarray] = {}
 
 
 def _frames(n: int, profile: LogicProfile) -> list[int]:
-    """Admissible relation masks of one agent on ``n`` worlds, ascending."""
+    """Admissible relation masks of one agent on ``n`` worlds, ascending.
+
+    The candidates go through in chunks of at most ``CHUNK_CELLS`` successor
+    rows, each chunk one int64 array per world that the profile's frame
+    predicates read all at once.
+    """
     key = (n, profile)
     cached = _MASK_CACHE.get(key)
     if cached is None:
-        cached = _MASK_CACHE[key] = [
-            mask
-            for mask in range(1 << (n * n))
-            if next(frame_breaches(_succ_sets(mask, n), "a", profile), None) is None
-        ]
+        import numpy as np
+
+        found: list[int] = []
+        total = 1 << (n * n)
+        step = max(1, CHUNK_CELLS // n)
+        for start in range(0, total, step):
+            masks = np.arange(start, min(start + step, total), dtype=np.int64)
+            rows = [masks >> (w * n) & ((1 << n) - 1) for w in range(n)]
+            admitted = np.ones(len(masks), dtype=bool)
+            for condition in PROFILE_RULES[profile].frame:
+                for holds in condition.cells(rows):
+                    admitted &= holds
+            found += masks[admitted].tolist()
+        # cached only when complete: a time limit may interrupt the loop
+        cached = _MASK_CACHE[key] = found
     return cached
 
 
@@ -183,7 +190,7 @@ def _build_model(
     }
     alternatives = {
         agent: frozenset(
-            (w, v) for w in range(n) for v in _succ_sets(frame[k], n)[w]
+            (w, v) for w in range(n) for v in range(n) if frame[k] >> (w * n + v) & 1
         )
         for k, agent in enumerate(budget.agents)
     }

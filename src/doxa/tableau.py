@@ -741,10 +741,16 @@ class _Engine:
                         succ[w] |= succ[v]
                         changed = True
         elif strongest is transitive:
-            # add the edges transitivity finds missing until none is
-            while missing := [edge for _, edge, _ in transitive(succ, agent)]:
-                for w, v in missing:
-                    succ[w].add(v)
+            # each world takes in the successors of its successors until
+            # none is missing: the transitive closure
+            changed = True
+            while changed:
+                changed = False
+                for successors in succ:
+                    for u in list(successors):
+                        if not succ[u] <= successors:
+                            successors |= succ[u]
+                            changed = True
         elif strongest is euclidean:
             # each tree of alternatives collapses into one cluster
             for root, world in enumerate(keep):

@@ -425,6 +425,20 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_decide_and_check_frame_leave_numpy_unloaded(self):
+        # every command but ``oracle`` would pay for the numpy import
+        script = (
+            "import sys, doxa\n"
+            "f = doxa.parse('B[a] p & ~B[a] B[a] p')\n"
+            "for profile in doxa.LogicProfile:\n"
+            "    verdict = doxa.decide_sat(f, profile)\n"
+            "    if isinstance(verdict, doxa.SatVerdict):\n"
+            "        assert doxa.check_frame(verdict.model, profile) == []\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_closed_pipe_keeps_the_verdict_code(self):
         # the trace of this valid formula is about 0.9 MB, more than a pipe
         # holds, so the reader is gone before the output is written

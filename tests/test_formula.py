@@ -177,6 +177,28 @@ class TestInterning:
         assert copy.deepcopy(f) is f
         assert pickle.loads(pickle.dumps(f)) is f
 
+    def test_deep_formula_copies_pickles_and_prints(self):
+        # 5,000 nested negations, far past the recursion limit
+        deep = _fresh_chain("p", 5001)
+        assert copy.copy(deep) is deep
+        assert copy.deepcopy(deep) is deep
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(deep, protocol)) is deep
+        assert repr(deep) == "Not(sub=" * 5000 + "Atom(name='p')" + ")" * 5000
+
+    @given(formulas_st)
+    @settings(max_examples=50)
+    def test_repr_names_every_field(self, f):
+        def reference(g):
+            fields = ", ".join(
+                f"{name}={reference(v) if isinstance(v, formula.Formula) else repr(v)}"
+                for name in g.__match_args__
+                for v in (getattr(g, name),)
+            )
+            return f"{type(g).__name__}({fields})"
+
+        assert repr(f) == reference(f)
+
     def test_fields_cannot_be_assigned_or_deleted(self):
         f = Bel(A, P)
         with pytest.raises(AttributeError):

@@ -3,6 +3,7 @@ JSON serialization."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -220,6 +221,22 @@ class TestCheckFrame:
         assert violations == [
             Violation("serial", (1,), None, "world 1 has no b-alternative")
         ]
+
+    def test_every_small_relation_keeps_its_violation_list(self):
+        # sha256 of the violation lists of every one-agent relation on up to
+        # three worlds under each profile, one repr per line, as the breach
+        # generators over successor sets listed them before the frame
+        # predicates were written over successor rows
+        lines = [
+            repr(check_frame(_single_agent(n, _edges_from_mask(mask, n)), profile))
+            for n in (1, 2, 3)
+            for mask in range(1 << (n * n))
+            for profile in PROFILES_BY_STRENGTH
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (
+            2120, "7cfcf5601f55364c1db303e2af90149ed9d48692afbb06de22fc0649b195b7a0"
+        )
 
 
 def _edges_from_mask(mask: int, n: int) -> set[tuple[int, int]]:

@@ -3,7 +3,9 @@ frame checker, bounded satisfiability search."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -158,6 +160,91 @@ class TestRelationOk:
             }
             assert {v.kind for v in check_frame(m, profile)} == breached, (n, mask, profile)
             assert (mask in admitted) == (not breached), (n, mask, profile)
+
+
+#: (length, sha256 of the masks joined by commas) of ``_frames(n, profile)``,
+#: as the per-mask Python filter listed them before the frame predicates
+#: were vectorized.
+FRAME_PINS = {
+    ("kd45", 1): (1, "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    ("hintikka", 1): (1, "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    ("hstar", 1): (1, "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    ("kd", 1): (1, "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    ("kd45", 2): (4, "f14617946c8bc15d919b7859688606aaa47c44bdbb6f5a11d7d810ebb5eb3de6"),
+    ("hintikka", 2): (6, "40b8030dcd3c36175adcd46f71fb68215692fce1e4622cb76be3f5f357620c29"),
+    ("hstar", 2): (6, "40b8030dcd3c36175adcd46f71fb68215692fce1e4622cb76be3f5f357620c29"),
+    ("kd", 2): (9, "7c51a20b4a222c15d0a8c91d1c49536d23ae2bc357814c12c74c6673deeb53e5"),
+    ("kd45", 3): (17, "d06758442dfe4b7e1cf0422b9346a406a9c85a26edd63e3c961b48eb47008c73"),
+    ("hintikka", 3): (68, "8c690fe3f04ceb801ea2c6eb7eaf0b076f6ab3429d542efcb42e326dc084d443"),
+    ("hstar", 3): (136, "b48d4d6f84dfdfe9935f96a90836fbacec296c5895697590132c1be09de448ea"),
+    ("kd", 3): (343, "d3b7047961742e40989e2d9197ca24a974367972a58420d8253ef0e720685a22"),
+    ("kd45", 4): (89, "154d5826e96d0005cca25fa2316ffe386e36cf12cc40fd08c48f50cc8ab1cfb8"),
+    ("hintikka", 4): (1387, "fed9eb121972ad5f0cac1a4c25968d33a2ae7314bbd502bda87420d21c87decc"),
+    ("hstar", 4): (11724, "cb5003cc785b900be86f658f52e4873dd43e7c98f252d0749773a4c6e6af4bfa"),
+    ("kd", 4): (50625, "93e58d8d9e393406413f61abaae9d2f7ee0780797ae5edfe749aa79f192036f6"),
+}
+
+
+def _stirling2(s: int, k: int) -> int:
+    """Ways to partition s labelled worlds into k nonempty blocks, by
+    S(i, j) = j * S(i - 1, j) + S(i - 1, j - 1)."""
+    row = [1] + [0] * k  # S(0, j) for j = 0..k
+    for _ in range(s):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+#: Hand-derived counts of the admissible relations of one agent on n worlds:
+#:
+#:   - kd: each of the n rows independently picks one of the 2**n - 1
+#:     nonempty successor sets, so (2**n - 1)**n, which is 50,625 at n = 4;
+#:   - kd45: a serial, transitive and euclidean relation is a union of
+#:     clusters (Halpern & Moses, AIJ 54, 1992).  If w sees u, euclideanness
+#:     gives R(w) within R(u) and transitivity R(u) within R(w), so every
+#:     world that some world sees sees exactly its own cluster, itself
+#:     included.  Such a relation is therefore fixed by the set of the s
+#:     worlds that are seen, C(n, s) choices, a partition of them into k
+#:     clusters, S(s, k) choices, and the cluster that each of the other
+#:     n - s worlds sees, k**(n - s) choices: the sum over s and k of
+#:     C(n, s) * S(s, k) * k**(n - s), which is 1, 4, 17 and 89 for n = 1..4.
+def _hand_count(profile: LogicProfile, n: int) -> int:
+    if profile is KD:
+        return (2**n - 1) ** n
+    assert profile is LogicProfile.KD45
+    return sum(
+        math.comb(n, s) * _stirling2(s, k) * k ** (n - s)
+        for s in range(1, n + 1)
+        for k in range(1, s + 1)
+    )
+
+
+def _digest(masks: list[int]) -> tuple[int, str]:
+    return len(masks), hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+
+
+class TestFrameLists:
+    """The admissible masks of one agent, pinned and counted by hand."""
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_pinned_list(self, n, profile):
+        assert _digest(_frames(n, profile)) == FRAME_PINS[profile.value, n]
+
+    @pytest.mark.parametrize("profile", [KD, LogicProfile.KD45])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_hand_count(self, n, profile):
+        assert len(_frames(n, profile)) == _hand_count(profile, n)
+
+    def test_hand_counts(self):
+        assert [_hand_count(LogicProfile.KD45, n) for n in range(1, 5)] == [1, 4, 17, 89]
+        assert _hand_count(KD, 4) == 50_625
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_small_chunks_keep_the_list(self, profile, monkeypatch):
+        monkeypatch.setattr("doxa.oracle.CHUNK_CELLS", 1000)
+        monkeypatch.setattr("doxa.oracle._MASK_CACHE", {})
+        for n in (3, 4):
+            assert _digest(_frames(n, profile)) == FRAME_PINS[profile.value, n]
 
 
 class TestSatUpto:
