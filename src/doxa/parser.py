@@ -28,11 +28,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .formula import INFIX, Agent, Atom, Bel, Comp, Formula, Not
 
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
-_WS_RE = re.compile(r"\s*")
+#: One token or one run of whitespace per match, the alternatives tried in
+#: this order: whitespace, punctuation ("<->" before "->"), a modal letter,
+#: an identifier, and any other character, which is an error.
+_TOKEN_RE = re.compile(r"(\s+)|(<->|->|[|&~()\[\]])|([BC])|([a-z][a-z0-9_]*)|(.)", re.DOTALL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,8 +58,7 @@ class ParseError(ValueError):
         return f"{self.message} (at {self.span.start}..{self.span.end})"
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "modal", punctuation like "(", or "eof"
     text: str
     start: int
@@ -67,33 +69,22 @@ class _Token:
         return SourceSpan(self.start, self.end)
 
 
-_PUNCTUATION = ("<->", "->", "|", "&", "~", "(", ")", "[", "]")
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = _WS_RE.match(text).end()
-    while pos < len(text):
-        ch = text[pos]
-        if ch in ("B", "C"):
-            tokens.append(_Token("modal", ch, pos, pos + 1))
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            continue
+        word = m.group()
+        start, end = m.span()
+        if group == 2:
+            tokens.append(_Token(word, word, start, end))
+        elif group == 3:
+            tokens.append(_Token("modal", word, start, end))
+        elif group == 4:
+            tokens.append(_Token("ident", word, start, end))
         else:
-            for punct in _PUNCTUATION:
-                if text.startswith(punct, pos):
-                    tokens.append(_Token(punct, punct, pos, pos + len(punct)))
-                    pos += len(punct)
-                    break
-            else:
-                m = _IDENT_RE.match(text, pos)
-                if m:
-                    tokens.append(_Token("ident", m.group(), pos, m.end()))
-                    pos = m.end()
-                else:
-                    raise ParseError(
-                        f"unknown token {text[pos]!r}", SourceSpan(pos, pos + 1)
-                    )
-        pos = _WS_RE.match(text, pos).end()
+            raise ParseError(f"unknown token {word!r}", SourceSpan(start, end))
     tokens.append(_Token("eof", "", len(text), len(text)))
     return tokens
 

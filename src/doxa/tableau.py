@@ -51,19 +51,52 @@ stop applying to a label entry, never start again: what it would add stays
 in place once added.  Each world therefore keeps its label entries in
 insertion order, one cursor each for the scans of steps 1, 2 and 3, and
 one cursor per propagation rule: into its own entries for (C.CB) and
-(C.B-lift), into its creator's for the rules that send formulas down the
-edge from the creator.  Every world but the seed has exactly that one
-incoming edge, so a world records it as its parent (agent, creator,
-dependency set), and step 4 and model extraction walk the edges in world
-order.  A scan resumes at its cursor instead of at the first entry; no
-entry before a cursor can fire again.  The one exception is a belief that
-(C.CB) passes over while its world has no designated witness for the
-belief's agent: designating the witness resets that world's (C.CB)
-cursor.  Cursors are restored with their world on backtracking, so rules
-fire in exactly the order a full rescan after every firing would give.
-Step 5 and the (C.CB) choice likewise read per-world records of each
-agent's first belief and first alternative instead of scanning labels and
-edges.
+(C.B-lift), into its creator's for the down rules, which send formulas
+down the edge from the creator.  Every world but the seed has exactly that
+one incoming edge, so a world records it as its parent (agent, creator,
+dependency set), and model extraction walks the edges in world order.  A
+scan resumes at its cursor instead of at the first entry; no entry before
+a cursor can fire again.  The one exception is a belief that (C.CB) passes
+over while its world has no designated witness for the belief's agent:
+designating the witness resets that world's (C.CB) cursor.  Cursors are
+restored with their world on backtracking, so rules fire in exactly the
+order a full rescan after every firing would give.
+
+Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
+logic reasoner: system description", IJCAR 2006): steps 4 and 5 visit
+only the worlds that may have work, kept as int bitsets of world ids.
+``agenda[r]`` holds the worlds whose cursor for propagation rule r may lag
+behind an entry the rule can fire on, a belief (a negated belief for
+(C.~B*)).  ``todo`` holds the worlds that may have a demand left to spawn,
+or an agent whose belief has no witness or no alternative yet.  Step 4
+takes the rules in the profile's order and, for each rule, its worlds
+lowest id first; a world leaves the rule's agenda once its scan reaches
+the end of its source entries.  A world off the agenda has no belief past
+its cursor, only entries that a scan would pass over, so step 4 fires
+what a sweep over every (rule, world) pair in creation order would fire.
+Step 5 walks ``todo`` the same way, reading per-world records of each
+agent's first belief and first alternative; a world with nothing left to
+create leaves it, and a blocked world stays.  The agendas miss no work,
+because a (rule, world) pair or a world gains work only through these
+events, each of which marks it:
+
+    - ``_add`` of a belief marks its world in the agendas of the rules
+      that scan their own world, (C.CB) and (C.B-lift), and the world's
+      children in those of the down rules; ``_add`` of a negated belief
+      marks the children for (C.~B*); an agent's first belief in a world
+      marks the world to do;
+    - a new world is marked in the agenda of every down rule, since its
+      cursors start at the first entry of its creator;
+    - a (C.BDef-rewrite) demand marks its world to do, and a (C.CB)
+      designation, which resets its world's (C.CB) cursor, marks the world
+      for (C.CB).
+
+A bit is cleared only when the scan has reached the end, or when the world
+has nothing left to create, so work found afterwards comes from one of the
+events above.  Backtracking is the one other change, and a choice point
+saves the agendas with the rest of its state: they covered every pair
+with work at the choice point, and trying its next alternative returns
+every world to its state there.
 
 Steps 1-3 scan one world only, the focus: the world that ``_add`` wrote
 last.  Steps 1-3 read and write only the world they scan.  Every other
@@ -79,17 +112,18 @@ only, so each runs to completion in one call.
 The search changes one branch in place and undoes it from a trail (Eén &
 Sörensson, "An extensible SAT-solver", SAT 2003).  Before its first change
 since the current alternative was applied, a world is logged on the trail
-with a mark: the lengths of its lists and records and its cursors, which
-is all that undoing the later changes needs, since along a branch those
-lists and records only grow.  At a choice point steps 1 and 2 have scanned
-every entry of every world, so a mark leaves out their cursors, and
-restoring a world sets them to its entry count.  For the same reason a
-cursor of steps 1-3 moves only in a world already logged: by the entry it
-reaches, or by the branch alternative written into it.  A choice point
-keeps the trail length, the world count, the trace and the focus; the
-trace is a linked list whose steps before the choice point stay shared.
-Trying its next alternative restores the worlds logged since, drops the
-worlds made since and resets the trace and the focus.  The open choice
+with a mark: the lengths of its lists and records, its cursors and the
+bitset of its children, which is all that undoing the later changes needs,
+since along a branch those lists, records and bitsets only grow.  At a
+choice point steps 1 and 2 have scanned every entry of every world, so a
+mark leaves out their cursors, and restoring a world sets them to its
+entry count.  For the same reason a cursor of steps 1-3 moves only in a
+world already logged: by the entry it reaches, or by the branch
+alternative written into it.  A choice point keeps the trail length, the
+world count, the trace, the focus and the agendas; the trace is a linked
+list whose steps before the choice point stay shared.  Trying its next
+alternative restores the worlds logged since, drops the worlds made since
+and resets the trace, the focus and the agendas.  The open choice
 points sit on an explicit stack instead of the call stack, so the search
 depth is bounded by memory only, and memory grows with the work done on
 the branch, not with its depth times its label size.
@@ -169,6 +203,7 @@ from .models import (
     LogicProfile,
     ModalRule,
     ModelSystem,
+    ProfileRules,
     a3_witness,
     check_frame,
     euclidean,
@@ -203,6 +238,39 @@ RULES: tuple[str, ...] = (
 #: Added to the propagation rules of a euclidean profile: it makes every
 #: member of a belief cluster agree on what is believed.
 _B_LIFT = ModalRule("C.B-lift", negated=False, carries_sub=False, every=True, message="")
+
+
+class _Propagation:
+    """A profile's propagation rules as step 4 reads them.  ``steps`` gives
+    each rule's (kind, every, negated, carries_sub, down) in firing order: a
+    ``down`` rule sends its world's creator's entries down the edge into
+    it, any other scans the world's own entries.  The index tuples name the
+    agendas that gain work: ``own`` at a world gaining a belief, ``down``
+    at its children, ``down_negated`` at its children when it gains a
+    negated belief, and ``down_all`` at a new world.  ``cb`` is the index
+    of (C.CB), or None."""
+
+    __slots__ = ("steps", "own", "down", "down_negated", "down_all", "cb")
+
+    def __init__(self, rules: ProfileRules) -> None:
+        chain = rules.propagation + ((_B_LIFT,) if euclidean in rules.frame else ())
+        down = [rule.every and rule is not _B_LIFT for rule in chain]
+        # only a belief marks a world in its own agendas
+        assert not any(rule.negated for rule, d in zip(chain, down) if not d)
+        self.steps = tuple(
+            (rule.kind, rule.every, rule.negated, rule.carries_sub, d)
+            for rule, d in zip(chain, down)
+        )
+        indices = range(len(chain))
+        self.own = tuple(r for r in indices if not down[r])
+        self.down = tuple(r for r in indices if down[r] and not chain[r].negated)
+        self.down_negated = tuple(r for r in indices if down[r] and chain[r].negated)
+        self.down_all = tuple(r for r in indices if down[r])
+        self.cb = chain.index(C_CB) if C_CB in chain else None
+
+
+#: Each profile's propagation rules, built once.
+_PROPAGATION = {profile: _Propagation(rules) for profile, rules in PROFILE_RULES.items()}
 
 
 class InternalVerificationError(Exception):
@@ -294,6 +362,7 @@ class _World:
     __slots__ = (
         "id", "parent", "epoch", "label", "entries", "demands", "spawn_cursor", "cb",
         "beliefs", "alternatives", "saturated", "rewritten", "branched", "cursors",
+        "children",
     )
 
     def __init__(
@@ -328,6 +397,8 @@ class _World:
         # one scan cursor per propagation rule: into this world's own
         # entries for (C.CB) and (C.B-lift), into its creator's otherwise
         self.cursors = [0] * rules
+        # bitset of the worlds this one created
+        self.children = 0
 
     def mark(self) -> tuple:
         """What ``restore`` needs to undo every later change.  Along a
@@ -338,12 +409,13 @@ class _World:
         return (
             len(self.entries), len(self.demands), len(self.cb), len(self.beliefs),
             len(self.alternatives), self.branched, self.spawn_cursor, tuple(self.cursors),
+            self.children,
         )
 
     def restore(self, mark: tuple) -> None:
         (
             entries, demands, cb, beliefs, alternatives,
-            self.branched, self.spawn_cursor, cursors,
+            self.branched, self.spawn_cursor, cursors, self.children,
         ) = mark
         # a mark holds the world as it was at a choice point, where steps 1
         # and 2 had scanned every entry
@@ -369,17 +441,14 @@ class _Engine:
         self.query = query
         self.kernel = desugar(query)
         self.profile = profile
-        rules = PROFILE_RULES[profile]
-        self.frame = rules.frame
-        self.propagation = rules.propagation
-        if euclidean in self.frame:
-            self.propagation += (_B_LIFT,)
+        self.frame = PROFILE_RULES[profile].frame
+        self.propagation = _PROPAGATION[profile]
         self.stats = stats
         closure = subformula_closure(self.kernel)
         self.agent_names = sorted({g.agent.name for g in closure if type(g) is Bel})
         self.world_bound = 2 ** min(len(closure), 20)
         # the one branch the search is on, changed in place
-        self.worlds = [_World(0, None, 0, len(self.propagation))]
+        self.worlds = [_World(0, None, 0, len(self.propagation.steps))]
         self.trace: _Trace = None
         # (world, mark) of each world changed since the alternative that
         # began the world's epoch was applied; nothing is logged before the
@@ -388,6 +457,10 @@ class _Engine:
         self.epoch = 0
         # the world ``_add`` wrote last, the only one steps 1-3 scan
         self.focus = 0
+        # bitsets of worlds that may have work: one per propagation rule for
+        # step 4, and one for step 5 (see the module docstring)
+        self.agenda = [0] * len(self.propagation.steps)
+        self.todo = 0
 
     # ------------------------------------------------------------------
     # search
@@ -406,12 +479,13 @@ class _Engine:
             try:
                 if pending:
                     saved, alternatives, k, _ = entry = stack[-1]
-                    length, count, self.trace, self.focus = saved
+                    length, count, self.trace, self.focus, agenda, self.todo = saved
                     entry[2] = k + 1
                     while len(self.trail) > length:
                         w, mark = self.trail.pop()
                         w.restore(mark)
                     del self.worlds[count:]
+                    self.agenda[:] = agenda
                     self.epoch += 1
                     pending = False
                     self._apply(alternatives[k])
@@ -420,7 +494,10 @@ class _Engine:
                     return self._extract()
                 if choice is not _APPLIED:
                     self.stats.choice_points += 1
-                    saved = (len(self.trail), len(self.worlds), self.trace, self.focus)
+                    saved = (
+                        len(self.trail), len(self.worlds), self.trace, self.focus,
+                        tuple(self.agenda), self.todo,
+                    )
                     stack.append([saved, self._alternatives(len(stack), *choice), 0, 0])
                     pending = True
             except _Closed as closed:
@@ -470,7 +547,9 @@ class _Engine:
         self._touch(w)
         w.cb[x] = (target, deps)
         # the (C.CB) scan passed over this agent's beliefs: rescan them
-        w.cursors[self.propagation.index(C_CB)] = 0
+        cb = self.propagation.cb
+        w.cursors[cb] = 0
+        self.agenda[cb] |= 1 << wid
 
     # ------------------------------------------------------------------
     # one deterministic rule application
@@ -509,6 +588,7 @@ class _Engine:
                     w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
                 )
                 w.demands.append((f.sub.agent.name, demanded, step, deps))
+                self.todo |= 1 << w.id
 
         # 3. branching propositional rules
         while w.branched < len(entries):
@@ -525,15 +605,20 @@ class _Engine:
                 return ("branch", w.id, f)
 
         # 4. propagation, rule by rule in the profile's order, world by world
-        for r, rule in enumerate(self.propagation):
-            every, negated, carries_sub = rule.every, rule.negated, rule.carries_sub
-            # (C.CB) and (C.B-lift) scan a world's own entries, the rest
-            # send its creator's down the edge into it
-            down = every and rule is not _B_LIFT
-            for w in self.worlds:
+        # in creation order among the worlds on the rule's agenda
+        worlds, agenda, steps = self.worlds, self.agenda, self.propagation.steps
+        for r, pending in enumerate(agenda):
+            if not pending:
+                continue
+            kind, every, negated, carries_sub, down = steps[r]
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                w = worlds[low.bit_length() - 1]
+                # the seed has no creator to lift a belief to
                 if every and w.parent is None:
                     continue
-                source = self.worlds[w.parent[1]] if down else w
+                source = worlds[w.parent[1]] if down else w
                 entries = source.entries
                 if w.cursors[r] == len(entries):
                     continue
@@ -559,19 +644,31 @@ class _Engine:
                     elif belief.agent.name != agent:
                         continue
                     g = f.sub if carries_sub else f
-                    if g not in self.worlds[dst].label:
+                    if g not in worlds[dst].label:
+                        # the world stays on the agenda: its scan is unfinished
+                        agenda[r] = pending | low
                         step, deps = source.label[f]
-                        self._add(dst, g, rule.kind, (step,), deps | via)
+                        self._add(dst, g, kind, (step,), deps | via)
                         return _APPLIED
+            # every scan reached the end of its source's entries
+            agenda[r] = 0
 
-        # 5. world creation (skipped while a world is blocked); only a world
-        # with something left to create is tested for blocking
-        witnesses = C_CB in self.propagation
-        for w in self.worlds:
+        # 5. world creation, world by world in creation order among the
+        # worlds to do; a blocked world is skipped but stays to do, and only
+        # a world with something left to create is tested for blocking
+        witnesses = self.propagation.cb is not None
+        pending = self.todo
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            w = worlds[low.bit_length() - 1]
             demand = w.spawn_cursor < len(w.demands)
             unwitnessed = [a for a in w.beliefs if a not in w.cb] if witnesses else []
             unserved = [a for a in w.beliefs if a not in w.alternatives]
-            if not (demand or unwitnessed or unserved) or self._blocker(w) is not None:
+            if not (demand or unwitnessed or unserved):
+                self.todo ^= low
+                continue
+            if self._blocker(w) is not None:
                 continue
             if demand:
                 self._touch(w)
@@ -614,8 +711,18 @@ class _Engine:
         self.focus = wid
         w.label[f] = (self._record(wid, f, rule, premises), deps)
         w.entries.append(f)
-        if isinstance(f, Bel) and f.agent.name not in w.beliefs:
-            w.beliefs[f.agent.name] = f
+        if isinstance(f, Bel):
+            if f.agent.name not in w.beliefs:
+                w.beliefs[f.agent.name] = f
+                self.todo |= 1 << wid
+            for r in self.propagation.own:
+                self.agenda[r] |= 1 << wid
+            if w.children:
+                for r in self.propagation.down:
+                    self.agenda[r] |= w.children
+        elif w.children and isinstance(f, Not) and isinstance(f.sub, Bel):
+            for r in self.propagation.down_negated:
+                self.agenda[r] |= w.children
         if isinstance(f, Not) and f.sub in w.label:
             positive = f.sub
         elif Not(f) in w.label:
@@ -628,10 +735,15 @@ class _Engine:
 
     def _spawn(self, parent: int, agent: str, deps: int) -> int:
         new_id = len(self.worlds)
-        self.worlds.append(_World(new_id, (agent, parent, deps), self.epoch, len(self.propagation)))
+        agenda = self.agenda
+        self.worlds.append(_World(new_id, (agent, parent, deps), self.epoch, len(agenda)))
         creator = self.worlds[parent]
         self._touch(creator)
         creator.alternatives.setdefault(agent, (new_id, deps))
+        bit = 1 << new_id
+        creator.children |= bit
+        for r in self.propagation.down_all:
+            agenda[r] |= bit
         self.stats.worlds_created += 1
         if len(self.worlds) > self.world_bound:
             raise InternalVerificationError(

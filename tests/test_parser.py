@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +24,7 @@ from doxa.formula import (
     subformulas,
 )
 from doxa.models import LabeledModelSystem, ModelSystem
-from doxa.parser import ParseError, SourceSpan, format_parse_error, parse
+from doxa.parser import ParseError, SourceSpan, _Token, _tokenize, format_parse_error, parse
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 A, B = Agent("a"), Agent("b")
@@ -174,3 +176,70 @@ class TestRoundTrip:
     def test_render_is_reparse_stable(self, f):
         text = render(f)
         assert render(parse(text)) == text
+
+
+_PUNCTUATION = ("<->", "->", "|", "&", "~", "(", ")", "[", "]")
+_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
+_WS_RE = re.compile(r"\s*")
+
+
+def _reference_tokenize(text: str) -> list[_Token]:
+    """The tokenizer that ``_tokenize`` replaced, kept as its reference: it
+    tries the modal letters, each punctuation string and an identifier in
+    turn at each position."""
+    tokens: list[_Token] = []
+    pos = _WS_RE.match(text).end()
+    while pos < len(text):
+        ch = text[pos]
+        if ch in ("B", "C"):
+            tokens.append(_Token("modal", ch, pos, pos + 1))
+            pos += 1
+        else:
+            for punct in _PUNCTUATION:
+                if text.startswith(punct, pos):
+                    tokens.append(_Token(punct, punct, pos, pos + len(punct)))
+                    pos += len(punct)
+                    break
+            else:
+                m = _IDENT_RE.match(text, pos)
+                if m:
+                    tokens.append(_Token("ident", m.group(), pos, m.end()))
+                    pos = m.end()
+                else:
+                    raise ParseError(
+                        f"unknown token {text[pos]!r}", SourceSpan(pos, pos + 1)
+                    )
+        pos = _WS_RE.match(text, pos).end()
+    tokens.append(_Token("eof", "", len(text), len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return [(t.kind, t.text, t.start, t.end) for t in tokenize(text)]
+    except ParseError as err:
+        return err.message, err.span
+
+
+#: The formula alphabet, with stray characters: uppercase letters other
+#: than B and C, symbols, non-ASCII letters and whitespace, and the halves
+#: of the arrows.
+_ALPHABET = list("pqab_09BC[]()~&|<->") + [" ", "\t", "\n", "\u00a0", "\u2028"] + list("$AXé.=")
+
+
+class TestTokenizer:
+    @given(st.text(alphabet=st.sampled_from(_ALPHABET), max_size=40))
+    @settings(max_examples=1000)
+    def test_formula_alphabet_matches_reference(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+
+    @given(st.text(max_size=20))
+    @settings(max_examples=300)
+    def test_any_text_matches_reference(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+
+    @given(formulas_st)
+    @settings(max_examples=100)
+    def test_rendered_formulas_match_reference(self, f):
+        text = render(f)
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)

@@ -184,3 +184,63 @@ def test_recursion_is_confined_to_the_listed_functions():
         graph = _call_graph(ast.parse(path.read_text(encoding="utf-8")))
         found |= {f"{path.stem}.{name}" for name in _on_cycles(graph)}
     assert found == RECURSIVE == set()
+
+
+def _is_self_worlds(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "worlds"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _loops_over_worlds(func: ast.FunctionDef) -> list[int]:
+    """Line numbers of the ``for`` loops and comprehensions in ``func`` that
+    iterate over ``self.worlds``, directly or through a local name bound to
+    it."""
+    aliases = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                aliases |= {
+                    t.id for t, v in pairs if isinstance(t, ast.Name) and _is_self_worlds(v)
+                }
+    return [
+        node.iter.lineno
+        for node in ast.walk(func)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and (
+            _is_self_worlds(node.iter)
+            or isinstance(node.iter, ast.Name) and node.iter.id in aliases
+        )
+    ]
+
+
+def test_loop_check_sees_a_sweep():
+    source = """
+class _Engine:
+    def _step(self):
+        found = [w for w in self.worlds if w]
+        for w in self.worlds:
+            pass
+        worlds, rules = self.worlds, self.rules
+        for w in worlds:
+            pass
+        for r in rules:
+            pass
+"""
+    step = ast.parse(source).body[0].body[0]
+    assert sorted(_loops_over_worlds(step)) == [4, 5, 8]
+
+
+def test_step_sweeps_no_world_list():
+    # steps 4 and 5 visit the worlds on their agendas; a loop over every
+    # world would make each rule firing cost time in the world count
+    tree = ast.parse((Path(doxa.__file__).parent / "tableau.py").read_text(encoding="utf-8"))
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Engine")
+    step = next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == "_step")
+    assert _loops_over_worlds(step) == []

@@ -27,7 +27,9 @@ from doxa import (
     sat_upto,
     verdict_to_json_dict,
 )
-from doxa.formula import And, Atom, Iff, Implies, Not, Or
+from doxa import tableau
+from doxa.formula import And, Atom, Bel, Iff, Implies, Not, Or
+from doxa.tableau import InternalVerificationError
 
 HSTAR = LogicProfile.HSTAR
 HINTIKKA = LogicProfile.HINTIKKA
@@ -449,6 +451,13 @@ _FOCUS_CATCH = (
     " & (~B[a] (p | q) & (B[a] (q <-> q) -> (C[a] p | (p | q)))))"
 )
 
+#: An input on which (C.~B*) must send a negated belief into an existing
+#: alternative: the negated belief enters its world by a branch alternative
+#: after the alternative was made.  Found by a seeded search for inputs
+#: whose work changes when ``_add`` leaves the alternatives of a world off
+#: the (C.~B*) agenda.
+_NEGATED_CATCH = "~(B[a] B[a] ~(B[a] ~(B[a] q & q) & C[a] B[a] q) & B[a] C[a] B[a] B[a] p)"
+
 
 class TestPinnedWork:
     """Exact (rules fired, worlds created, blocks applied) on rows of the
@@ -459,6 +468,7 @@ class TestPinnedWork:
         ("text", "profile", "expect_sat", "work"),
         [
             (_compat(3), KD45, True, (442, 48, 33)),
+            (_compat(4), KD45, True, (2873, 260, 196)),
             (_nest(6), KD45, False, (237, 16, 0)),
             (_nest(6), HSTAR, False, (37, 6, 0)),
             (_nest(12), HSTAR, False, (106, 12, 0)),
@@ -469,6 +479,7 @@ class TestPinnedWork:
             (_TRAIL_CATCH, HSTAR, True, (70, 9, 2)),
             (_TRAIL_CATCH, KD45, True, (40, 3, 1)),
             (_FOCUS_CATCH, HSTAR, True, (213, 35, 3)),
+            (_NEGATED_CATCH, KD45, True, (180, 19, 6)),
         ],
     )
     def test_work_counts(self, text, profile, expect_sat, work):
@@ -484,12 +495,118 @@ class TestPinnedWork:
 
     @pytest.mark.parametrize(
         ("text", "profile", "choices"),
-        [(_prop(8), KD, (32, 13)), (_nest(6), HSTAR, (5, 5)), (_FOCUS_CATCH, HSTAR, (37, 16))],
+        [
+            (_prop(8), KD, (32, 13)),
+            (_nest(6), HSTAR, (5, 5)),
+            (_FOCUS_CATCH, HSTAR, (37, 16)),
+            (_compat(4), KD45, (0, 0)),
+            (_HINTIKKA_FUZZ, HINTIKKA, (734, 519)),
+        ],
     )
     def test_choice_counts(self, text, profile, choices):
         """(choice points opened, alternatives skipped by backjumps)."""
         stats = decide_sat(parse(text), profile).stats
         assert (stats.choice_points, stats.skipped) == choices
+
+
+def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]:
+    """What a full sweep of steps 4 and 5 over every world would still do,
+    found without changing the engine: each (rule, world, entry) that a
+    scan from the world's cursor would fire on, and each unblocked world
+    with a demand, an unwitnessed agent or an unserved agent.  With
+    ``unmarked``, only the work of worlds missing from the agenda that
+    should hold them, blocked worlds included."""
+    worlds = engine.worlds
+    found: list[tuple] = []
+    for r, (kind, every, negated, carries_sub, down) in enumerate(engine.propagation.steps):
+        for w in worlds:
+            if every and w.parent is None or unmarked and engine.agenda[r] >> w.id & 1:
+                continue
+            source = worlds[w.parent[1]] if down else w
+            for f in source.entries[w.cursors[r]:]:
+                belief = (f.sub if isinstance(f, Not) else None) if negated else f
+                if not isinstance(belief, Bel):
+                    continue
+                if not every:
+                    if belief.agent.name not in w.cb:
+                        continue
+                    dst = w.cb[belief.agent.name][0]
+                elif belief.agent.name != w.parent[0]:
+                    continue
+                else:
+                    dst = w.id if down else w.parent[1]
+                if (f.sub if carries_sub else f) not in worlds[dst].label:
+                    found.append((kind, w.id, f))
+    witnesses = engine.propagation.cb is not None
+    for w in worlds:
+        if unmarked and engine.todo >> w.id & 1:
+            continue
+        demand = w.spawn_cursor < len(w.demands)
+        unwitnessed = witnesses and any(a not in w.cb for a in w.beliefs)
+        unserved = any(a not in w.alternatives for a in w.beliefs)
+        if (demand or unwitnessed or unserved) and (unmarked or engine._blocker(w) is None):
+            found.append(("create", w.id))
+    return found
+
+
+class TestAgendas:
+    """Steps 4 and 5 visit only the worlds on their agendas.  Before every
+    ``_step``, each world with work must be on the agenda that holds it;
+    and whenever ``_step`` finds nothing to do, a full sweep over every
+    world must find nothing either."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The work that a check found, and the number of times ``_step``
+        found nothing, once per satisfiable verdict."""
+        step = tableau._Engine._step
+        result = {"missed": [], "ends": 0}
+
+        def checked_step(engine):
+            result["missed"] += _missed_work(engine, unmarked=True)
+            choice = step(engine)
+            if choice is None:
+                result["ends"] += 1
+                result["missed"] += _missed_work(engine)
+            return choice
+
+        monkeypatch.setattr(tableau._Engine, "_step", checked_step)
+        return result
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_random_suite_leaves_no_work(self, checked, random_suite, profile):
+        verdicts = [decide_sat(f, profile) for f in random_suite]
+        assert checked["ends"] == sum(v.is_sat for v in verdicts) > 0
+        assert checked["missed"] == []
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_two_agent_formulas_leave_no_work(self, checked, profile):
+        sat_count = 0
+        for i, f in enumerate(_two_agent_formulas()):
+            if profile is KD45 and i == 186:
+                continue  # runs for minutes to the world bound
+            try:
+                sat_count += decide_sat(f, profile).is_sat
+            except InternalVerificationError:
+                # formula 52 overruns the world bound under kd45
+                assert (profile, i) == (KD45, 52)
+        assert checked["ends"] == sat_count > 0
+        assert checked["missed"] == []
+
+    @pytest.mark.parametrize(
+        ("text", "profile"),
+        [
+            (_compat(4), KD45),
+            (_HINTIKKA_FUZZ, HINTIKKA),
+            (_FOCUS_CATCH, HSTAR),
+            (_TRAIL_CATCH, KD45),
+            (_NEGATED_CATCH, KD45),
+        ],
+    )
+    def test_scaling_rows_leave_no_work(self, checked, text, profile):
+        assert decide_sat(parse(text), profile).is_sat
+        assert checked["ends"] == 1
+        assert checked["missed"] == []
 
 
 _ATOMS = ("p", "q", "r", "s", "t")
