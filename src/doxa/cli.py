@@ -26,28 +26,17 @@ from pathlib import Path
 from .corpus import load_corpus, run_corpus
 from .formula import Formula, agents, atoms, render
 from .models import (
-    LabeledModelSystem,
     LogicProfile,
     ModelSystem,
     PROFILES_BY_STRENGTH,
-    check_frame,
     check_model_set,
     evaluate,
     labeled_from_json_dict,
-    model_from_json_dict,
     model_to_json_dict,
 )
 from .oracle import MAX_BUDGET_WORLDS, EnumerationBudget, sat_upto
 from .parser import ParseError, format_parse_error, parse
-from .tableau import (
-    InternalVerificationError,
-    SatVerdict,
-    UnsatVerdict,
-    decide_sat,
-    decide_valid,
-    render_trace,
-    verdict_to_json_dict,
-)
+from .tableau import InternalVerificationError, decide, render_trace, verdict_to_json_dict
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -109,27 +98,18 @@ def cmd_decide(args: argparse.Namespace) -> int:
     if f is None:
         return 2
     profile = LogicProfile.from_name(args.profile)
-    if args.mode == "sat":
-        verdict = decide_sat(f, profile)
-        positive = verdict.is_sat
-        word = "SAT" if positive else "UNSAT"
-    else:
-        verdict = decide_valid(f, profile)
-        positive = verdict.valid
-        word = "VALID" if positive else "INVALID"
+    verdict = decide(f, profile, args.mode)
     if args.output == "json":
         _dump_json(verdict_to_json_dict(verdict))
     else:
-        _out(f"{_verdict_word(word, positive)}  {render(f)}  [{profile.value}]")
-        if isinstance(verdict, UnsatVerdict):
-            _out(render_trace(verdict.trace))
-        elif isinstance(verdict, SatVerdict):
-            _out(_render_model_text(verdict.model))
-        elif verdict.valid:
-            _out(render_trace(verdict.trace))
+        word = _verdict_word(verdict.word.upper(), verdict.positive)
+        _out(f"{word}  {render(f)}  [{profile.value}]")
+        evidence = verdict.evidence
+        if isinstance(evidence, ModelSystem):
+            _out(_render_model_text(evidence))
         else:
-            _out(_render_model_text(verdict.countermodel))
-    return 0 if positive else 1
+            _out(render_trace(evidence))
+    return 0 if verdict.positive else 1
 
 
 def cmd_check_model(args: argparse.Namespace) -> int:
@@ -146,16 +126,12 @@ def cmd_check_model(args: argparse.Namespace) -> int:
         )
         return 2
     profile = LogicProfile.from_name(args.profile)
-    labeled: LabeledModelSystem | None = None
     try:
-        if isinstance(raw, dict) and "labels" in raw:
-            labeled = labeled_from_json_dict(raw)
-            model = labeled.model
-        else:
-            model = model_from_json_dict(raw)
+        labeled = labeled_from_json_dict(raw)
     except (ValueError, TypeError, ParseError) as err:
         print(f"error: invalid model in {args.model}: {err}", file=sys.stderr)
         return 2
+    model = labeled.model
     f = None
     if args.formula is not None:
         f = _parse_formula(args.formula)
@@ -167,10 +143,7 @@ def cmd_check_model(args: argparse.Namespace) -> int:
         model = replace(
             model, alternatives={**model.alternatives, **dict.fromkeys(missing, frozenset())}
         )
-    if labeled is not None:
-        violations = check_model_set(replace(labeled, model=model), profile)
-    else:
-        violations = check_frame(model, profile)
+    violations = check_model_set(replace(labeled, model=model), profile)
     value = None if f is None else evaluate(model, model.designated, f)
     if args.output == "json":
         _dump_json(
@@ -227,22 +200,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if f is None:
         return 2
     profiles = [LogicProfile.from_name(p.strip()) for p in args.profiles.split(",")]
-    verdicts = {}
-    for profile in profiles:
-        verdicts[profile.value] = "sat" if decide_sat(f, profile).is_sat else "unsat"
-    agree = len(set(verdicts.values())) == 1
+    if len(set(profiles)) != len(profiles):
+        raise ValueError("duplicate profile names in --profiles")
+    verdicts = {p.value: decide(f, p, "sat") for p in profiles}
+    words = {name: v.word for name, v in verdicts.items()}
+    agree = len(set(words.values())) == 1
     if args.output == "json":
-        _dump_json({"formula": render(f), "verdicts": verdicts, "agree": agree})
+        _dump_json({"formula": render(f), "verdicts": words, "agree": agree})
     else:
         _out(f"formula: {render(f)}")
-        for profile in profiles:
-            word = verdicts[profile.value]
-            _out(f"  {profile.value:<9} {_verdict_word(word.upper(), word == 'sat')}")
+        for name, v in verdicts.items():
+            _out(f"  {name:<9} {_verdict_word(v.word.upper(), v.positive)}")
         if agree:
             _out("all profiles agree")
         else:
-            sat_in = sorted(p for p, v in verdicts.items() if v == "sat")
-            unsat_in = sorted(p for p, v in verdicts.items() if v == "unsat")
+            sat_in = sorted(p for p, v in verdicts.items() if v.positive)
+            unsat_in = sorted(p for p, v in verdicts.items() if not v.positive)
             _out(
                 "profiles disagree: sat in "
                 + ", ".join(sat_in)
@@ -296,14 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="doxa",
         description="Decide belief-logic formulas, check models, and run corpora.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument(
         "--profile",
         default="hstar",
         choices=[p.value for p in sorted(LogicProfile, key=lambda p: p.value)],
         help="logic profile (default: hstar)",
     )
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--output",
         default="text",
         choices=["text", "json"],
@@ -312,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_decide = sub.add_parser(
-        "decide", parents=[common], help="decide satisfiability or validity"
+        "decide", parents=[profile, output], help="decide satisfiability or validity"
     )
     p_decide.add_argument("formula")
     p_decide.add_argument(
@@ -321,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decide.set_defaults(func=cmd_decide)
 
     p_check = sub.add_parser(
-        "check-model", parents=[common], help="validate a model JSON file"
+        "check-model", parents=[profile, output], help="validate a model JSON file"
     )
     p_check.add_argument("model", help="path to a model JSON file")
     p_check.add_argument(
@@ -330,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check_model)
 
     p_corpus = sub.add_parser(
-        "corpus", parents=[common], help="replay a verdict corpus"
+        "corpus", parents=[output], help="replay a verdict corpus"
     )
     p_corpus.add_argument(
         "path", nargs="?", default=None, help="corpus JSONL file (default: bundled)"
@@ -338,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corpus.set_defaults(func=cmd_corpus)
 
     p_compare = sub.add_parser(
-        "compare", parents=[common], help="compare satisfiability across profiles"
+        "compare", parents=[output], help="compare satisfiability across profiles",
+        allow_abbrev=False,  # so that --profile is not read as --profiles
     )
     p_compare.add_argument("formula")
     p_compare.add_argument(
@@ -349,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_oracle = sub.add_parser(
-        "oracle", parents=[common], help="bounded brute-force model search"
+        "oracle", parents=[profile, output], help="bounded brute-force model search"
     )
     p_oracle.add_argument("formula")
     p_oracle.add_argument(

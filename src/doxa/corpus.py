@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .models import LogicProfile
 from .parser import ParseError, parse
-from .tableau import decide_sat, decide_valid
+from .tableau import decide
 
 _REQUIRED_KEYS = {"id", "formula", "profile", "mode", "expected", "source"}
 _MODES = {"sat": ("sat", "unsat"), "valid": ("valid", "invalid")}
@@ -139,14 +139,8 @@ def load_corpus(path: str | Path | None = None) -> tuple[CorpusEntry, ...]:
 
 
 def run_entry(entry: CorpusEntry) -> CorpusRow:
-    f = parse(entry.formula)
-    if entry.mode == "sat":
-        verdict = decide_sat(f, entry.profile)
-        actual = "sat" if verdict.is_sat else "unsat"
-    else:
-        verdict = decide_valid(f, entry.profile)
-        actual = "valid" if verdict.valid else "invalid"
-    return CorpusRow(entry=entry, actual=actual)
+    verdict = decide(parse(entry.formula), entry.profile, entry.mode)
+    return CorpusRow(entry=entry, actual=verdict.word)
 
 
 def run_corpus(entries: tuple[CorpusEntry, ...] | None = None) -> CorpusResult:

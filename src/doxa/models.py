@@ -32,6 +32,7 @@ of the profile, reporting each breach as a ``Violation``.
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -515,7 +516,12 @@ def model_to_json_dict(m: ModelSystem) -> dict:
     }
 
 
-def _require(condition: bool, message: str) -> None:
+#: A world index as a JSON object key: canonical ASCII decimal, so that "01"
+#: and "1" do not both name world 1 and "١" or "²" names none.
+_WORLD_KEY = re.compile("0|[1-9][0-9]*")
+
+
+def _require(condition: object, message: str) -> None:
     if not condition:
         raise ValueError(message)
 
@@ -538,7 +544,7 @@ def model_from_json_dict(data: object) -> ModelSystem:
     _require(isinstance(valuation_raw, dict), "'valuation' must be an object")
     valuation: dict[int, frozenset[str]] = {}
     for key, atom_list in valuation_raw.items():
-        _require(key.isdigit(), f"valuation key {key!r} is not a world index")
+        _require(_WORLD_KEY.fullmatch(key), f"valuation key {key!r} is not a world index")
         _require(
             isinstance(atom_list, list) and all(isinstance(s, str) for s in atom_list),
             f"valuation for world {key} must be a list of atom names",
@@ -583,7 +589,7 @@ def labeled_from_json_dict(data: object) -> LabeledModelSystem:
     _require(isinstance(labels_raw, dict), "'labels' must be an object")
     labels: dict[int, tuple[Formula, ...]] = {}
     for key, texts in labels_raw.items():
-        _require(key.isdigit(), f"labels key {key!r} is not a world index")
+        _require(_WORLD_KEY.fullmatch(key), f"labels key {key!r} is not a world index")
         _require(
             isinstance(texts, list) and all(isinstance(s, str) for s in texts),
             f"labels for world {key} must be a list of formula strings",

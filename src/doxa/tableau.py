@@ -307,20 +307,30 @@ class TableauStats:
 class SatVerdict:
     model: ModelSystem
     stats: TableauStats
+    word, positive = "sat", True
 
     @property
     def is_sat(self) -> bool:
         return True
+
+    @property
+    def evidence(self) -> ModelSystem:
+        return self.model
 
 
 @dataclass(frozen=True)
 class UnsatVerdict:
     trace: tuple[ProofStep, ...]
     stats: TableauStats
+    word, positive = "unsat", False
 
     @property
     def is_sat(self) -> bool:
         return False
+
+    @property
+    def evidence(self) -> tuple[ProofStep, ...]:
+        return self.trace
 
 
 @dataclass(frozen=True)
@@ -334,6 +344,23 @@ class ValidityVerdict:
     countermodel: ModelSystem | None
     stats: TableauStats
 
+    @property
+    def word(self) -> str:
+        return "valid" if self.valid else "invalid"
+
+    @property
+    def positive(self) -> bool:
+        return self.valid
+
+    @property
+    def evidence(self) -> ModelSystem | tuple[ProofStep, ...]:
+        return self.trace if self.valid else self.countermodel
+
+
+#: Every verdict gives its ``word`` ("sat", "unsat", "valid" or "invalid"),
+#: whether it is ``positive`` (the CLI exits 0, else 1) and its ``evidence``:
+#: the (counter)model when there is one, otherwise the refutation trace.
+Verdict = SatVerdict | UnsatVerdict | ValidityVerdict
 
 #: A branch's trace as (last step, trace before it) pairs, so that the
 #: branch and the choice points open on it share the steps before them.
@@ -903,11 +930,16 @@ def decide_sat(f: Formula, profile: LogicProfile) -> SatVerdict | UnsatVerdict:
 def decide_valid(f: Formula, profile: LogicProfile) -> ValidityVerdict:
     """Decide validity of ``f``: valid exactly when ``~f`` is unsatisfiable."""
     result = decide_sat(Not(f), profile)
-    if isinstance(result, UnsatVerdict):
+    if not result.is_sat:
         return ValidityVerdict(valid=True, trace=result.trace, countermodel=None, stats=result.stats)
     return ValidityVerdict(
         valid=False, trace=None, countermodel=result.model, stats=result.stats
     )
+
+
+def decide(f: Formula, profile: LogicProfile, mode: str) -> Verdict:
+    """The verdict on ``f`` in mode "sat" (satisfiability) or "valid"."""
+    return decide_sat(f, profile) if mode == "sat" else decide_valid(f, profile)
 
 
 def trace_to_json_dict(trace: tuple[ProofStep, ...] | list[ProofStep]) -> list[dict]:
@@ -923,23 +955,13 @@ def trace_to_json_dict(trace: tuple[ProofStep, ...] | list[ProofStep]) -> list[d
     ]
 
 
-def verdict_to_json_dict(
-    verdict: SatVerdict | UnsatVerdict | ValidityVerdict,
-) -> dict:
-    """JSON-ready form of any verdict.
-
-    Satisfiable and invalid verdicts embed the (counter)model; unsatisfiable
-    and valid verdicts embed the refutation steps.
-    """
-    if isinstance(verdict, SatVerdict):
-        return {"verdict": "sat", "model": model_to_json_dict(verdict.model)}
-    if isinstance(verdict, UnsatVerdict):
-        return {"verdict": "unsat", "steps": trace_to_json_dict(verdict.trace)}
-    if verdict.valid:
-        assert verdict.trace is not None
-        return {"verdict": "valid", "steps": trace_to_json_dict(verdict.trace)}
-    assert verdict.countermodel is not None
-    return {"verdict": "invalid", "model": model_to_json_dict(verdict.countermodel)}
+def verdict_to_json_dict(verdict: Verdict) -> dict:
+    """JSON-ready form of any verdict: its word, with the (counter)model
+    under "model" or the refutation steps under "steps"."""
+    evidence = verdict.evidence
+    if isinstance(evidence, ModelSystem):
+        return {"verdict": verdict.word, "model": model_to_json_dict(evidence)}
+    return {"verdict": verdict.word, "steps": trace_to_json_dict(evidence)}
 
 
 def render_trace(trace: tuple[ProofStep, ...] | list[ProofStep]) -> str:

@@ -101,10 +101,10 @@ class TestDecide:
         }
 
     def test_recursion_limit_is_not_a_verdict(self, capsys, monkeypatch):
-        def fail(f, profile):
+        def fail(f, profile, mode):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr("doxa.cli.decide_sat", fail)
+        monkeypatch.setattr("doxa.cli.decide", fail)
         code, out, err = run_cli(capsys, "decide", "p")
         assert code == 2
         assert out == ""
@@ -132,10 +132,10 @@ class TestDecide:
             assert out.startswith("SAT  ")
 
     def test_internal_engine_error_is_not_a_verdict(self, capsys, monkeypatch):
-        def fail(f, profile):
+        def fail(f, profile, mode):
             raise InternalVerificationError("world count exceeded the closure bound 64")
 
-        monkeypatch.setattr("doxa.cli.decide_sat", fail)
+        monkeypatch.setattr("doxa.cli.decide", fail)
         code, out, err = run_cli(capsys, "decide", "p")
         assert code == 2
         assert out == ""
@@ -368,6 +368,26 @@ class TestCompare:
     def test_json_agreement_flag(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "p", "--output", "json")
         assert json.loads(out)["agree"] is True
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_repeated_profile_is_a_usage_error(self, capsys, output):
+        code, out, err = run_cli(
+            capsys, "compare", "p", "--profiles", "kd,hstar,kd", "--output", output
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate profile names in --profiles\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["corpus", "--profile", "kd"], ["compare", "p", "--profile", "kd"]]
+)
+def test_corpus_and_compare_take_no_profile(argv, capsys):
+    # corpus rows name their profiles and compare takes --profiles; a
+    # --profile that either ignored would look like a choice
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 class TestOracle:

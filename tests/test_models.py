@@ -227,12 +227,16 @@ class TestCheckFrame:
         # three worlds under each profile, one repr per line, as the breach
         # generators over successor sets listed them before the frame
         # predicates were written over successor rows
-        lines = [
-            repr(check_frame(_single_agent(n, _edges_from_mask(mask, n)), profile))
-            for n in (1, 2, 3)
-            for mask in range(1 << (n * n))
-            for profile in PROFILES_BY_STRENGTH
-        ]
+        # and ``check_model_set`` on the same model without labels, the
+        # check-model command's one path, returns exactly that list
+        lines = []
+        for n in (1, 2, 3):
+            for mask in range(1 << (n * n)):
+                m = _single_agent(n, _edges_from_mask(mask, n))
+                for profile in PROFILES_BY_STRENGTH:
+                    violations = check_frame(m, profile)
+                    assert check_model_set(LabeledModelSystem(m), profile) == violations
+                    lines.append(repr(violations))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == (
             2120, "7cfcf5601f55364c1db303e2af90149ed9d48692afbb06de22fc0649b195b7a0"
@@ -385,6 +389,12 @@ class TestJsonRoundTrip:
             (lambda d: d.update(alternatives={"a": [[0]]}), "must be a \\[from, to\\] pair"),
             (lambda d: d.update(alternatives={"a": [[0, True]]}), "must be a \\[from, to\\] pair"),
             (lambda d: d.update(labels={"0": "p"}), "must be a list of formula strings"),
+            *(
+                (lambda d, field=field, key=key: d.update({field: {key: ["p"]}}),
+                 f"{field} key '{key}' is not a world index")
+                for field in ("valuation", "labels")
+                for key in ("01", "\u0661", "\u00b2")
+            ),
         ],
     )
     def test_strict_validation(self, mutation, message):

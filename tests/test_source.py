@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import doxa
+from doxa.cli import _build_parser
 
 MODULES = sorted(
     p for p in Path(doxa.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -244,3 +247,37 @@ def test_step_sweeps_no_world_list():
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Engine")
     step = next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == "_step")
     assert _loops_over_worlds(step) == []
+
+
+def _unread_options(parser: argparse.ArgumentParser) -> list[str]:
+    """Each option or positional of a subcommand that the function the
+    subcommand dispatches to never reads as ``args.<dest>``."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, command in commands.choices.items():
+        tree = ast.parse(inspect.getsource(command.get_default("func")))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        unread += [
+            f"{name} {action.dest}"
+            for action in command._actions
+            if action.dest != "help" and action.dest not in read
+        ]
+    return unread
+
+
+def test_unread_option_check_sees_an_unread_option():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands.choices["compare"].add_argument("--unused")
+    assert _unread_options(parser) == ["compare unused"]
+
+
+def test_every_subcommand_option_is_read():
+    # an option its command ignores looks like a choice to the user
+    assert _unread_options(_build_parser()) == []
