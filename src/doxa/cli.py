@@ -112,9 +112,20 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0 if verdict.positive else 1
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key, of which
+    ``json.loads`` would otherwise keep the last value without a word."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def cmd_check_model(args: argparse.Namespace) -> int:
     try:
-        raw = json.loads(Path(args.model).read_text("utf-8"))
+        raw = json.loads(Path(args.model).read_text("utf-8"), object_pairs_hook=_unique_keys)
     except OSError as err:
         print(f"error: cannot read {args.model}: {err}", file=sys.stderr)
         return 2
@@ -124,6 +135,9 @@ def cmd_check_model(args: argparse.Namespace) -> int:
             f"(line {err.lineno}, column {err.colno})",
             file=sys.stderr,
         )
+        return 2
+    except ValueError as err:
+        print(f"error: invalid model in {args.model}: {err}", file=sys.stderr)
         return 2
     profile = LogicProfile.from_name(args.profile)
     try:

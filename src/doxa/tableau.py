@@ -62,6 +62,12 @@ designating the witness resets that world's (C.CB) cursor.  Cursors are
 restored with their world on backtracking, so rules fire in exactly the
 order a full rescan after every firing would give.
 
+Label entries are members of the closure, and the engine builds one
+complement table from it: each member mapped to its negation when that is
+a member too.  The clash test of ``_add`` and the negations that steps 1-3
+take read the table and intern no node; a negation ~x clashes with x and
+with ~~x, so the test tries both.
+
 Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
 logic reasoner: system description", IJCAR 2006): steps 4 and 5 visit
 only the worlds that may have work, kept as int bitsets of world ids.
@@ -76,9 +82,12 @@ its cursor, only entries that a scan would pass over, so step 4 fires
 what a sweep over every (rule, world) pair in creation order would fire.
 Step 5 walks ``todo`` the same way, reading per-world records of each
 agent's first belief and first alternative; a world with nothing left to
-create leaves it, and a blocked world stays.  The agendas miss no work,
-because a (rule, world) pair or a world gains work only through these
-events, each of which marks it:
+create leaves it.  So does a blocked world, which sleeps: step 5 sets its
+bit in the ``sleepers`` bitsets of the world itself and of its blocker.
+Along a branch labels only grow, so a sleeping world stays blocked while
+neither of the two labels grows.  The agendas miss no work, because a
+(rule, world) pair or a world gains work, and a sleeping world may lose
+its blocker, only through these events, each of which marks it:
 
     - ``_add`` of a belief marks its world in the agendas of the rules
       that scan their own world, (C.CB) and (C.B-lift), and the world's
@@ -89,14 +98,16 @@ events, each of which marks it:
       cursors start at the first entry of its creator;
     - a (C.BDef-rewrite) demand marks its world to do, and a (C.CB)
       designation, which resets its world's (C.CB) cursor, marks the world
-      for (C.CB).
+      for (C.CB);
+    - ``_add`` to a world with sleepers wakes them: it marks them to do
+      and clears the world's sleepers.
 
 A bit is cleared only when the scan has reached the end, or when the world
-has nothing left to create, so work found afterwards comes from one of the
-events above.  Backtracking is the one other change, and a choice point
-saves the agendas with the rest of its state: they covered every pair
-with work at the choice point, and trying its next alternative returns
-every world to its state there.
+has nothing left to create or sleeps, so work found afterwards comes from
+one of the events above.  Backtracking is the one other change, and a
+choice point saves the agendas with the rest of its state: they covered
+every pair with work at the choice point, and trying its next alternative
+returns every world, its sleepers included, to its state there.
 
 Steps 1-3 scan one world only, the focus: the world that ``_add`` wrote
 last.  Steps 1-3 read and write only the world they scan.  Every other
@@ -112,21 +123,22 @@ only, so each runs to completion in one call.
 The search changes one branch in place and undoes it from a trail (Eén &
 Sörensson, "An extensible SAT-solver", SAT 2003).  Before its first change
 since the current alternative was applied, a world is logged on the trail
-with a mark: the lengths of its lists and records, its cursors and the
-bitset of its children, which is all that undoing the later changes needs,
-since along a branch those lists, records and bitsets only grow.  At a
-choice point steps 1 and 2 have scanned every entry of every world, so a
-mark leaves out their cursors, and restoring a world sets them to its
-entry count.  For the same reason a cursor of steps 1-3 moves only in a
-world already logged: by the entry it reaches, or by the branch
-alternative written into it.  A choice point keeps the trail length, the
-world count, the trace, the focus and the agendas; the trace is a linked
-list whose steps before the choice point stay shared.  Trying its next
-alternative restores the worlds logged since, drops the worlds made since
-and resets the trace, the focus and the agendas.  The open choice
-points sit on an explicit stack instead of the call stack, so the search
-depth is bounded by memory only, and memory grows with the work done on
-the branch, not with its depth times its label size.
+with a mark: the lengths of its lists and records, its cursors and its
+sleepers, which is all that undoing the later changes needs, since along
+a branch those lists and records only grow.  At a choice point steps 1
+and 2 have scanned every entry of every world, so a mark leaves out their
+cursors, and restoring a world sets them to its entry count.  For the
+same reason a cursor of steps 1-3 moves only in a world already logged:
+by the entry it reaches, or by the branch alternative written into it.
+A choice point keeps the trail length, the world count, the trace, the
+focus and the agendas; the trace is a linked list whose steps before the
+choice point stay shared.  Trying its next alternative restores the
+worlds logged since, drops the worlds made since and resets the trace,
+the focus and the agendas.  The open choice points sit on an explicit
+stack instead of the call stack, so the search depth is bounded by memory
+only, and memory grows with the work done on the branch, not with its
+depth times its label size.  Each step of the trace is a plain tuple;
+``ProofStep`` records are built once, for the verdict.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999): a choice
@@ -193,7 +205,6 @@ from .formula import (
     Not,
     Or,
     desugar,
-    neg,
     render,
     subformula_closure,
 )
@@ -362,16 +373,17 @@ class ValidityVerdict:
 #: the (counter)model when there is one, otherwise the refutation trace.
 Verdict = SatVerdict | UnsatVerdict | ValidityVerdict
 
-#: A branch's trace as (last step, trace before it) pairs, so that the
-#: branch and the choice points open on it share the steps before them.
-_Trace = tuple[ProofStep, "_Trace"] | None
+#: A branch's trace as its last step, (index, world id, formula, rule,
+#: premises), followed by the trace before it, so that the branch and the
+#: choice points open on it share the steps before them.
+_Trace = tuple[int, int, Formula, str, tuple[int, ...], "_Trace"] | None
 
 
 def _steps(trace: _Trace) -> tuple[ProofStep, ...]:
     steps = []
     while trace is not None:
-        step, trace = trace
-        steps.append(step)
+        i, wid, f, rule, premises, trace = trace
+        steps.append(ProofStep(i, f"w{wid}", f, rule, premises))
     return tuple(reversed(steps))
 
 
@@ -389,7 +401,7 @@ class _World:
     __slots__ = (
         "id", "parent", "epoch", "label", "entries", "demands", "spawn_cursor", "cb",
         "beliefs", "alternatives", "saturated", "rewritten", "branched", "cursors",
-        "children",
+        "children", "sleepers",
     )
 
     def __init__(
@@ -424,25 +436,29 @@ class _World:
         # one scan cursor per propagation rule: into this world's own
         # entries for (C.CB) and (C.B-lift), into its creator's otherwise
         self.cursors = [0] * rules
-        # bitset of the worlds this one created
-        self.children = 0
+        # the worlds this one created, in creation order
+        self.children: list[int] = []
+        # bitset of the blocked worlds off ``todo`` that this world's label
+        # growing may wake: itself if it is one, and those it blocks
+        self.sleepers = 0
 
     def mark(self) -> tuple:
-        """What ``restore`` needs to undo every later change.  Along a
-        branch ``label``, ``entries``, ``demands``, ``cb``, ``beliefs`` and
-        ``alternatives`` only gain entries, and no dict key is ever
-        overwritten, so their lengths are enough: ``restore`` pops the
-        newest keys of the dicts, which keep insertion order."""
+        """The world and what ``restore`` needs to undo every later change.
+        Along a branch ``label``, ``entries``, ``demands``, ``children``,
+        ``cb``, ``beliefs`` and ``alternatives`` only gain entries, and no
+        dict key is ever overwritten, so their lengths are enough:
+        ``restore`` pops the newest keys of the dicts, which keep insertion
+        order.  The cursors come last."""
         return (
-            len(self.entries), len(self.demands), len(self.cb), len(self.beliefs),
-            len(self.alternatives), self.branched, self.spawn_cursor, tuple(self.cursors),
-            self.children,
+            self, len(self.entries), len(self.demands), len(self.children), len(self.cb),
+            len(self.beliefs), len(self.alternatives), self.branched, self.spawn_cursor,
+            self.sleepers, *self.cursors,
         )
 
     def restore(self, mark: tuple) -> None:
         (
-            entries, demands, cb, beliefs, alternatives,
-            self.branched, self.spawn_cursor, cursors, self.children,
+            _, entries, demands, children, cb, beliefs, alternatives,
+            self.branched, self.spawn_cursor, self.sleepers, *cursors,
         ) = mark
         # a mark holds the world as it was at a choice point, where steps 1
         # and 2 had scanned every entry
@@ -451,6 +467,7 @@ class _World:
             del self.label[f]
         del self.entries[entries:]
         del self.demands[demands:]
+        del self.children[children:]
         for records, length in (
             (self.cb, cb), (self.beliefs, beliefs), (self.alternatives, alternatives)
         ):
@@ -474,13 +491,18 @@ class _Engine:
         closure = subformula_closure(self.kernel)
         self.agent_names = sorted({g.agent.name for g in closure if type(g) is Bel})
         self.world_bound = 2 ** min(len(closure), 20)
+        # g -> Not(g) for each member g whose negation is in the closure,
+        # which holds every label entry: the clash test and the negations
+        # of steps 1-3 read it instead of interning nodes, and holding it
+        # keeps those nodes alive
+        self.complement = {g: n for g in closure if (n := Not(g)) in closure}
         # the one branch the search is on, changed in place
         self.worlds = [_World(0, None, 0, len(self.propagation.steps))]
         self.trace: _Trace = None
-        # (world, mark) of each world changed since the alternative that
-        # began the world's epoch was applied; nothing is logged before the
-        # first choice point, whose first alternative begins epoch 1
-        self.trail: list[tuple[_World, tuple]] = []
+        # the mark of each world changed since the alternative that began
+        # the world's epoch was applied; nothing is logged before the first
+        # choice point, whose first alternative begins epoch 1
+        self.trail: list[tuple] = []
         self.epoch = 0
         # the world ``_add`` wrote last, the only one steps 1-3 scan
         self.focus = 0
@@ -509,13 +531,13 @@ class _Engine:
                     length, count, self.trace, self.focus, agenda, self.todo = saved
                     entry[2] = k + 1
                     while len(self.trail) > length:
-                        w, mark = self.trail.pop()
-                        w.restore(mark)
+                        mark = self.trail.pop()
+                        mark[0].restore(mark)
                     del self.worlds[count:]
                     self.agenda[:] = agenda
                     self.epoch += 1
                     pending = False
-                    self._apply(alternatives[k])
+                    self._apply(alternatives[k], 1 << (len(stack) - 1))
                 choice = self._step()
                 if choice is None:
                     return self._extract()
@@ -525,7 +547,7 @@ class _Engine:
                         len(self.trail), len(self.worlds), self.trace, self.focus,
                         tuple(self.agenda), self.todo,
                     )
-                    stack.append([saved, self._alternatives(len(stack), *choice), 0, 0])
+                    stack.append([saved, self._alternatives(*choice), 0, 0])
                     pending = True
             except _Closed as closed:
                 pending, deps = True, closed.deps
@@ -544,28 +566,31 @@ class _Engine:
                 else:
                     raise _Closed(closed.trace, deps) from None
 
-    def _alternatives(self, depth: int, kind: str, wid: int, x: Formula | str) -> list[tuple]:
-        """The alternatives of the choice point at ``depth`` that ``_step``
-        reached, each as (rule, world, formula or agent, premise or witness,
-        dependency set).  A branch on ``x`` tries its (C.v) or (C.~&)
-        disjuncts left first; a (C.CB) choice for agent ``x`` tries the
-        world's first alternative for the agent, if any, then a fresh world
-        (witness None)."""
-        bit = 1 << depth
+    def _alternatives(self, kind: str, wid: int, x: Formula | str) -> list[tuple]:
+        """The alternatives of the choice point that ``_step`` reached, each
+        as (rule, world, formula or agent, premise or witness, dependency
+        set without the choice point's own bit, which ``_apply`` adds).  A
+        branch on ``x`` tries its (C.v) or (C.~&) disjuncts left first; a
+        (C.CB) choice for agent ``x`` tries the world's first alternative
+        for the agent, if any, then a fresh world (witness None)."""
         if kind == "branch":
             premise, deps = self.worlds[wid].label[x]
             if isinstance(x, Or):
                 options = ((x.left, "C.v-left"), (x.right, "C.v-right"))
             else:
                 assert isinstance(x, Not) and isinstance(x.sub, And)
-                options = ((neg(x.sub.left), "C.~&-left"), (neg(x.sub.right), "C.~&-right"))
-            return [(rule, wid, g, premise, deps | bit) for g, rule in options]
+                options = (
+                    (self._neg(x.sub.left), "C.~&-left"), (self._neg(x.sub.right), "C.~&-right")
+                )
+            return [(rule, wid, g, premise, deps) for g, rule in options]
         reuse = self.worlds[wid].alternatives.get(x)
-        fresh = (C_CB.kind, wid, x, None, bit)
-        return [fresh] if reuse is None else [(C_CB.kind, wid, x, reuse[0], reuse[1] | bit), fresh]
+        fresh = (C_CB.kind, wid, x, None, 0)
+        return [fresh] if reuse is None else [(C_CB.kind, wid, x, *reuse), fresh]
 
-    def _apply(self, alternative: tuple) -> None:
+    def _apply(self, alternative: tuple, bit: int) -> None:
+        """Write an alternative of the choice point whose bit is ``bit``."""
         rule, wid, x, y, deps = alternative
+        deps |= bit
         if rule != C_CB.kind:
             self._add(wid, x, rule, (y,), deps)
             return
@@ -597,7 +622,7 @@ class _Engine:
             elif isinstance(f, Not) and isinstance(f.sub, Not):
                 rule, parts = "C.~~", (f.sub.sub,)
             elif isinstance(f, Not) and isinstance(f.sub, Or):
-                rule, parts = "C.~v", (neg(f.sub.left), neg(f.sub.right))
+                rule, parts = "C.~v", (self._neg(f.sub.left), self._neg(f.sub.right))
             else:
                 continue
             step, deps = label[f]
@@ -609,7 +634,7 @@ class _Engine:
             f = entries[w.rewritten]
             w.rewritten += 1
             if isinstance(f, Not) and isinstance(f.sub, Bel):
-                demanded = neg(f.sub.sub)
+                demanded = self._neg(f.sub.sub)
                 premise, deps = label[f]
                 step = self._record(
                     w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
@@ -626,8 +651,8 @@ class _Engine:
             if (
                 isinstance(f, Not)
                 and isinstance(f.sub, And)
-                and neg(f.sub.left) not in label
-                and neg(f.sub.right) not in label
+                and self._neg(f.sub.left) not in label
+                and self._neg(f.sub.right) not in label
             ):
                 return ("branch", w.id, f)
 
@@ -681,8 +706,9 @@ class _Engine:
             agenda[r] = 0
 
         # 5. world creation, world by world in creation order among the
-        # worlds to do; a blocked world is skipped but stays to do, and only
-        # a world with something left to create is tested for blocking
+        # worlds to do; only a world with something left to create is tested
+        # for blocking, and a blocked world sleeps off ``todo`` until its
+        # label or its blocker's grows
         witnesses = self.propagation.cb is not None
         pending = self.todo
         while pending:
@@ -695,7 +721,13 @@ class _Engine:
             if not (demand or unwitnessed or unserved):
                 self.todo ^= low
                 continue
-            if self._blocker(w) is not None:
+            blocker = self._blocker(w)
+            if blocker is not None:
+                self._touch(w)
+                self._touch(blocker)
+                w.sleepers |= low
+                blocker.sleepers |= low
+                self.todo ^= low
                 continue
             if demand:
                 self._touch(w)
@@ -717,8 +749,8 @@ class _Engine:
     # primitive actions
 
     def _record(self, wid: int, f: Formula, rule: str, premises: tuple[int, ...]) -> int:
-        index = self.trace[0].i + 1 if self.trace else 1
-        self.trace = (ProofStep(index, f"w{wid}", f, rule, premises), self.trace)
+        index = self.trace[0] + 1 if self.trace else 1
+        self.trace = (index, wid, f, rule, premises, self.trace)
         self.stats.rules_fired += 1
         return index
 
@@ -726,7 +758,7 @@ class _Engine:
         """Log ``w`` on the trail before its first change in this epoch."""
         if w.epoch != self.epoch:
             w.epoch = self.epoch
-            self.trail.append((w, w.mark()))
+            self.trail.append(w.mark())
 
     def _add(
         self, wid: int, f: Formula, rule: str, premises: tuple[int, ...], deps: int
@@ -738,27 +770,38 @@ class _Engine:
         self.focus = wid
         w.label[f] = (self._record(wid, f, rule, premises), deps)
         w.entries.append(f)
+        if w.sleepers:
+            # the blocked worlds resting on this label may be unblocked
+            self.todo |= w.sleepers
+            w.sleepers = 0
+        down = ()
         if isinstance(f, Bel):
             if f.agent.name not in w.beliefs:
                 w.beliefs[f.agent.name] = f
                 self.todo |= 1 << wid
             for r in self.propagation.own:
                 self.agenda[r] |= 1 << wid
-            if w.children:
-                for r in self.propagation.down:
-                    self.agenda[r] |= w.children
+            down = self.propagation.down
         elif w.children and isinstance(f, Not) and isinstance(f.sub, Bel):
-            for r in self.propagation.down_negated:
-                self.agenda[r] |= w.children
+            down = self.propagation.down_negated
+        if down and w.children:
+            children = sum(1 << c for c in w.children)
+            for r in down:
+                self.agenda[r] |= children
+        # a negation ~x clashes with x and with ~~x
         if isinstance(f, Not) and f.sub in w.label:
-            positive = f.sub
-        elif Not(f) in w.label:
-            positive = f
+            positive, negative = f.sub, f
         else:
-            return
-        (i, deps_i), (j, deps_j) = w.label[positive], w.label[Not(positive)]
+            positive, negative = f, self.complement.get(f)
+            if negative not in w.label:
+                return
+        (i, deps_i), (j, deps_j) = w.label[positive], w.label[negative]
         self._record(wid, positive, "C.~-clash", (min(i, j), max(i, j)))
         raise _Closed(self.trace, deps_i | deps_j)
+
+    def _neg(self, g: Formula) -> Formula:
+        """``neg(g)`` for a member ``g`` of the closure, which holds it."""
+        return g.sub if isinstance(g, Not) else self.complement[g]
 
     def _spawn(self, parent: int, agent: str, deps: int) -> int:
         new_id = len(self.worlds)
@@ -767,8 +810,8 @@ class _Engine:
         creator = self.worlds[parent]
         self._touch(creator)
         creator.alternatives.setdefault(agent, (new_id, deps))
+        creator.children.append(new_id)
         bit = 1 << new_id
-        creator.children |= bit
         for r in self.propagation.down_all:
             agenda[r] |= bit
         self.stats.worlds_created += 1

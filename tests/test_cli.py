@@ -271,6 +271,20 @@ class TestCheckModel:
         assert code == 2
         assert "cannot read" in err
 
+    def test_repeated_key_is_invalid(self, capsys, tmp_path):
+        # json.loads alone keeps the last "1" and the formula reads false
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"worlds": 2, "valuation": {"1": ["p"], "1": ["q"]},'
+            ' "alternatives": {"a": [[0,1],[1,1]]}}',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "check-model", str(path), "--profile", "kd", "--formula", "B[a] p"
+        )
+        assert (code, out) == (2, "")
+        assert err == f'error: invalid model in {path}: repeated key "1"\n'
+
     def test_invalid_model_data(self, capsys, tmp_path):
         path = self._write(tmp_path, {"worlds": "2"})
         code, _, err = run_cli(capsys, "check-model", path)

@@ -11,6 +11,7 @@ import pytest
 
 import doxa
 from doxa.cli import _build_parser
+from doxa.formula import Formula
 
 MODULES = sorted(
     p for p in Path(doxa.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -240,13 +241,55 @@ class _Engine:
     assert sorted(_loops_over_worlds(step)) == [4, 5, 8]
 
 
+def _engine_method(name: str) -> ast.FunctionDef:
+    tree = ast.parse((Path(doxa.__file__).parent / "tableau.py").read_text(encoding="utf-8"))
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Engine")
+    return next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def test_step_sweeps_no_world_list():
     # steps 4 and 5 visit the worlds on their agendas; a loop over every
     # world would make each rule firing cost time in the world count
-    tree = ast.parse((Path(doxa.__file__).parent / "tableau.py").read_text(encoding="utf-8"))
-    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Engine")
-    step = next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == "_step")
-    assert _loops_over_worlds(step) == []
+    assert _loops_over_worlds(_engine_method("_step")) == []
+
+
+#: The names whose call builds or interns a formula node: each node class
+#: and ``neg``.
+NODE_BUILDERS = {cls.__name__ for cls in Formula.__subclasses__()} | {"neg"}
+
+
+def _node_builds(func: ast.FunctionDef) -> list[str]:
+    """The name of each call in ``func`` that builds or interns a formula
+    node, in source order."""
+    calls = [
+        node
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in NODE_BUILDERS
+    ]
+    return [call.func.id for call in sorted(calls, key=lambda c: (c.lineno, c.col_offset))]
+
+
+def test_node_build_check_sees_a_build():
+    source = """
+class _Engine:
+    def _step(self):
+        g = neg(self.f)
+        if Not(g) in self.label:
+            return And(g, self.complement[g])
+        return self._neg(g)
+"""
+    step = ast.parse(source).body[0].body[0]
+    assert _node_builds(step) == ["neg", "Not", "And"]
+
+
+def test_step_and_add_build_no_node():
+    # the clash test and steps 1-3 read the engine's complement table; a
+    # node interned per firing is mostly built only to die at once.  The
+    # one node built is the (C.BDef-rewrite) demand that the trace records.
+    assert _node_builds(_engine_method("_step")) == ["Comp"]
+    assert _node_builds(_engine_method("_add")) == []
 
 
 def _unread_options(parser: argparse.ArgumentParser) -> list[str]:
