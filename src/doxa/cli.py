@@ -82,10 +82,8 @@ def _render_model_text(model: ModelSystem) -> str:
     for w in range(model.worlds):
         atoms = ", ".join(sorted(model.valuation[w])) or "-"
         lines.append(f"  w{w}: {atoms}")
-    for agent in sorted(model.alternatives):
-        pairs = ", ".join(
-            f"w{u}->w{v}" for u, v in sorted(model.alternatives[agent])
-        )
+    for agent, pairs in sorted(model.alternatives.items()):
+        pairs = ", ".join(f"w{u}->w{v}" for u, v in sorted(pairs))
         lines.append(f"  alternatives[{agent}]: {pairs or '-'}")
     return "\n".join(lines)
 
@@ -153,10 +151,8 @@ def cmd_check_model(args: argparse.Namespace) -> int:
             return 2
         # An agent the file omits has no alternatives, and the frame
         # conditions apply to it too.
-        missing = {a.name for a in agents(f)} - set(model.alternatives)
-        model = replace(
-            model, alternatives={**model.alternatives, **dict.fromkeys(missing, frozenset())}
-        )
+        missing = {a.name for a in agents(f)} - set(model.rows)
+        model = replace(model, rows={**model.rows, **dict.fromkeys(missing, (0,) * model.worlds)})
     violations = check_model_set(replace(labeled, model=model), profile)
     value = None if f is None else evaluate(model, model.designated, f)
     if args.output == "json":

@@ -4,7 +4,11 @@ A ``ModelSystem`` is a finite Kripke structure: worlds 0..n-1, one binary
 alternativeness relation per agent, an atom valuation per world, and a
 designated world where queries are evaluated.  ``B[a] p`` holds at a world
 when ``p`` holds at every a-alternative; ``C[a] p`` when ``p`` holds at some
-a-alternative.
+a-alternative.  A relation is stored in one form only, as successor rows:
+one int per world, with bit v set when that world sees v.  The tableau, the
+oracle, ``evaluate``, ``check_frame`` and ``check_model_set`` read and write
+rows; only ``ModelSystem.from_pairs`` and the ``alternatives`` view convert
+to and from (from, to) edges, for JSON and for callers that think in edges.
 
 Each ``LogicProfile`` names a frame class:
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -86,15 +90,18 @@ class ModelSystem:
     """Immutable Kripke structure with a designated world.
 
     ``valuation`` maps a world to the atoms true there (absent atoms are
-    false), ``alternatives`` maps an agent name to its set of (from, to)
-    edges.  Both mappings are normalised to plain dicts with frozenset
-    values at construction and must not be mutated afterwards.
+    false).  ``rows`` holds each agent's relation as one successor row per
+    world: bit v of ``rows[a][w]`` is set when w sees v.  An agent without
+    rows has no alternatives anywhere.  ``from_pairs`` builds a model from
+    (from, to) edges, and ``alternatives`` gives them back.  Both mappings
+    are normalised to plain dicts at construction and must not be mutated
+    afterwards.
     """
 
     worlds: int
     designated: int
     valuation: dict[int, frozenset[str]] = field(default_factory=dict)
-    alternatives: dict[str, frozenset[tuple[int, int]]] = field(default_factory=dict)
+    rows: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.worlds < 1:
@@ -105,16 +112,43 @@ class ModelSystem:
         for w, atoms_at_w in self.valuation.items():
             self._check_world(int(w))
             valuation[int(w)] = frozenset(atoms_at_w)
-        alternatives: dict[str, frozenset[tuple[int, int]]] = {}
-        for agent, pairs in self.alternatives.items():
-            edges = set()
-            for u, v in pairs:
-                self._check_world(int(u))
-                self._check_world(int(v))
-                edges.add((int(u), int(v)))
-            alternatives[str(agent)] = frozenset(edges)
+        rows: dict[str, tuple[int, ...]] = {}
+        for agent, agent_rows in self.rows.items():
+            agent_rows = tuple(agent_rows)
+            if len(agent_rows) != self.worlds:
+                raise ValueError(f"{len(agent_rows)} {agent}-rows for {self.worlds} worlds")
+            for w, row in enumerate(agent_rows):
+                if row >> self.worlds:
+                    raise ValueError(f"{agent}-row of world {w} sees a world out of range")
+            rows[str(agent)] = agent_rows
         object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "alternatives", alternatives)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_pairs(
+        cls,
+        worlds: int,
+        designated: int,
+        valuation: dict[int, Iterable[str]] | None = None,
+        alternatives: dict[str, Iterable[tuple[int, int]]] | None = None,
+    ) -> ModelSystem:
+        """The model whose relation for each agent is its (from, to) edges."""
+        model = cls(worlds, designated, valuation or {})
+        rows: dict[str, tuple[int, ...]] = {}
+        for agent, pairs in (alternatives or {}).items():
+            agent_rows = [0] * worlds
+            for u, v in pairs:
+                model._check_world(u)
+                model._check_world(v)
+                agent_rows[u] |= 1 << v
+            rows[str(agent)] = tuple(agent_rows)
+        object.__setattr__(model, "rows", rows)
+        return model
+
+    @property
+    def alternatives(self) -> dict[str, frozenset[tuple[int, int]]]:
+        """Each agent's relation as a set of (from, to) edges."""
+        return {agent: frozenset(_pairs(rows)) for agent, rows in self.rows.items()}
 
     def _check_world(self, w: int) -> None:
         if not 0 <= w < self.worlds:
@@ -183,7 +217,6 @@ def evaluate(m: ModelSystem, w: int, f: Formula) -> bool:
     """
     m._check_world(w)
     everywhere = (1 << m.worlds) - 1
-    rows: dict[str, list[int]] = {}  # an agent's successor set per world
     truth: dict[Formula, int] = {}
     for g in postorder(f):
         t = type(g)
@@ -203,29 +236,17 @@ def evaluate(m: ModelSystem, w: int, f: Formula) -> bool:
         elif t is Iff:
             s = everywhere ^ truth[g.left] ^ truth[g.right]
         else:
-            agent = g.agent.name
-            row = rows.get(agent)
-            if row is None:
-                row = rows[agent] = _successor_rows(m, agent)
-            # Bel holds where no alternative lies outside the worlds of its
-            # subformula; Comp fails where none lies inside them
-            outside = everywhere ^ truth[g.sub] if t is Bel else truth[g.sub]
+            # Comp holds where some alternative lies inside the worlds of its
+            # subformula, Bel where none lies outside them
+            inside = truth[g.sub] if t is Comp else everywhere ^ truth[g.sub]
             s = 0
-            for v, succ in enumerate(row):
-                if not succ & outside:
+            for v, row in enumerate(m.rows.get(g.agent.name, ())):
+                if row & inside:
                     s |= 1 << v
-            if t is Comp:
+            if t is Bel:
                 s ^= everywhere
         truth[g] = s
     return bool(truth[f] >> w & 1)
-
-
-def _successor_rows(m: ModelSystem, agent: str) -> list[int]:
-    """One agent's successor rows: bit v of ``rows[w]`` is set when w sees v."""
-    rows = [0] * m.worlds
-    for u, v in m.alternatives.get(agent, ()):
-        rows[u] |= 1 << v
-    return rows
 
 
 # Frame conditions.  Each is one bitwise predicate per cell, a world w or a
@@ -246,6 +267,11 @@ Breach = tuple[str, tuple[int, ...], str]
 def _bits(mask: int) -> list[int]:
     """The worlds in ``mask``, ascending."""
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _pairs(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges (w, v) of successor rows, in ascending order."""
+    return [(w, v) for w, row in enumerate(rows) for v in range(row.bit_length()) if row >> v & 1]
 
 
 def _serial(rows):
@@ -396,8 +422,8 @@ def check_frame(m: ModelSystem, profile: LogicProfile) -> list[Violation]:
     """Frame-condition violations of ``m`` for ``profile``, empty if none."""
     return [
         Violation(kind, worlds, None, message)
-        for agent in sorted(m.alternatives)
-        for kind, worlds, message in frame_breaches(_successor_rows(m, agent), agent, profile)
+        for agent, rows in sorted(m.rows.items())
+        for kind, worlds, message in frame_breaches(rows, agent, profile)
     ]
 
 
@@ -418,7 +444,6 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
     m = lm.model
     violations = check_frame(m, profile)
     rules = PROFILE_RULES[profile]
-    rows_by_agent = {agent: _successor_rows(m, agent) for agent in m.alternatives}
     label_sets = {w: set(lm.label(w)) for w in range(m.worlds)}
 
     for w in range(m.worlds):
@@ -473,7 +498,7 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
             if not isinstance(belief, Bel):
                 continue
             agent = belief.agent.name
-            succ = _bits(rows_by_agent[agent][w]) if agent in rows_by_agent else []
+            succ = _bits(m.rows[agent][w]) if agent in m.rows else []
             if negated and not any(
                 neg(belief.sub) in label_sets[v] or Not(belief.sub) in label_sets[v]
                 for v in succ
@@ -510,8 +535,7 @@ def model_to_json_dict(m: ModelSystem) -> dict:
         "designated": m.designated,
         "valuation": {str(w): sorted(m.atoms_at(w)) for w in range(m.worlds)},
         "alternatives": {
-            agent: [list(pair) for pair in sorted(pairs)]
-            for agent, pairs in sorted(m.alternatives.items())
+            agent: [list(pair) for pair in _pairs(rows)] for agent, rows in sorted(m.rows.items())
         },
     }
 
@@ -519,6 +543,12 @@ def model_to_json_dict(m: ModelSystem) -> dict:
 #: A world index as a JSON object key: canonical ASCII decimal, so that "01"
 #: and "1" do not both name world 1 and "١" or "²" names none.
 _WORLD_KEY = re.compile("0|[1-9][0-9]*")
+
+
+#: The most worlds a model file may declare.  The largest model the engine
+#: is known to return has 1,957 worlds, and the frame check of a 4,096-world
+#: model takes seconds per agent, where a huge count would exhaust memory.
+MAX_MODEL_WORLDS = 4096
 
 
 def _require(condition: object, message: str) -> None:
@@ -535,6 +565,7 @@ def model_from_json_dict(data: object) -> ModelSystem:
         _require(key in known, f"unknown model key {key!r}")
     worlds = data.get("worlds")
     _require(isinstance(worlds, int) and not isinstance(worlds, bool), "'worlds' must be an integer")
+    _require(worlds <= MAX_MODEL_WORLDS, f"'worlds' is above the limit of {MAX_MODEL_WORLDS}")
     designated = data.get("designated", 0)
     _require(
         isinstance(designated, int) and not isinstance(designated, bool),
@@ -552,10 +583,8 @@ def model_from_json_dict(data: object) -> ModelSystem:
         valuation[int(key)] = frozenset(atom_list)
     alternatives_raw = data.get("alternatives", {})
     _require(isinstance(alternatives_raw, dict), "'alternatives' must be an object")
-    alternatives: dict[str, frozenset[tuple[int, int]]] = {}
     for agent, pair_list in alternatives_raw.items():
         _require(isinstance(pair_list, list), f"alternatives for {agent!r} must be a list")
-        pairs = set()
         for pair in pair_list:
             _require(
                 isinstance(pair, list)
@@ -563,11 +592,7 @@ def model_from_json_dict(data: object) -> ModelSystem:
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in pair),
                 f"alternative for {agent!r} must be a [from, to] pair: {pair!r}",
             )
-            pairs.add((pair[0], pair[1]))
-        alternatives[agent] = frozenset(pairs)
-    return ModelSystem(
-        worlds=worlds, designated=designated, valuation=valuation, alternatives=alternatives
-    )
+    return ModelSystem.from_pairs(worlds, designated, valuation, alternatives_raw)
 
 
 def labeled_to_json_dict(lm: LabeledModelSystem) -> dict:

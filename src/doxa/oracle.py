@@ -188,13 +188,12 @@ def _build_model(
         )
         for w in range(n)
     }
-    alternatives = {
-        agent: frozenset(
-            (w, v) for w in range(n) for v in range(n) if frame[k] >> (w * n + v) & 1
-        )
+    full_row = (1 << n) - 1
+    rows = {
+        agent: tuple(frame[k] >> (w * n) & full_row for w in range(n))
         for k, agent in enumerate(budget.agents)
     }
-    return ModelSystem(worlds=n, designated=0, valuation=valuation, alternatives=alternatives)
+    return ModelSystem(worlds=n, designated=0, valuation=valuation, rows=rows)
 
 
 def enumerate_models(budget: EnumerationBudget, profile: LogicProfile):

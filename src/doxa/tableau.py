@@ -40,9 +40,10 @@ only finitely many labels exist.  A world whose label equals the label of a
 strict ancestor reached through alternatives of the same agent (the blocker
 itself being created for that agent) is never expanded; at model extraction
 its incoming edge is redirected to the blocker, yielding a finite, possibly
-cyclic model.  Extraction then completes the relations to the profile's
-frame class, as its strongest frame condition demands (seriality loops, the
-a3-witness fixpoint, transitive closure, or euclidean belief clusters), and
+cyclic model.  Extraction then completes each relation, one successor row
+per world, to the profile's frame class: each frame condition adds its own
+completion (the a3-witness fixpoint, Warshall's transitive closure, or
+euclidean belief clusters), then seriality loops fill empty rows, and it
 finally re-verifies the model with ``check_frame`` and ``evaluate``; a
 failed re-verification is an internal error, never a verdict.
 
@@ -215,6 +216,7 @@ from .models import (
     ModalRule,
     ModelSystem,
     ProfileRules,
+    _bits,
     a3_witness,
     check_frame,
     euclidean,
@@ -847,7 +849,7 @@ class _Engine:
         keep: list[_World] = []
         index: dict[int, int] = {}  # kept world -> model world
         into: dict[int, int] = {}  # world with a kept creator -> model world its edge enters
-        succ: dict[str, list[set[int]]] = {a: [] for a in self.agent_names}
+        rows: dict[str, list[int]] = {a: [] for a in self.agent_names}
         for w in self.worlds:
             blocker = self._blocker(w)
             if blocker is not None:
@@ -857,28 +859,26 @@ class _Engine:
             if blocker is None:
                 index[w.id] = into[w.id] = len(keep)
                 keep.append(w)
-                for rows in succ.values():
-                    rows.append(set())
+                for agent_rows in rows.values():
+                    agent_rows.append(0)
             else:
                 into[w.id] = index[blocker.id]
             if w.parent is not None:
                 agent, creator, _ = w.parent
-                succ[agent][index[creator]].add(into[w.id])
+                rows[agent][index[creator]] |= 1 << into[w.id]
 
         for agent in self.agent_names:
-            self._complete_relation(agent, succ[agent], keep, into)
+            self._complete_relation(agent, rows[agent], keep, into)
 
-        n = len(keep)
         valuation = {
-            w: frozenset(f.name for f in keep[w].label if isinstance(f, Atom))
-            for w in range(n)
-        }
-        alternatives = {
-            agent: frozenset((u, v) for u in range(n) for v in succ[agent][u])
-            for agent in self.agent_names
+            w: frozenset(f.name for f in world.label if isinstance(f, Atom))
+            for w, world in enumerate(keep)
         }
         model = ModelSystem(
-            worlds=n, designated=0, valuation=valuation, alternatives=alternatives
+            worlds=len(keep),
+            designated=0,
+            valuation=valuation,
+            rows={agent: tuple(agent_rows) for agent, agent_rows in rows.items()},
         )
         violations = check_frame(model, self.profile)
         if violations:
@@ -892,15 +892,14 @@ class _Engine:
         return model
 
     def _complete_relation(
-        self, agent: str, succ: list[set[int]], keep: list[_World], into: dict[int, int]
+        self, agent: str, rows: list[int], keep: list[_World], into: dict[int, int]
     ) -> None:
-        """Grow the raw tableau relation for one agent into the profile's
-        frame class without disturbing any labeled formula's truth.  The
-        profile's strongest frame condition, the last of its table row,
-        decides how; every world then still without an alternative is its
-        own."""
-        strongest = self.frame[-1]
-        if strongest is a3_witness:
+        """Grow the raw tableau relation for one agent, as successor rows,
+        into the profile's frame class without disturbing any labeled
+        formula's truth.  Each frame condition of the profile's table row
+        adds its own completion, in the row's order; every world then still
+        without an alternative is its own."""
+        if a3_witness in self.frame:
             # A world with no beliefs of this agent is its own witness; a
             # believing world inherits the successors of its designated
             # witness so that the witness's successor set nests inside its
@@ -908,7 +907,7 @@ class _Engine:
             witness: dict[int, int] = {}
             for w, world in enumerate(keep):
                 if agent not in world.beliefs:
-                    succ[w].add(w)
+                    rows[w] |= 1 << w
                 elif agent in world.cb:
                     witness[w] = into[world.cb[agent][0]]
                 else:
@@ -919,38 +918,28 @@ class _Engine:
             while changed:
                 changed = False
                 for w, v in witness.items():
-                    if not succ[v] <= succ[w]:
-                        succ[w] |= succ[v]
+                    if rows[v] & ~rows[w]:
+                        rows[w] |= rows[v]
                         changed = True
-        elif strongest is transitive:
-            # each world takes in the successors of its successors until
-            # none is missing: the transitive closure
-            changed = True
-            while changed:
-                changed = False
-                for successors in succ:
-                    for u in list(successors):
-                        if not succ[u] <= successors:
-                            successors |= succ[u]
-                            changed = True
-        elif strongest is euclidean:
-            # each tree of alternatives collapses into one cluster
+        if transitive in self.frame:
+            # Warshall's transitive closure: each world that sees k sees
+            # what k sees
+            for k, row_k in enumerate(rows):
+                for w, row in enumerate(rows):
+                    if row >> k & 1:
+                        rows[w] = row | row_k
+        if euclidean in self.frame:
+            # each tree of alternatives collapses into one cluster: a root
+            # that this agent did not create shares its closed row with
+            # every member, all of which this agent created
             for root, world in enumerate(keep):
-                if world.parent is not None and world.parent[0] == agent:
-                    continue
-                members: set[int] = set()
-                frontier = [root]
-                while frontier:
-                    u = frontier.pop()
-                    for v in succ[u]:
-                        if v not in members:
-                            members.add(v)
-                            frontier.append(v)
-                for u in members | {root}:
-                    succ[u] = set(members)
-        for w, successors in enumerate(succ):
-            if not successors:
-                successors.add(w)
+                if world.parent is None or world.parent[0] != agent:
+                    closed = rows[root]
+                    for u in _bits(closed):
+                        rows[u] = closed
+        for w, row in enumerate(rows):
+            if not row:
+                rows[w] = 1 << w
 
 
 def decide_sat(f: Formula, profile: LogicProfile) -> SatVerdict | UnsatVerdict:

@@ -285,6 +285,13 @@ class TestCheckModel:
         assert (code, out) == (2, "")
         assert err == f'error: invalid model in {path}: repeated key "1"\n'
 
+    def test_huge_world_count_is_invalid(self, capsys, tmp_path):
+        # rejected before any per-world structure is built
+        path = self._write(tmp_path, {"worlds": 1_000_000_000})
+        code, out, err = run_cli(capsys, "check-model", path, "--profile", "kd")
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid model in {path}: 'worlds' is above the limit of 4096\n"
+
     def test_invalid_model_data(self, capsys, tmp_path):
         path = self._write(tmp_path, {"worlds": "2"})
         code, _, err = run_cli(capsys, "check-model", path)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from doxa.formula import Agent, And, Atom, Bel, Comp, Iff, Implies, Not, Or
 from doxa.models import (
+    MAX_MODEL_WORLDS,
     LabeledModelSystem,
     LogicProfile,
     ModelSystem,
@@ -32,7 +33,7 @@ A = Agent("a")
 
 def chain_model() -> ModelSystem:
     """w0 -a-> w1 -a-> w1, with p true at w1 only and q true at w0."""
-    return ModelSystem(
+    return ModelSystem.from_pairs(
         worlds=2,
         designated=0,
         valuation={0: frozenset({"q"}), 1: frozenset({"p"})},
@@ -55,10 +56,26 @@ class TestConstruction:
 
     def test_edge_worlds_in_range(self):
         with pytest.raises(ValueError, match="world 9 out of range"):
-            ModelSystem(worlds=2, designated=0, alternatives={"a": {(0, 9)}})
+            ModelSystem.from_pairs(worlds=2, designated=0, alternatives={"a": {(0, 9)}})
+
+    @pytest.mark.parametrize("row", [0b100, 0b1000, -1])
+    def test_row_sees_no_world_past_the_last(self, row):
+        with pytest.raises(ValueError, match="a-row of world 1 sees a world out of range"):
+            ModelSystem(worlds=2, designated=0, rows={"a": (0b01, row)})
+
+    @pytest.mark.parametrize("rows", [(), (1,), (1, 2, 2)])
+    def test_one_row_per_world(self, rows):
+        with pytest.raises(ValueError, match=f"{len(rows)} a-rows for 2 worlds"):
+            ModelSystem(worlds=2, designated=0, rows={"a": rows})
+
+    def test_rows_and_pairs_agree(self):
+        m = chain_model()
+        assert m.rows == {"a": (0b10, 0b10)}
+        assert m == ModelSystem(worlds=2, designated=0, valuation=m.valuation, rows=m.rows)
+        assert m.alternatives == {"a": frozenset({(0, 1), (1, 1)})}
 
     def test_collections_are_normalised(self):
-        m = ModelSystem(
+        m = ModelSystem.from_pairs(
             worlds=1, designated=0, valuation={0: ["p", "p"]}, alternatives={"a": [(0, 0)]}
         )
         assert m.valuation[0] == frozenset({"p"})
@@ -109,7 +126,9 @@ def small_models(draw) -> ModelSystem:
         for agent in ("a", "b")
         if draw(st.booleans())
     }
-    return ModelSystem(worlds=n, designated=0, valuation=valuation, alternatives=alternatives)
+    return ModelSystem.from_pairs(
+        worlds=n, designated=0, valuation=valuation, alternatives=alternatives
+    )
 
 
 class TestEvaluate:
@@ -122,7 +141,7 @@ class TestEvaluate:
     def test_deep_nesting_is_labelled_once(self):
         # 8 worlds that all see each other: the reference semantics visits
         # 8**12 paths, the labelling 13 subformulas
-        m = ModelSystem(
+        m = ModelSystem.from_pairs(
             worlds=8,
             designated=0,
             valuation={w: frozenset({"p"}) for w in range(8)},
@@ -172,7 +191,7 @@ class TestEvaluate:
 
 
 def _single_agent(n: int, edges: set[tuple[int, int]]) -> ModelSystem:
-    return ModelSystem(worlds=n, designated=0, alternatives={"a": frozenset(edges)})
+    return ModelSystem.from_pairs(worlds=n, designated=0, alternatives={"a": frozenset(edges)})
 
 
 class TestCheckFrame:
@@ -212,7 +231,7 @@ class TestCheckFrame:
         assert check_frame(m, LogicProfile.HSTAR) == []
 
     def test_multi_agent_checked_independently(self):
-        m = ModelSystem(
+        m = ModelSystem.from_pairs(
             worlds=2,
             designated=0,
             alternatives={"a": frozenset({(0, 0), (1, 1)}), "b": frozenset({(0, 1)})},
@@ -341,7 +360,7 @@ class TestCheckModelSet:
         assert ("C.BB*", (0, 1)) in {(v.kind, v.worlds) for v in hintikka}
 
     def test_kd45_propagates_negated_beliefs(self):
-        m = ModelSystem(
+        m = ModelSystem.from_pairs(
             worlds=2,
             designated=0,
             valuation={},
@@ -388,6 +407,11 @@ class TestJsonRoundTrip:
             (lambda d: d.update(valuation={"0": "p"}), "must be a list of atom names"),
             (lambda d: d.update(alternatives={"a": [[0]]}), "must be a \\[from, to\\] pair"),
             (lambda d: d.update(alternatives={"a": [[0, True]]}), "must be a \\[from, to\\] pair"),
+            (lambda d: d.update(alternatives={"a": [[-1, 0]]}), "world -1 out of range"),
+            (lambda d: d.update(alternatives={"a": [[0, -1]]}), "world -1 out of range"),
+            (lambda d: d.update(alternatives={"a": [[0, 2]]}), "world 2 out of range"),
+            (lambda d: d.update(worlds=MAX_MODEL_WORLDS + 1), "above the limit of 4096"),
+            (lambda d: d.update(worlds=10**9), "above the limit of 4096"),
             (lambda d: d.update(labels={"0": "p"}), "must be a list of formula strings"),
             *(
                 (lambda d, field=field, key=key: d.update({field: {key: ["p"]}}),

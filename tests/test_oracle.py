@@ -154,7 +154,7 @@ class TestRelationOk:
         admitted = set(_frames(n, profile))
         for mask in range(1 << (n * n)):
             edges = {(w, v) for w in range(n) for v in range(n) if mask >> (w * n + v) & 1}
-            m = ModelSystem(worlds=n, designated=0, alternatives={"a": edges})
+            m = ModelSystem.from_pairs(worlds=n, designated=0, alternatives={"a": edges})
             breached = {
                 name for name in FIRST_ORDER_FRAMES[profile] if not _first_order(name, n, edges)
             }

@@ -22,6 +22,7 @@ from doxa import (
     decide_sat,
     decide_valid,
     evaluate,
+    model_to_json_dict,
     parse,
     render_trace,
     sat_upto,
@@ -301,6 +302,14 @@ def _work(verdict) -> tuple[int, int, int]:
     return (stats.rules_fired, stats.worlds_created, stats.blocks_applied)
 
 
+def _model_digest(verdict) -> str | None:
+    """sha256 of the model JSON of a SAT verdict, ``None`` for UNSAT."""
+    if not verdict.is_sat:
+        return None
+    payload = json.dumps(model_to_json_dict(verdict.model), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def _work_digest(verdicts) -> str:
     payload = json.dumps([_work(v) for v in verdicts])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -469,31 +478,60 @@ _SLEEP_CATCH = "C[a]((~p -> p | p) & (B[a] p | (p | p))) & (p & C[a](p -> p <-> 
 class TestPinnedWork:
     """Exact (rules fired, worlds created, blocks applied) on rows of the
     scaling families, which exercise blocking, (C.CB) backjumping, the
-    euclidean lift and deep propositional branching."""
+    euclidean lift and deep propositional branching, with the sha256 of
+    each SAT row's model JSON, which pins the relation completion."""
 
     @pytest.mark.parametrize(
-        ("text", "profile", "expect_sat", "work"),
+        ("text", "profile", "expect_sat", "work", "model"),
         [
-            (_compat(3), KD45, True, (442, 48, 33)),
-            (_compat(4), KD45, True, (2873, 260, 196)),
-            (_compat(5), KD45, True, (21206, 1630, 1305)),
-            (_nest(6), KD45, False, (237, 16, 0)),
-            (_nest(6), HSTAR, False, (37, 6, 0)),
-            (_nest(12), HSTAR, False, (106, 12, 0)),
-            (_prop(8), KD, False, (106, 0, 0)),
-            (_prop(14), KD, False, (178, 0, 0)),
-            (_compat(12), HINTIKKA, True, (121, 36, 12)),
-            (_HINTIKKA_FUZZ, HINTIKKA, True, (3778, 246, 11)),
-            (_TRAIL_CATCH, HSTAR, True, (70, 9, 2)),
-            (_TRAIL_CATCH, KD45, True, (40, 3, 1)),
-            (_FOCUS_CATCH, HSTAR, True, (213, 35, 3)),
-            (_NEGATED_CATCH, KD45, True, (180, 19, 6)),
+            (
+                _compat(3), KD45, True, (442, 48, 33),
+                "55f22f5fdfd1c0a497f9d4b4103afe110faee5ea4cebcae451bc60598ea6df34",
+            ),
+            (
+                _compat(4), KD45, True, (2873, 260, 196),
+                "2936af3f0f10965abf3ebc96dbe9572bbd88075cb89165bfed30b6bad0d9a841",
+            ),
+            (
+                _compat(5), KD45, True, (21206, 1630, 1305),
+                "fa6017fa12b57a5182391403860639fe42404e3c20ed3eecd41563103ec3acb4",
+            ),
+            (_nest(6), KD45, False, (237, 16, 0), None),
+            (_nest(6), HSTAR, False, (37, 6, 0), None),
+            (_nest(12), HSTAR, False, (106, 12, 0), None),
+            (_prop(8), KD, False, (106, 0, 0), None),
+            (_prop(14), KD, False, (178, 0, 0), None),
+            (
+                _compat(12), HINTIKKA, True, (121, 36, 12),
+                "b142e1441758bce19b9fb2ed85648e1649e797220329483b3ba6bda6e25973c9",
+            ),
+            (
+                _HINTIKKA_FUZZ, HINTIKKA, True, (3778, 246, 11),
+                "82de0860201cb23ebd3f39c608a46fcf7a51549e78ea0fcdfa200c23235252e9",
+            ),
+            (
+                _TRAIL_CATCH, HSTAR, True, (70, 9, 2),
+                "ffe2bce025c2090dd2b4f1acd3d67d85903c66901b4d24e46b86cd21c067c36d",
+            ),
+            (
+                _TRAIL_CATCH, KD45, True, (40, 3, 1),
+                "1e0eb5f56f7684e4a4ec0fc7ae5ea1bf6facd8818b1538cb933636d5ddfa07ea",
+            ),
+            (
+                _FOCUS_CATCH, HSTAR, True, (213, 35, 3),
+                "c14526140d2fd2683b59e8c49f780d0d7b0699a62c929d2d893c91ff56110a33",
+            ),
+            (
+                _NEGATED_CATCH, KD45, True, (180, 19, 6),
+                "c6bfde7d0656c9700674fc909b9d870df7aa2ba47f0e7139a8fc92c89980d275",
+            ),
         ],
     )
-    def test_work_counts(self, text, profile, expect_sat, work):
+    def test_work_counts(self, text, profile, expect_sat, work, model):
         verdict = decide_sat(parse(text), profile)
         assert verdict.is_sat is expect_sat
         assert _work(verdict) == work
+        assert _model_digest(verdict) == model
 
     def test_propositional_work_grows_linearly(self):
         # the clash needs only x0 and y0, so each further pair of
