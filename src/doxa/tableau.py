@@ -63,11 +63,22 @@ designating the witness resets that world's (C.CB) cursor.  Cursors are
 restored with their world on backtracking, so rules fire in exactly the
 order a full rescan after every firing would give.
 
-Label entries are members of the closure, and the engine builds one
-complement table from it: each member mapped to its negation when that is
-a member too.  The clash test of ``_add`` and the negations that steps 1-3
-take read the table and intern no node; a negation ~x clashes with x and
-with ~~x, so the test tries both.
+Label entries are members of the query's subformula closure, and one
+pass over the desugared query's nodes compiles a read-only closure table:
+the complement (each member mapped to its negation when that is a member
+too: a ``Not`` node x maps x.sub to x, any other node g maps to ``Not(g)``,
+so nothing is interned beyond the closure), the agent names, the world
+bound, and each member's rule facts: its step-1 rule and parts, its step-2
+demand with the ``Comp`` node the trace records, its step-3 options, and
+the agent of each belief and negated belief.  Steps 1-3, ``_add`` and
+``_alternatives`` read these facts instead of testing node classes, and no
+node is built while the search runs; a negation ~x clashes with x and with
+~~x, so the clash test tries both.  The last table stays in a one-entry
+cache keyed by the query node: a formula decided under several profiles,
+or ``decide_valid``'s ``Not(f)`` under several, is compiled once.  Nodes
+are hash-consed, so a structurally equal query is the same node, and the
+key is exact; the cache holds that one query's nodes and table alive, and
+no other query's.
 
 Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
 logic reasoner: system description", IJCAR 2006): steps 4 and 5 visit
@@ -206,8 +217,9 @@ from .formula import (
     Not,
     Or,
     desugar,
+    neg,
+    postorder,
     render,
-    subformula_closure,
 )
 from .models import (
     C_CB,
@@ -284,6 +296,63 @@ class _Propagation:
 
 #: Each profile's propagation rules, built once.
 _PROPAGATION = {profile: _Propagation(rules) for profile, rules in PROFILE_RULES.items()}
+
+
+class _Closure:
+    """The read-only closure table of one query (see the module docstring),
+    built in one pass over the desugared query's nodes, children first.
+    ``saturate`` maps a member to its step-1 (rule, parts), ``demand`` to
+    its step-2 (agent, demanded formula, ``Comp`` node for the trace),
+    ``options`` to its two step-3 (formula, rule) alternatives, and
+    ``believer`` and ``doubter`` map each belief and negated belief to its
+    agent."""
+
+    __slots__ = (
+        "query", "kernel", "complement", "agent_names", "world_bound",
+        "saturate", "demand", "options", "believer", "doubter",
+    )
+
+    def __init__(self, query: Formula) -> None:
+        self.query = query
+        self.kernel = desugar(query)
+        self.complement = complement = {}
+        self.saturate, self.demand, self.options = saturate, demand, options = {}, {}, {}
+        self.believer, self.doubter = believer, doubter = {}, {}
+        for g in postorder(self.kernel):
+            t = type(g)
+            if t is Not:
+                complement[g.sub] = g
+                if type(g.sub) is Not:
+                    saturate[g] = ("C.~~", (g.sub.sub,))
+                continue
+            complement[g] = n = Not(g)
+            # g's children come before it, so ``neg`` interns no new node
+            if t is And:
+                saturate[g] = ("C.&", (g.left, g.right))
+                options[n] = ((neg(g.left), "C.~&-left"), (neg(g.right), "C.~&-right"))
+            elif t is Or:
+                options[g] = ((g.left, "C.v-left"), (g.right, "C.v-right"))
+                saturate[n] = ("C.~v", (neg(g.left), neg(g.right)))
+            elif t is Bel:
+                believer[g] = doubter[n] = g.agent.name
+                demanded = neg(g.sub)
+                demand[n] = (g.agent.name, demanded, Comp(g.agent, demanded))
+        self.agent_names = sorted(set(believer.values()))
+        self.world_bound = 2 ** min(len(complement.keys() | complement.values()), 20)
+
+
+#: The closure table of the last query compiled, or None.
+_LAST: _Closure | None = None
+
+
+def _compile(query: Formula) -> _Closure:
+    """The closure table of ``query``, from the one-entry cache when the
+    last query compiled was this node."""
+    global _LAST
+    table = _LAST
+    if table is None or table.query is not query:
+        table = _LAST = _Closure(query)
+    return table
 
 
 class InternalVerificationError(Exception):
@@ -484,20 +553,13 @@ _APPLIED = ("applied",)
 
 class _Engine:
     def __init__(self, query: Formula, profile: LogicProfile, stats: TableauStats) -> None:
-        self.query = query
-        self.kernel = desugar(query)
+        # the query's closure table, shared with every profile's engine
+        # for the same query node; holding it keeps the closure's nodes alive
+        self.table = _compile(query)
         self.profile = profile
         self.frame = PROFILE_RULES[profile].frame
         self.propagation = _PROPAGATION[profile]
         self.stats = stats
-        closure = subformula_closure(self.kernel)
-        self.agent_names = sorted({g.agent.name for g in closure if type(g) is Bel})
-        self.world_bound = 2 ** min(len(closure), 20)
-        # g -> Not(g) for each member g whose negation is in the closure,
-        # which holds every label entry: the clash test and the negations
-        # of steps 1-3 read it instead of interning nodes, and holding it
-        # keeps those nodes alive
-        self.complement = {g: n for g in closure if (n := Not(g)) in closure}
         # the one branch the search is on, changed in place
         self.worlds = [_World(0, None, 0, len(self.propagation.steps))]
         self.trace: _Trace = None
@@ -523,7 +585,7 @@ class _Engine:
         alternatives, the index of the next one to try, the union of the
         closing sets of those tried].  ``pending`` says that the innermost entry is due to
         try its next alternative."""
-        self._add(0, self.kernel, "seed", (), 0)
+        self._add(0, self.table.kernel, "seed", (), 0)
         stack: list[list] = []
         pending = False
         while True:
@@ -577,14 +639,7 @@ class _Engine:
         for the agent, if any, then a fresh world (witness None)."""
         if kind == "branch":
             premise, deps = self.worlds[wid].label[x]
-            if isinstance(x, Or):
-                options = ((x.left, "C.v-left"), (x.right, "C.v-right"))
-            else:
-                assert isinstance(x, Not) and isinstance(x.sub, And)
-                options = (
-                    (self._neg(x.sub.left), "C.~&-left"), (self._neg(x.sub.right), "C.~&-right")
-                )
-            return [(rule, wid, g, premise, deps) for g, rule in options]
+            return [(rule, wid, g, premise, deps) for g, rule in self.table.options[x]]
         reuse = self.worlds[wid].alternatives.get(x)
         fresh = (C_CB.kind, wid, x, None, 0)
         return [fresh] if reuse is None else [(C_CB.kind, wid, x, *reuse), fresh]
@@ -615,48 +670,39 @@ class _Engine:
         # write only the focus, so each runs to completion at once.
         w = self.worlds[self.focus]
         label, entries = w.label, w.entries
+        table = self.table
         # 1. non-branching propositional saturation
+        saturate = table.saturate
         while w.saturated < len(entries):
             f = entries[w.saturated]
             w.saturated += 1
-            if isinstance(f, And):
-                rule, parts = "C.&", (f.left, f.right)
-            elif isinstance(f, Not) and isinstance(f.sub, Not):
-                rule, parts = "C.~~", (f.sub.sub,)
-            elif isinstance(f, Not) and isinstance(f.sub, Or):
-                rule, parts = "C.~v", (self._neg(f.sub.left), self._neg(f.sub.right))
-            else:
-                continue
-            step, deps = label[f]
-            for g in parts:
-                self._add(w.id, g, rule, (step,), deps)
+            if f in saturate:
+                rule, parts = saturate[f]
+                step, deps = label[f]
+                for g in parts:
+                    self._add(w.id, g, rule, (step,), deps)
 
         # 2. negated-modal rewrites: ~B[a] q is the demand C[a] ~q
+        demands = table.demand
         while w.rewritten < len(entries):
             f = entries[w.rewritten]
             w.rewritten += 1
-            if isinstance(f, Not) and isinstance(f.sub, Bel):
-                demanded = self._neg(f.sub.sub)
+            if f in demands:
+                agent, demanded, comp = demands[f]
                 premise, deps = label[f]
-                step = self._record(
-                    w.id, Comp(f.sub.agent, demanded), "C.BDef-rewrite", (premise,)
-                )
-                w.demands.append((f.sub.agent.name, demanded, step, deps))
+                step = self._record(w.id, comp, "C.BDef-rewrite", (premise,))
+                w.demands.append((agent, demanded, step, deps))
                 self.todo |= 1 << w.id
 
         # 3. branching propositional rules
+        options = table.options
         while w.branched < len(entries):
             f = entries[w.branched]
             w.branched += 1
-            if isinstance(f, Or) and f.left not in label and f.right not in label:
-                return ("branch", w.id, f)
-            if (
-                isinstance(f, Not)
-                and isinstance(f.sub, And)
-                and self._neg(f.sub.left) not in label
-                and self._neg(f.sub.right) not in label
-            ):
-                return ("branch", w.id, f)
+            if f in options:
+                (left, _), (right, _) = options[f]
+                if left not in label and right not in label:
+                    return ("branch", w.id, f)
 
         # 4. propagation, rule by rule in the profile's order, world by world
         # in creation order among the worlds on the rule's agenda
@@ -665,6 +711,7 @@ class _Engine:
             if not pending:
                 continue
             kind, every, negated, carries_sub, down = steps[r]
+            agent_of = table.doubter if negated else table.believer
             while pending:
                 low = pending & -pending
                 pending ^= low
@@ -685,17 +732,15 @@ class _Engine:
                 while cursors[r] < len(entries):
                     f = entries[cursors[r]]
                     cursors[r] += 1
-                    belief = f
-                    if negated:
-                        belief = f.sub if isinstance(f, Not) else None
-                    if not isinstance(belief, Bel):
+                    believing = agent_of.get(f)
+                    if believing is None:
                         continue
                     if not every:
                         # (C.CB) sends a belief into its world's designated witness
-                        if belief.agent.name not in w.cb:
+                        if believing not in w.cb:
                             continue
-                        dst, via = w.cb[belief.agent.name]
-                    elif belief.agent.name != agent:
+                        dst, via = w.cb[believing]
+                    elif believing != agent:
                         continue
                     g = f.sub if carries_sub else f
                     if g not in worlds[dst].label:
@@ -777,14 +822,15 @@ class _Engine:
             self.todo |= w.sleepers
             w.sleepers = 0
         down = ()
-        if isinstance(f, Bel):
-            if f.agent.name not in w.beliefs:
-                w.beliefs[f.agent.name] = f
+        agent = self.table.believer.get(f)
+        if agent is not None:
+            if agent not in w.beliefs:
+                w.beliefs[agent] = f
                 self.todo |= 1 << wid
             for r in self.propagation.own:
                 self.agenda[r] |= 1 << wid
             down = self.propagation.down
-        elif w.children and isinstance(f, Not) and isinstance(f.sub, Bel):
+        elif w.children and f in self.table.doubter:
             down = self.propagation.down_negated
         if down and w.children:
             children = sum(1 << c for c in w.children)
@@ -794,16 +840,12 @@ class _Engine:
         if isinstance(f, Not) and f.sub in w.label:
             positive, negative = f.sub, f
         else:
-            positive, negative = f, self.complement.get(f)
+            positive, negative = f, self.table.complement.get(f)
             if negative not in w.label:
                 return
         (i, deps_i), (j, deps_j) = w.label[positive], w.label[negative]
         self._record(wid, positive, "C.~-clash", (min(i, j), max(i, j)))
         raise _Closed(self.trace, deps_i | deps_j)
-
-    def _neg(self, g: Formula) -> Formula:
-        """``neg(g)`` for a member ``g`` of the closure, which holds it."""
-        return g.sub if isinstance(g, Not) else self.complement[g]
 
     def _spawn(self, parent: int, agent: str, deps: int) -> int:
         new_id = len(self.worlds)
@@ -817,9 +859,9 @@ class _Engine:
         for r in self.propagation.down_all:
             agenda[r] |= bit
         self.stats.worlds_created += 1
-        if len(self.worlds) > self.world_bound:
+        if len(self.worlds) > self.table.world_bound:
             raise InternalVerificationError(
-                f"world count exceeded the closure bound {self.world_bound}"
+                f"world count exceeded the closure bound {self.table.world_bound}"
             )
         return new_id
 
@@ -849,7 +891,7 @@ class _Engine:
         keep: list[_World] = []
         index: dict[int, int] = {}  # kept world -> model world
         into: dict[int, int] = {}  # world with a kept creator -> model world its edge enters
-        rows: dict[str, list[int]] = {a: [] for a in self.agent_names}
+        rows: dict[str, list[int]] = {a: [] for a in self.table.agent_names}
         for w in self.worlds:
             blocker = self._blocker(w)
             if blocker is not None:
@@ -867,7 +909,7 @@ class _Engine:
                 agent, creator, _ = w.parent
                 rows[agent][index[creator]] |= 1 << into[w.id]
 
-        for agent in self.agent_names:
+        for agent in self.table.agent_names:
             self._complete_relation(agent, rows[agent], keep, into)
 
         valuation = {
@@ -885,7 +927,7 @@ class _Engine:
             raise InternalVerificationError(
                 f"extracted model violates its frame class: {violations[0].kind}"
             )
-        if not evaluate(model, 0, self.query):
+        if not evaluate(model, 0, self.table.query):
             raise InternalVerificationError(
                 "extracted model does not satisfy the query at the designated world"
             )
@@ -974,16 +1016,26 @@ def decide(f: Formula, profile: LogicProfile, mode: str) -> Verdict:
     return decide_sat(f, profile) if mode == "sat" else decide_valid(f, profile)
 
 
+def _rendered(trace: tuple[ProofStep, ...] | list[ProofStep]) -> list[str]:
+    """The text of each step's formula; a trace repeats few distinct
+    formulas many times, so each is rendered once."""
+    texts: dict[Formula, str] = {}
+    return [
+        texts[f] if f in texts else texts.setdefault(f, render(f))
+        for f in (step.formula for step in trace)
+    ]
+
+
 def trace_to_json_dict(trace: tuple[ProofStep, ...] | list[ProofStep]) -> list[dict]:
     return [
         {
             "i": step.i,
             "world": step.world,
-            "formula": render(step.formula),
+            "formula": text,
             "rule": step.rule,
             "from": list(step.premises),
         }
-        for step in trace
+        for step, text in zip(trace, _rendered(trace))
     ]
 
 
@@ -1005,11 +1057,11 @@ def render_trace(trace: tuple[ProofStep, ...] | list[ProofStep]) -> str:
     the JSON form.
     """
     lines = []
-    for step in trace:
+    for step, text in zip(trace, _rendered(trace)):
         if step.premises:
             cited = ", ".join(f"({p})" for p in step.premises)
             origin = f"From {cited} by ({step.rule})"
         else:
             origin = f"By ({step.rule})"
-        lines.append(f"({step.i}) {render(step.formula)} ∈ {step.world}   {origin}")
+        lines.append(f"({step.i}) {text} ∈ {step.world}   {origin}")
     return "\n".join(lines)

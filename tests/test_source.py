@@ -285,11 +285,12 @@ class _Engine:
 
 
 def test_step_and_add_build_no_node():
-    # the clash test and steps 1-3 read the engine's complement table; a
-    # node interned per firing is mostly built only to die at once.  The
-    # one node built is the (C.BDef-rewrite) demand that the trace records.
-    assert _node_builds(_engine_method("_step")) == ["Comp"]
-    assert _node_builds(_engine_method("_add")) == []
+    # steps 1-3, the clash test and the branch alternatives read the
+    # query's closure table, which also holds the (C.BDef-rewrite) demand's
+    # ``Comp`` node for the trace; a node interned per firing is mostly
+    # built only to die at once
+    for name in ("_step", "_add", "_alternatives"):
+        assert _node_builds(_engine_method(name)) == [], name
 
 
 def _unread_options(parser: argparse.ArgumentParser) -> list[str]:

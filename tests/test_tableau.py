@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
 import re
 import tracemalloc
+import weakref
 
 import pytest
 from conftest import random_formula
@@ -29,7 +31,21 @@ from doxa import (
     verdict_to_json_dict,
 )
 from doxa import tableau
-from doxa.formula import And, Atom, Bel, Iff, Implies, Not, Or
+from doxa.formula import (
+    And,
+    Atom,
+    Bel,
+    Comp,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    desugar,
+    neg,
+    postorder,
+    subformula_closure,
+)
 from doxa.tableau import InternalVerificationError
 
 HSTAR = LogicProfile.HSTAR
@@ -716,3 +732,154 @@ class TestPropositionalDifferential:
             if decide_sat(f, profile).is_sat != (sat_upto(f, budget, profile) is not None):
                 mismatches.append(f)
         assert mismatches == []
+
+
+#: The hard-families rows of the benchmark: the scaling families at
+#: several sizes plus the two blow-up inputs.
+_HARD_ROWS = (
+    *((_compat(n), KD45) for n in (2, 3, 4)),
+    *((_compat(n), p) for p in (HSTAR, HINTIKKA) for n in (4, 8, 12)),
+    *((_nest(n), p) for p in PROFILES_BY_STRENGTH for n in (4, 6, 8)),
+    *((_prop(n), KD) for n in (6, 8, 10)),
+    (_HINTIKKA_FUZZ, HINTIKKA),
+    ("C[b] B[a] B[a] C[a] q", KD45),
+)
+
+
+def _table_inputs() -> list:
+    """Seeded formulas over one and two agents with every connective,
+    ``->``, ``<->`` and ``C[a]`` among them, each with its negation."""
+    rng = random.Random(20261019)
+    formulas = []
+    for agent_names in (("a",), ("a", "b")):
+        for _ in range(150):
+            f = random_formula(rng, depth=4, atom_names=("p", "q"), agent_names=agent_names)
+            formulas += [f, Not(f)]
+    return formulas
+
+
+def _outcome(f, profile: LogicProfile, mode: str) -> tuple[str, str]:
+    """A verdict's JSON and stats, or the internal error it raised."""
+    try:
+        verdict = tableau.decide(f, profile, mode)
+    except InternalVerificationError as err:
+        return str(err), ""
+    return json.dumps(verdict_to_json_dict(verdict), sort_keys=True), repr(verdict.stats)
+
+
+class TestClosureTable:
+    """Each query is compiled once into a read-only closure table that the
+    engines of every profile share."""
+
+    def test_inputs_cover_every_connective(self):
+        kinds = {type(g) for f in _table_inputs() for g in postorder(f)}
+        assert {Implies, Iff, Comp, Bel} <= kinds
+
+    def test_table_matches_the_closure(self):
+        for q in _table_inputs():
+            closure = subformula_closure(desugar(q))
+            table = tableau._Closure(q)
+            assert table.query is q and table.kernel is desugar(q)
+            assert table.complement == {g: Not(g) for g in closure if Not(g) in closure}
+            assert table.world_bound == 2 ** min(len(closure), 20)
+            assert table.agent_names == sorted({g.agent.name for g in closure if type(g) is Bel})
+            saturate, demand, options, believer, doubter = {}, {}, {}, {}, {}
+            for f in closure:
+                if isinstance(f, And):
+                    saturate[f] = ("C.&", (f.left, f.right))
+                    continue
+                if isinstance(f, Or):
+                    options[f] = ((f.left, "C.v-left"), (f.right, "C.v-right"))
+                    continue
+                if isinstance(f, Bel):
+                    believer[f] = f.agent.name
+                    continue
+                if not isinstance(f, Not):
+                    continue
+                x = f.sub
+                if isinstance(x, Not):
+                    saturate[f] = ("C.~~", (x.sub,))
+                elif isinstance(x, Or):
+                    saturate[f] = ("C.~v", (neg(x.left), neg(x.right)))
+                elif isinstance(x, And):
+                    options[f] = ((neg(x.left), "C.~&-left"), (neg(x.right), "C.~&-right"))
+                elif isinstance(x, Bel):
+                    doubter[f] = x.agent.name
+                    demand[f] = (x.agent.name, neg(x.sub), Comp(x.agent, neg(x.sub)))
+            assert table.saturate == saturate
+            assert table.demand == demand
+            assert table.options == options
+            assert table.believer == believer
+            assert table.doubter == doubter
+
+    def test_cache_keeps_queries_apart(self, monkeypatch):
+        rng = random.Random(20261020)
+        formulas = [
+            random_formula(rng, depth=4, atom_names=("p", "q"), agent_names=agent_names)
+            for agent_names in (("a",), ("a", "b"))
+            for _ in range(25)
+        ]
+        keys = [(i, p, m) for i in range(len(formulas)) for m in ("sat", "valid")
+                for p in PROFILES_BY_STRENGTH]
+        orders = [
+            keys,
+            # profiles and modes in reverse order
+            [(i, p, m) for i in range(len(formulas)) for m in ("valid", "sat")
+             for p in reversed(PROFILES_BY_STRENGTH)],
+            # each query after another formula's
+            sorted(keys, key=lambda k: (k[1].value, k[2], k[0])),
+            # sat and valid mode in turn for the same formula
+            sorted(keys, key=lambda k: (k[0], k[1].value, k[2])),
+        ]
+
+        def outcomes(order):
+            return {(i, p, m): _outcome(formulas[i], p, m) for i, p, m in order}
+
+        expected = outcomes(keys)
+        for order in orders:
+            assert outcomes(order) == expected
+        # compiled afresh for every query
+        compile_fresh = tableau._Closure
+        monkeypatch.setattr(tableau, "_compile", compile_fresh)
+        assert outcomes(keys) == expected
+
+    def test_cache_holds_one_query(self):
+        first = parse("B[a](once1 | C[a] ~once2)")
+        ref = weakref.ref(first)
+        for profile in PROFILES_BY_STRENGTH:
+            decide_sat(first, profile)
+            decide_valid(first, profile)
+        del first
+        gc.collect()
+        # the cache holds decide_valid's Not(first)
+        assert ref() is not None
+        decide_sat(parse("B[a] p"), KD)
+        gc.collect()
+        # a node built afresh drops the interning keys of the nodes that
+        # died, and with them their children
+        Atom("afresh")
+        assert ref() is None
+
+    def test_search_builds_no_node(self, monkeypatch):
+        built = []
+        build = Formula.__new__
+
+        def counted(cls, *fields):
+            built.append(cls)
+            return build(cls, *fields)
+
+        for text, profile in _HARD_ROWS:
+            engine = tableau._Engine(parse(text), profile, tableau.TableauStats())
+            monkeypatch.setattr(Formula, "__new__", staticmethod(counted))
+            try:
+                engine.run()
+            except (tableau._Closed, InternalVerificationError):
+                pass
+            finally:
+                monkeypatch.undo()
+            assert built == [], (text, profile)
+        # the count sees a build: compiling a query interns its negations
+        monkeypatch.setattr(Formula, "__new__", staticmethod(counted))
+        tableau._Closure(parse(_HINTIKKA_FUZZ))
+        monkeypatch.undo()
+        assert Not in built
