@@ -134,6 +134,9 @@ def cmd_check_model(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    except RecursionError:
+        print(f"error: malformed JSON in {args.model}: nested too deeply", file=sys.stderr)
+        return 2
     except ValueError as err:
         print(f"error: invalid model in {args.model}: {err}", file=sys.stderr)
         return 2

@@ -131,6 +131,8 @@ def load_corpus(path: str | Path | None = None) -> tuple[CorpusEntry, ...]:
             raw = json.loads(line)
         except json.JSONDecodeError as err:
             raise ValueError(f"{where}: {err}") from None
+        except RecursionError:
+            raise ValueError(f"{where}: JSON nested too deeply") from None
         entries.append(_entry_from_dict(raw, where))
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):

@@ -21,7 +21,10 @@ Each ``LogicProfile`` names a frame class:
 
 ``PROFILE_RULES`` is the one definition of each profile: its frame
 conditions and its propagation rules.  ``check_frame``, ``check_model_set``,
-the tableau and the oracle's frame filter all read it.
+the tableau and the oracle's frame filter all read it.  The conditions of
+every profile are defined once beside it: ``PROPOSITIONAL_RULES``, one
+table of the propositional conditions by formula shape, and the modal
+rules (C.B) and (C.C).  ``check_model_set`` and the tableau read these too.
 
 These classes are nested: kd45 frames are hintikka frames, hintikka frames
 are hstar frames (a transitive world's own successors are witnesses), and
@@ -193,9 +196,8 @@ class Violation:
 
     ``kind`` is drawn from a fixed catalog: the propositional conditions
     "C.~", "C.&", "C.v", "C.~~", "C.~&", "C.~v", the modal conditions
-    "C.B", "C.B*", "C.C", "C.CB", "C.BB*", "C.~B*", "C.BDef", "C.CDef",
-    and the frame conditions "serial", "transitive", "euclidean",
-    "a3-witness".
+    "C.B", "C.B*", "C.C", "C.CB", "C.BB*", "C.~B*", and the frame
+    conditions "serial", "transitive", "euclidean", "a3-witness".
     """
 
     kind: str
@@ -259,9 +261,8 @@ def evaluate(m: ModelSystem, w: int, f: Formula) -> bool:
 # about a fifth.  The predicates use operators only, no ``not``, ``and``,
 # ``any`` or ``all``, so the same code reads Python ints in ``check_frame``
 # and numpy int64 arrays, one candidate relation per element, in the
-# oracle's frame filter.  ``frame_breaches`` expands every cell whose
-# predicate fails into (kind, worlds, message) breaches, in a fixed order.
-Breach = tuple[str, tuple[int, ...], str]
+# oracle's frame filter.  ``check_frame`` expands every cell whose predicate
+# fails into violations, in a fixed order.
 
 
 def _bits(mask: int) -> list[int]:
@@ -354,14 +355,57 @@ transitive = FrameCondition("transitive", _transitive, _transitive_breaches)
 euclidean = FrameCondition("euclidean", _euclidean, _euclidean_breaches)
 
 
+class PropositionalRule(NamedTuple):
+    """A closure condition on a labeled formula of one shape, demanding its
+    parts in the same world: every part when ``every``, else one of them,
+    and for a ``negated`` rule each part's negation instead of the part.
+    ``message`` is the violation message, with ``{w}`` and, for an
+    ``every`` rule, the missing part's ``{side}`` filled in."""
+
+    kind: str
+    every: bool
+    negated: bool
+    message: str
+
+
+#: The propositional closure conditions, keyed by shape: the class of a
+#: conjunction or disjunction, and (Not, class) for the negation of a
+#: negation, conjunction or disjunction.  The parts of an ``And`` or ``Or``
+#: are its two sides, and the part of a double negation ~~x is x.
+PROPOSITIONAL_RULES: dict[tuple[type, ...], PropositionalRule] = {
+    (And,): PropositionalRule("C.&", True, False, "{side} conjunct missing at {w}"),
+    (Or,): PropositionalRule("C.v", False, False, "no disjunct labeled at {w}"),
+    (Not, Not): PropositionalRule("C.~~", True, False, "unwrapped formula missing at {w}"),
+    (Not, And): PropositionalRule("C.~&", False, True, "no negated conjunct labeled at {w}"),
+    (Not, Or): PropositionalRule("C.~v", True, True, "negated {side} disjunct missing at {w}"),
+}
+
+
+def propositional_conditions(
+    formulas: Iterable[Formula],
+) -> Iterator[tuple[Formula, PropositionalRule, tuple[Formula, ...]]]:
+    """Each of ``formulas`` that a propositional condition is on, in order,
+    with the condition and the parts it speaks of."""
+    for f in formulas:
+        if type(f) is Not:
+            shape, core = (Not, type(f.sub)), f.sub
+        else:
+            shape, core = (type(f),), f
+        rule = PROPOSITIONAL_RULES.get(shape)
+        if rule is not None:
+            yield f, rule, (core.sub,) if type(core) is Not else (core.left, core.right)
+
+
 class ModalRule(NamedTuple):
     """A closure condition tying a belief formula ``B[a] q``, or for a
     ``negated`` rule ``~B[a] q``, to the a-alternatives of its world.
 
-    The formula demanded there is ``q`` when ``carries_sub``, else the
-    labeled formula itself.  An ``every`` rule demands it at every
-    alternative, any other at one.  ``message`` is the violation message,
-    with ``{agent}``, ``{w}`` and ``{v}`` filled in.
+    The formula demanded there is the believed ``q`` when ``carries_sub``,
+    else the labeled formula itself; a negated rule that carries the
+    believed formula demands its negation, as ``neg(q)`` or ``Not(q)``.  An
+    ``every`` rule demands it at every alternative, any other at one.
+    ``message`` is the violation message, with ``{agent}``, ``{w}`` and
+    ``{v}`` filled in.
     """
 
     kind: str
@@ -373,6 +417,9 @@ class ModalRule(NamedTuple):
 
 # The modal closure conditions, by (kind, negated, carries_sub, every, message).
 C_B = ModalRule("C.B", False, True, False, "no {agent}-alternative of {w} labels the believed formula")
+C_C = ModalRule(
+    "C.C", True, True, False, "no {agent}-alternative of {w} labels the denied formula's negation"
+)
 C_B_STAR = ModalRule("C.B*", False, True, True, "believed formula missing at {agent}-alternative {v}")
 C_CB = ModalRule("C.CB", False, False, False, "no {agent}-alternative of {w} labels the belief itself")
 C_BB_STAR = ModalRule("C.BB*", False, False, True, "belief not propagated to {agent}-alternative {v}")
@@ -392,7 +439,8 @@ class ProfileRules(NamedTuple):
 
 #: The one definition of each profile.  (C.B) and (C.C), which demand an
 #: alternative for every belief and every negated belief in any profile,
-#: are not listed.
+#: are not listed; neither are the ``PROPOSITIONAL_RULES``, which hold in
+#: every profile.
 PROFILE_RULES: dict[LogicProfile, ProfileRules] = {
     LogicProfile.KD: ProfileRules((serial,), (C_B_STAR,)),
     LogicProfile.HSTAR: ProfileRules((serial, a3_witness), (C_B_STAR, C_CB)),
@@ -403,43 +451,39 @@ PROFILE_RULES: dict[LogicProfile, ProfileRules] = {
 }
 
 
-def frame_breaches(rows: Sequence[int], agent: str, profile: LogicProfile) -> Iterator[Breach]:
-    """Breaches of ``profile``'s frame conditions by one agent's successor
-    rows: condition by condition, cell by cell in ascending position, each
-    listed once."""
-    for condition in PROFILE_RULES[profile].frame:
-        seen: set[tuple[int, ...]] = set()
-        for position, holds in enumerate(condition.cells(rows)):
-            if holds:
-                continue
-            for worlds, message in condition.breaches(rows, position, agent):
-                if worlds not in seen:
-                    seen.add(worlds)
-                    yield condition.kind, worlds, message
-
-
 def check_frame(m: ModelSystem, profile: LogicProfile) -> list[Violation]:
-    """Frame-condition violations of ``m`` for ``profile``, empty if none."""
-    return [
-        Violation(kind, worlds, None, message)
-        for agent, rows in sorted(m.rows.items())
-        for kind, worlds, message in frame_breaches(rows, agent, profile)
-    ]
+    """Frame-condition violations of ``m`` for ``profile``, empty if none:
+    agent by agent, condition by condition, cell by cell in ascending
+    position, each breach listed once."""
+    violations = []
+    for agent, rows in sorted(m.rows.items()):
+        for condition in PROFILE_RULES[profile].frame:
+            # each breach's worlds once, with the message of its first cell
+            first: dict[tuple[int, ...], str] = {}
+            for position, holds in enumerate(condition.cells(rows)):
+                if not holds:
+                    for worlds, message in condition.breaches(rows, position, agent):
+                        first.setdefault(worlds, message)
+            violations += [
+                Violation(condition.kind, worlds, None, text) for worlds, text in first.items()
+            ]
+    return violations
 
 
-def _neg_in(label: set[Formula], f: Formula) -> bool:
-    return Not(f) in label or (isinstance(f, Not) and f.sub in label)
+def _holds(label: set[Formula], g: Formula, negated: bool) -> bool:
+    """Whether ``label`` holds the demanded ``g``, or for a ``negated``
+    demand its negation, as ``neg(g)`` or as ``Not(g)``."""
+    return (neg(g) in label or Not(g) in label) if negated else g in label
 
 
 def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Violation]:
     """Frame violations plus closure-condition violations of the labels.
 
-    The propositional conditions and the base modal conditions (C.B) and
-    (C.C) are checked for every profile, then the profile's propagation
-    rules from ``PROFILE_RULES``.  A negated belief formula ~B[a] q counts
-    as the compatibility statement C[a] ~q when (C.C) looks for its
-    witness, which is the dual-definition reading; the "C.BDef" and "C.CDef"
-    kinds never fire on desugared labels.
+    The clash condition (C.~), the ``PROPOSITIONAL_RULES`` and the base
+    modal conditions (C.B) and (C.C) are checked for every profile, then
+    the profile's propagation rules from ``PROFILE_RULES``.  A negated
+    belief formula ~B[a] q counts as the compatibility statement C[a] ~q
+    when (C.C) looks for its witness, which is the dual-definition reading.
     """
     m = lm.model
     violations = check_frame(m, profile)
@@ -448,50 +492,21 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
 
     for w in range(m.worlds):
         label = label_sets[w]
-        seen_clashes: set[Formula] = set()
-        for f in lm.label(w):
-            if isinstance(f, Not) and f.sub in label:
-                positive = f.sub
-                if positive not in seen_clashes:
-                    seen_clashes.add(positive)
-                    violations.append(
-                        Violation(
-                            "C.~", (w,), positive,
-                            f"both {render(positive)} and its negation labeled at {w}",
-                        )
-                    )
-        for f in lm.label(w):
-            if isinstance(f, And):
-                for side, sub in (("left", f.left), ("right", f.right)):
-                    if sub not in label:
-                        violations.append(
-                            Violation("C.&", (w,), f, f"{side} conjunct missing at {w}")
-                        )
-            elif isinstance(f, Or):
-                if f.left not in label and f.right not in label:
-                    violations.append(
-                        Violation("C.v", (w,), f, f"no disjunct labeled at {w}")
-                    )
-            elif isinstance(f, Not) and isinstance(f.sub, Not):
-                if f.sub.sub not in label:
-                    violations.append(
-                        Violation("C.~~", (w,), f, f"unwrapped formula missing at {w}")
-                    )
-            elif isinstance(f, Not) and isinstance(f.sub, And):
-                if not (_neg_in(label, f.sub.left) or _neg_in(label, f.sub.right)):
-                    violations.append(
-                        Violation("C.~&", (w,), f, f"no negated conjunct labeled at {w}")
-                    )
-            elif isinstance(f, Not) and isinstance(f.sub, Or):
-                for side, sub in (("left", f.sub.left), ("right", f.sub.right)):
-                    if not _neg_in(label, sub):
-                        violations.append(
-                            Violation(
-                                "C.~v", (w,), f,
-                                f"negated {side} disjunct missing at {w}",
-                            )
-                        )
-
+        # each clashing pair once, in the order of its first negation
+        for positive in dict.fromkeys(
+            f.sub for f in lm.label(w) if isinstance(f, Not) and f.sub in label
+        ):
+            message = f"both {render(positive)} and its negation labeled at {w}"
+            violations.append(Violation("C.~", (w,), positive, message))
+        for f, rule, parts in propositional_conditions(lm.label(w)):
+            held = [_holds(label, g, rule.negated) for g in parts]
+            if rule.every:
+                for side, part_held in zip(("left", "right"), held):
+                    if not part_held:
+                        message = rule.message.format(side=side, w=w)
+                        violations.append(Violation(rule.kind, (w,), f, message))
+            elif not any(held):
+                violations.append(Violation(rule.kind, (w,), f, rule.message.format(w=w)))
         for f in lm.label(w):
             negated = isinstance(f, Not)
             belief = f.sub if negated else f
@@ -499,30 +514,20 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
                 continue
             agent = belief.agent.name
             succ = _bits(m.rows[agent][w]) if agent in m.rows else []
-            if negated and not any(
-                neg(belief.sub) in label_sets[v] or Not(belief.sub) in label_sets[v]
-                for v in succ
-            ):
-                violations.append(
-                    Violation(
-                        "C.C", (w,), f,
-                        f"no {agent}-alternative of {w} labels the denied formula's negation",
-                    )
-                )
-            for rule in (C_B, *rules.propagation):
+            for rule in (C_B, C_C, *rules.propagation):
                 if rule.negated != negated:
                     continue
-                carried = f.sub if rule.carries_sub else f
+                carried = belief.sub if rule.carries_sub else f
+                # a negated rule that carries the believed formula demands its negation
+                denied = negated and rule.carries_sub
                 if rule.every:
                     for v in succ:
-                        if carried not in label_sets[v]:
-                            violations.append(
-                                Violation(rule.kind, (w, v), f, rule.message.format(agent=agent, v=v))
-                            )
-                elif not any(carried in label_sets[v] for v in succ):
-                    violations.append(
-                        Violation(rule.kind, (w,), f, rule.message.format(agent=agent, w=w))
-                    )
+                        if not _holds(label_sets[v], carried, denied):
+                            message = rule.message.format(agent=agent, v=v)
+                            violations.append(Violation(rule.kind, (w, v), f, message))
+                elif not any(_holds(label_sets[v], carried, denied) for v in succ):
+                    message = rule.message.format(agent=agent, w=w)
+                    violations.append(Violation(rule.kind, (w,), f, message))
     return violations
 
 

@@ -63,22 +63,27 @@ designating the witness resets that world's (C.CB) cursor.  Cursors are
 restored with their world on backtracking, so rules fire in exactly the
 order a full rescan after every firing would give.
 
-Label entries are members of the query's subformula closure, and one
-pass over the desugared query's nodes compiles a read-only closure table:
-the complement (each member mapped to its negation when that is a member
-too: a ``Not`` node x maps x.sub to x, any other node g maps to ``Not(g)``,
-so nothing is interned beyond the closure), the agent names, the world
-bound, and each member's rule facts: its step-1 rule and parts, its step-2
-demand with the ``Comp`` node the trace records, its step-3 options, and
-the agent of each belief and negated belief.  Steps 1-3, ``_add`` and
-``_alternatives`` read these facts instead of testing node classes, and no
-node is built while the search runs; a negation ~x clashes with x and with
-~~x, so the clash test tries both.  The last table stays in a one-entry
-cache keyed by the query node: a formula decided under several profiles,
-or ``decide_valid``'s ``Not(f)`` under several, is compiled once.  Nodes
-are hash-consed, so a structurally equal query is the same node, and the
-key is exact; the cache holds that one query's nodes and table alive, and
-no other query's.
+Label entries are members of the query's subformula closure, and each
+query is compiled once into a read-only closure table: the complement
+(each member mapped to its negation when that is a member too: a ``Not``
+node x maps x.sub to x, any other node g maps to ``Not(g)``, so nothing is
+interned beyond the closure), the agent names, the world bound, and each
+member's rule facts: its step-1 rule and parts, its step-2 demand with the
+``Comp`` node the trace records, its step-3 options, and the agent of each
+belief and negated belief.  One pass over the desugared query's nodes
+gives the complement and the modal facts, and one pass over the members
+gives the step-1 and step-3 facts from the one table of propositional
+conditions, ``models.PROPOSITIONAL_RULES``, which ``check_model_set`` also
+reads: a condition that demands every part is a step-1 rule, one that
+demands one part a step-3 branch with one alternative per part.  Steps
+1-3, ``_add`` and ``_alternatives`` read these facts instead of testing
+node classes, and no node is built while the search runs; a negation ~x
+clashes with x and with ~~x, so the clash test tries both.  The last table
+stays in a one-entry cache keyed by the query node: a formula decided
+under several profiles, or ``decide_valid``'s ``Not(f)`` under several, is
+compiled once.  Nodes are hash-consed, so a structurally equal query is
+the same node, and the key is exact; the cache holds that one query's
+nodes and table alive, and no other query's.
 
 Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
 logic reasoner: system description", IJCAR 2006): steps 4 and 5 visit
@@ -209,21 +214,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import (
-    And,
     Atom,
     Bel,
     Comp,
     Formula,
     Not,
-    Or,
     desugar,
     neg,
     postorder,
     render,
 )
 from .models import (
+    C_B,
+    C_C,
     C_CB,
     PROFILE_RULES,
+    PROPOSITIONAL_RULES,
     LogicProfile,
     ModalRule,
     ModelSystem,
@@ -234,6 +240,7 @@ from .models import (
     euclidean,
     evaluate,
     model_to_json_dict,
+    propositional_conditions,
     transitive,
 )
 
@@ -298,14 +305,25 @@ class _Propagation:
 _PROPAGATION = {profile: _Propagation(rules) for profile, rules in PROFILE_RULES.items()}
 
 
+#: The rule names of a step-3 branch's two alternatives, by the kind of
+#: its propositional condition: which part the alternative took.
+_SIDES = {
+    rule.kind: (f"{rule.kind}-left", f"{rule.kind}-right")
+    for rule in PROPOSITIONAL_RULES.values()
+    if not rule.every
+}
+
+
 class _Closure:
     """The read-only closure table of one query (see the module docstring),
-    built in one pass over the desugared query's nodes, children first.
-    ``saturate`` maps a member to its step-1 (rule, parts), ``demand`` to
-    its step-2 (agent, demanded formula, ``Comp`` node for the trace),
-    ``options`` to its two step-3 (formula, rule) alternatives, and
-    ``believer`` and ``doubter`` map each belief and negated belief to its
-    agent."""
+    built in one pass over the desugared query's nodes, children first, and
+    one over the members of the closure.  ``saturate`` maps a member to its
+    step-1 (rule, parts), ``demand`` to its step-2 (agent, demanded formula,
+    ``Comp`` node for the trace), ``options`` to its two step-3 (formula,
+    rule) alternatives, and ``believer`` and ``doubter`` map each belief
+    and negated belief to its agent.  ``saturate`` and ``options`` hold the
+    ``PROPOSITIONAL_RULES`` of ``models``: a condition that demands every
+    part is a step-1 rule, one that demands one part a step-3 branch."""
 
     __slots__ = (
         "query", "kernel", "complement", "agent_names", "world_bound",
@@ -319,26 +337,25 @@ class _Closure:
         self.saturate, self.demand, self.options = saturate, demand, options = {}, {}, {}
         self.believer, self.doubter = believer, doubter = {}, {}
         for g in postorder(self.kernel):
-            t = type(g)
-            if t is Not:
+            if type(g) is Not:
                 complement[g.sub] = g
-                if type(g.sub) is Not:
-                    saturate[g] = ("C.~~", (g.sub.sub,))
                 continue
             complement[g] = n = Not(g)
             # g's children come before it, so ``neg`` interns no new node
-            if t is And:
-                saturate[g] = ("C.&", (g.left, g.right))
-                options[n] = ((neg(g.left), "C.~&-left"), (neg(g.right), "C.~&-right"))
-            elif t is Or:
-                options[g] = ((g.left, "C.v-left"), (g.right, "C.v-right"))
-                saturate[n] = ("C.~v", (neg(g.left), neg(g.right)))
-            elif t is Bel:
+            if type(g) is Bel:
                 believer[g] = doubter[n] = g.agent.name
                 demanded = neg(g.sub)
                 demand[n] = (g.agent.name, demanded, Comp(g.agent, demanded))
+        closure = complement.keys() | complement.values()
+        for f, rule, parts in propositional_conditions(closure):
+            # each part's negation is a member too
+            parts = tuple(map(neg, parts)) if rule.negated else parts
+            if rule.every:
+                saturate[f] = (rule.kind, parts)
+            else:
+                options[f] = tuple(zip(parts, _SIDES[rule.kind]))
         self.agent_names = sorted(set(believer.values()))
-        self.world_bound = 2 ** min(len(complement.keys() | complement.values()), 20)
+        self.world_bound = 2 ** min(len(closure), 20)
 
 
 #: The closure table of the last query compiled, or None.
@@ -781,14 +798,14 @@ class _Engine:
                 agent, g, premise, deps = w.demands[w.spawn_cursor]
                 w.spawn_cursor += 1
                 new_id = self._spawn(w.id, agent, deps)
-                self._add(new_id, g, "C.C", (premise,), deps)
+                self._add(new_id, g, C_C.kind, (premise,), deps)
                 return _APPLIED
             if unwitnessed:
                 return ("cb", w.id, unwitnessed[0])
             first = w.beliefs[unserved[0]]
             premise, deps = w.label[first]
             new_id = self._spawn(w.id, unserved[0], deps)
-            self._add(new_id, first.sub, "C.B", (premise,), deps)
+            self._add(new_id, first.sub, C_B.kind, (premise,), deps)
             return _APPLIED
         return None
 

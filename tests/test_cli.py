@@ -266,6 +266,14 @@ class TestCheckModel:
         assert "malformed JSON" in err
         assert "line 1" in err
 
+    def test_deeply_nested_json_is_malformed(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not JSONDecodeError, on this
+        path = tmp_path / "model.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check-model", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed JSON in {path}: nested too deeply\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check-model", str(tmp_path / "nope.json"))
         assert code == 2
@@ -347,6 +355,13 @@ class TestCorpus:
         path.write_text("", encoding="utf-8")
         code, out, err = run_cli(capsys, "corpus", str(path))
         assert (code, out, err) == (0, "passed: 0  failed: 0\n", "")
+
+    def test_deeply_nested_json_line(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n" + "[" * 200_000 + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "corpus", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:2: JSON nested too deeply\n"
 
     def test_unreadable_corpus(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "corpus", str(tmp_path / "missing.jsonl"))

@@ -5,12 +5,26 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
-from conftest import formulas_st
+from conftest import formulas_st, random_formula
 from hypothesis import given, settings, strategies as st
 
-from doxa.formula import Agent, And, Atom, Bel, Comp, Iff, Implies, Not, Or
+from doxa.formula import (
+    Agent,
+    And,
+    Atom,
+    Bel,
+    Comp,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    desugar,
+    neg,
+    postorder,
+)
 from doxa.models import (
     MAX_MODEL_WORLDS,
     LabeledModelSystem,
@@ -369,6 +383,37 @@ class TestCheckModelSet:
         lm = LabeledModelSystem(model=m, labels={0: (Not(Bel(A, P)),), 1: (Not(P),)})
         kd45 = check_model_set(lm, LogicProfile.KD45)
         assert ("C.~B*", (0, 1)) in {(v.kind, v.worlds) for v in kd45}
+
+    def test_every_labeled_model_keeps_its_violation_list(self):
+        # sha256 of the violation lists of 3,000 seeded labeled models under
+        # each profile, one repr per line: 1-3 worlds, 1-2 agents, random
+        # successor rows, and labels drawn from a formula's desugared
+        # subformulas g together with neg(g) and the un-collapsed Not(g)
+        lines, kinds = [], set()
+        for model in _random_labeled_models(random.Random(20261019), 3000):
+            for profile in PROFILES_BY_STRENGTH:
+                violations = check_model_set(model, profile)
+                kinds |= {v.kind for v in violations}
+                lines.append(repr(violations))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert kinds == {
+            "C.~", "C.&", "C.v", "C.~~", "C.~&", "C.~v", "C.B", "C.B*", "C.C", "C.CB",
+            "C.BB*", "C.~B*", "serial", "transitive", "euclidean", "a3-witness",
+        }
+        assert (len(lines), digest) == (
+            12000, "24742c5e3239039ae19cf5b6f620e57984233c05d85658daf47c2ad89ffca9a3"
+        )
+
+
+def _random_labeled_models(rng: random.Random, count: int):
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        agent_names = ("a", "b")[: rng.randint(1, 2)]
+        f = desugar(random_formula(rng, 3, ("p", "q"), agent_names))
+        pool = list(dict.fromkeys(h for g in postorder(f) for h in (g, neg(g), Not(g))))
+        rows = {a: [rng.randrange(1 << n) for _ in range(n)] for a in agent_names}
+        labels = {w: tuple(rng.sample(pool, rng.randint(0, min(6, len(pool))))) for w in range(n)}
+        yield LabeledModelSystem(ModelSystem(n, 0, rows=rows), labels)
 
 
 class TestJsonRoundTrip:

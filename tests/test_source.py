@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import doxa
+from doxa import models
 from doxa.cli import _build_parser
 from doxa.formula import Formula
 
@@ -291,6 +292,51 @@ def test_step_and_add_build_no_node():
     # built only to die at once
     for name in ("_step", "_add", "_alternatives"):
         assert _node_builds(_engine_method(name)) == [], name
+
+
+#: The kind of every propositional condition and every modal rule that
+#: ``models`` defines.
+KINDS = {rule.kind for rule in models.PROPOSITIONAL_RULES.values()} | {
+    value.kind for value in vars(models).values() if isinstance(value, models.ModalRule)
+}
+
+
+def _kind_literals(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, text) of each string constant of a module that spells a rule
+    kind in ``KINDS``, leaving out docstrings and the ``RULES`` tuple."""
+    skipped = set()
+    for node in ast.walk(tree):
+        documented = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        if documented and ast.get_docstring(node):
+            skipped.add(node.body[0].value)
+        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "RULES":
+            skipped |= set(ast.walk(node.value))
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in KINDS and node not in skipped
+    )
+
+
+def test_kind_check_sees_a_literal():
+    source = '''
+"""(C.C) spawns a world."""
+RULES: tuple[str, ...] = ("C.C", "C.B")
+
+def _step(self):
+    """By (C.B)."""
+    self._add(new_id, g, "C.C", (premise,), deps)
+    return f"{C_B.kind}-left", "C.v-left"
+'''
+    assert _kind_literals(ast.parse(source)) == [(7, "C.C")]
+
+
+def test_tableau_spells_no_rule_kind():
+    # the tableau names each condition through the table of ``models`` that
+    # defines it, so that a condition has one definition
+    assert {"C.&", "C.~v", "C.C", "C.B", "C.CB"} <= KINDS
+    tree = ast.parse((Path(doxa.__file__).parent / "tableau.py").read_text(encoding="utf-8"))
+    assert _kind_literals(tree) == []
 
 
 def _unread_options(parser: argparse.ArgumentParser) -> list[str]:
