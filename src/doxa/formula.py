@@ -54,7 +54,8 @@ class _Ref(weakref.ref):
 # queued on ``_DEAD`` by ``list.append``, a C function: a weakref callback
 # written in Python would run signal handlers too, and lose the exception
 # of any it interrupted, such as a time limit's or KeyboardInterrupt.  The
-# next miss deletes each queued entry unless its key has a newer node.
+# next construction, hit or miss, deletes each queued entry unless its key
+# has a newer node, so a dead node's key holds its children only until then.
 _NODES: dict[tuple, _Ref] = {}
 _DEAD: list[_Ref] = []
 
@@ -70,20 +71,20 @@ class Formula:
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
+        while _DEAD:
+            dead = _DEAD.pop()
+            # a reference without a key was never entered: an exception,
+            # such as a time limit's, came between its two lines below
+            key_of_dead = getattr(dead, "key", None)
+            if _NODES.get(key_of_dead) is dead:
+                del _NODES[key_of_dead]
+            # the key holds the node's children: dropping it queues those
+            # that die with it, so one construction frees a whole subtree
+            del dead, key_of_dead
         key = (cls, *fields)
         ref = _NODES.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            while _DEAD:
-                dead = _DEAD.pop()
-                # a reference without a key was never entered: an exception,
-                # such as a time limit's, came between its two lines below
-                key_of_dead = getattr(dead, "key", None)
-                if _NODES.get(key_of_dead) is dead:
-                    del _NODES[key_of_dead]
-                # the key holds the node's children: dropping it queues
-                # those that die with it, so one miss frees a whole subtree
-                del dead, key_of_dead
             names = cls.__match_args__
             if len(fields) != len(names):
                 raise TypeError(f"{cls.__name__} takes the fields {names}, got {len(fields)}")

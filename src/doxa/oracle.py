@@ -23,19 +23,28 @@ set when the atom holds at the world.
 The designated world is always 0.
 
 ``sat_upto`` answers "is there a model within this budget", which is only a
-lower bound: ``None`` means no model that small exists, not that the
-formula is unsatisfiable.  It is one numpy scan for any agent count.  Per
-world count it caches a reach tensor of the m admissible masks of one
-agent; frame ``i < m**k`` of a k-agent budget gives the agent at position
-``pos`` the mask ``(i // m**(k-1-pos)) % m``, which is the order above.
-Frames go through in chunks of at most ``CHUNK_CELLS`` booleans per truth
-array, so memory is bounded by the formula, not by the frame count.  The
-valuations of a world count are held all at once, so a budget may have at
-most ``MAX_VALUATION_BITS`` (20) valuation bits, ``max_worlds * len(atoms)``:
-past that, ``EnumerationBudget`` raises ``ValueError``.  The
-first hit of a chunk is the first in enumeration order; it is rebuilt and
-re-verified with the reference evaluator.  numpy is imported on the first
-call, not with the package.
+lower bound: ``None`` means no model that small exists, not that the formula
+is unsatisfiable.  It is one numpy scan for any agent count.  Per world
+count and word type it caches a reach tensor of the m admissible masks of
+one agent; frame ``i < m**k`` of a k-agent budget gives the agent at
+position ``pos`` the mask ``(i // m**(k-1-pos)) % m``, which is the order
+above.  Truth values are packed into words, one bit per valuation, as
+``evaluate`` packs worlds into one int: valuation v of a world count is bit
+``v % b`` of word ``v // b``, in the smallest unsigned word of b bits that
+holds all ``2**(n * len(atoms))`` valuations, or in several uint64 words.  A
+truth array is then (worlds, frames, words), and ``~``, ``&``, ``|`` and
+``B`` are bitwise over whole words; the reach tensor holds all-ones or zero
+words, and the atom tables of each world count and atom count are built
+once.  Frames go through in chunks of at most ``CHUNK_CELLS`` bytes per
+truth array and per agent's reach array, so memory is bounded by the
+formula, not by the frame count.  The valuations of a world count are held
+all at once, so a budget may have at most ``MAX_VALUATION_BITS`` (20)
+valuation bits, ``max_worlds * len(atoms)``: past that,
+``EnumerationBudget`` raises ``ValueError``.  The first hit of a chunk, its
+first nonzero word in (frame, word) order and that word's lowest set bit, is
+the first in enumeration order; it is rebuilt and re-verified with the
+reference evaluator.  numpy is imported on the first call, not with the
+package.
 """
 
 from __future__ import annotations
@@ -124,13 +133,15 @@ class EnumerationBudget:
             )
 
 
-#: Most (world, frame, valuation) booleans in one truth array of ``sat_upto``,
-#: and most (world, candidate mask) rows in one chunk of ``_frames``; a
-#: chunk of ``sat_upto`` holds at least one frame, with all its valuations.
+#: Most bytes in one truth array of ``sat_upto`` and in each agent's reach
+#: array of its chunk, and most (world, candidate mask) rows in one chunk of
+#: ``_frames``; a chunk of ``sat_upto`` holds at least one frame, with all
+#: its valuation words.
 CHUNK_CELLS = 1 << 20
 
 _MASK_CACHE: dict[tuple[int, LogicProfile], list[int]] = {}
-_REACH_CACHE: dict[tuple[int, LogicProfile], np.ndarray] = {}
+_REACH_CACHE: dict[tuple[int, LogicProfile, np.dtype], np.ndarray] = {}
+_VALUATION_CACHE: dict[tuple[int, int], tuple[np.dtype, int, int, list[np.ndarray]]] = {}
 
 
 def _frames(n: int, profile: LogicProfile) -> list[int]:
@@ -161,17 +172,51 @@ def _frames(n: int, profile: LogicProfile) -> list[int]:
     return cached
 
 
-def _reach_tensor(n: int, profile: LogicProfile) -> np.ndarray:
-    """Boolean (worlds, worlds, masks, 1) array of the admissible masks, true
-    at ``[w, u, i]`` when world u is *not* an alternative of w under mask i."""
+def _reach_tensor(n: int, profile: LogicProfile, dtype: np.dtype) -> np.ndarray:
+    """(worlds, worlds, masks, 1) array of ``dtype`` words over the admissible
+    masks, all ones at ``[w, u, i]`` when world u is *not* an alternative of
+    w under mask i, else zero."""
     import numpy as np
 
-    key = (n, profile)
+    key = (n, profile, dtype)
     cached = _REACH_CACHE.get(key)
     if cached is None:
         masks = np.asarray(_frames(n, profile), dtype=np.int64)
-        bits = (masks[None, :] >> np.arange(n * n, dtype=np.int64)[:, None]) & 1
-        cached = _REACH_CACHE[key] = (bits == 0).reshape(n, n, len(masks), 1)
+        tensor = np.empty((n, n, len(masks), 1), dtype=dtype)
+        for w in range(n):
+            for u in range(n):
+                tensor[w, u, :, 0] = np.where(masks >> (w * n + u) & 1, 0, ~dtype.type(0))
+        cached = _REACH_CACHE[key] = tensor
+    return cached
+
+
+def _valuations(n: int, width: int) -> tuple[np.dtype, int, int, list[np.ndarray]]:
+    """(word dtype, valuations per word, words per world, atom tables) of the
+    ``2**(n * width)`` valuations of ``n`` worlds and ``width`` atoms.
+
+    Valuation v is bit ``v % per_word`` of word ``v // per_word``, in the
+    smallest unsigned dtype that holds all of them, else in as many uint64
+    words as they fill.  The table of atom index j is a (worlds, 1, words)
+    array of its truth: it is the same in every frame.
+    """
+    import numpy as np
+
+    key = (n, width)
+    cached = _VALUATION_CACHE.get(key)
+    if cached is None:
+        bits = n * width
+        per_word = min(1 << bits, 64)
+        dtype = np.dtype(f"uint{max(8, per_word)}")
+        count = max(1, (1 << bits) >> 6)
+        vmasks = np.arange(count * per_word, dtype=np.int64).reshape(count, per_word)
+        # (worlds, 1, words, valuations of a word), reduced to (worlds, 1, words)
+        shifts = np.arange(n, dtype=np.int64).reshape(n, 1, 1, 1) * width
+        place = np.arange(per_word, dtype=dtype)
+        tables = [
+            np.bitwise_or.reduce((vmasks >> (shifts + j) & 1).astype(dtype) << place, axis=3)
+            for j in range(width)
+        ]
+        cached = _VALUATION_CACHE[key] = (dtype, per_word, count, tables)
     return cached
 
 
@@ -221,11 +266,13 @@ def _vector_truth(
     unreach: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Truth table of a kernel formula, given as its ``postorder`` walk, as a
-    (worlds, frames, valuations) bool array, or one with a single frame
-    where it is the same in every frame.
+    (worlds, frames, words) array of valuation words, or one with a single
+    frame where it is the same in every frame.  Bit b of word i holds the
+    formula's truth under valuation ``i * per_word + b``; a word type wider
+    than the valuations has unused high bits.
 
-    ``unreach[agent][w, u, k]`` says world u is not an alternative of w for
-    that agent in frame k.
+    ``unreach[agent][w, u, k]`` is all ones when world u is not an
+    alternative of w for that agent in frame k, else zero.
     """
     truth: dict[Formula, np.ndarray] = {}
     for g in order:
@@ -273,15 +320,15 @@ def sat_upto(
         m = len(masks)
         num_frames = m**k  # 0**0 == 1: without agents the one frame is ()
         strides = [m ** (k - 1 - pos) for pos in range(k)]
-        num_vals = 1 << (n * width)
-        vmasks = np.arange(num_vals, dtype=np.int64)
-        shifts = np.arange(n, dtype=np.int64)[:, None, None] * width
-        # (worlds, 1, valuations): an atom's truth is the same in every frame
-        atom_truth = {
-            name: (vmasks >> (shifts + j) & 1).astype(bool) for j, name in enumerate(budget.atoms)
-        }
-        tensor = _reach_tensor(n, profile) if k else None
-        step = max(1, CHUNK_CELLS // (num_vals * n))
+        dtype, per_word, words, tables = _valuations(n, width)
+        atom_truth = dict(zip(budget.atoms, tables))
+        # a word type wider than the valuations leaves high bits unused; no
+        # atom holds there, so they repeat valuation 0, and the mask keeps
+        # the hit test from leaning on that
+        used = dtype.type((1 << per_word) - 1)
+        tensor = _reach_tensor(n, profile, dtype) if k else None
+        # a truth array is (n, frames, words), a reach array (n, n, frames, 1)
+        step = max(1, CHUNK_CELLS // (n * max(words, n) * dtype.itemsize))
         for start in range(0, num_frames, step):
             stop = min(start + step, num_frames)
             if k == 1:  # a view: one agent copies no reach array
@@ -292,9 +339,14 @@ def sat_upto(
                     agent: tensor[:, :, index // stride % m]
                     for agent, stride in zip(budget.agents, strides)
                 }
-            hits = _vector_truth(order, atom_truth, unreach)[0]
+            hits = (_vector_truth(order, atom_truth, unreach)[0] & used).reshape(-1)
             if hits.any():
-                offset, vmask = divmod(int(np.argmax(hits.reshape(-1))), num_vals)
+                # the first nonzero word in (frame, word) order, and its
+                # lowest set bit, is the first hit in enumeration order
+                first = int(np.flatnonzero(hits)[0])
+                word = int(hits[first])
+                offset, position = divmod(first, words)
+                vmask = position * per_word + (word & -word).bit_length() - 1
                 index = start + offset
                 frame = tuple(masks[index // stride % m] for stride in strides)
                 model = _build_model(n, frame, vmask, budget)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from conftest import random_formula
@@ -323,10 +324,41 @@ ORDER_BUDGETS = {
 }
 
 
+#: Budgets whose valuations fill exactly one uint64 word (2 worlds, 3 atoms)
+#: and four of them (2 worlds, 4 atoms), each with a few formulas.  Under
+#: 4 atoms, ``~r & C[a] r`` first holds with r at world 1 alone, valuation
+#: mask 64, the first bit of the second word, and ``~s & C[a](r & s)`` at
+#: mask 192, the first bit of the fourth.
+WORD_BUDGETS = {
+    "one-word": (
+        EnumerationBudget(max_worlds=2, atoms=("p", "q", "r"), agents=("a",)),
+        ("~r & C[a] r", "q & C[a] ~q & C[a](p & r)", "B[a](p & ~B[a] p)", "p & ~q & r"),
+    ),
+    "four-words": (
+        EnumerationBudget(max_worlds=2, atoms=("p", "q", "r", "s"), agents=("a",)),
+        ("~r & C[a] r", "~s & C[a](r & s)", "B[a](p & ~B[a] p)", "s & C[a] ~s"),
+    ),
+}
+
+
+def _vmask(model: ModelSystem, budget: EnumerationBudget) -> int:
+    """The valuation mask of a model, as the enumeration order numbers it."""
+    width = len(budget.atoms)
+    return sum(
+        1 << (w * width + j)
+        for w in range(model.worlds)
+        for j, atom in enumerate(budget.atoms)
+        if atom in model.valuation[w]
+    )
+
+
 class TestSearchOrder:
     """``sat_upto`` returns the first satisfying model of the documented
     enumeration order, for any agent count: the reference is a plain scan of
-    ``enumerate_models``."""
+    ``enumerate_models``.  It packs the valuations of a world count into
+    words, so the order is also checked where they fill one uint64 word or
+    several, where the first model's valuation lies past the first word, and
+    where a chunk is smaller than one frame's words."""
 
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     @pytest.mark.parametrize("name", ORDER_BUDGETS)
@@ -347,6 +379,76 @@ class TestSearchOrder:
                 (m for m in enumerate_models(budget, KD) if evaluate(m, 0, f)), None
             )
             assert sat_upto(f, budget, KD) == expected, render(f)
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    @pytest.mark.parametrize("name", WORD_BUDGETS)
+    def test_word_boundaries_keep_the_order(self, name, profile, monkeypatch):
+        budget, texts = WORD_BUDGETS[name]
+        for text in texts:
+            f = parse(text)
+            expected = next(
+                (m for m in enumerate_models(budget, profile) if evaluate(m, 0, f)), None
+            )
+            assert sat_upto(f, budget, profile) == expected, text
+            with monkeypatch.context() as patch:
+                # one frame of 2 worlds is 16 bytes of words or more
+                patch.setattr("doxa.oracle.CHUNK_CELLS", 8)
+                assert sat_upto(f, budget, profile) == expected, text
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_first_model_past_the_first_word(self, profile):
+        budget = WORD_BUDGETS["four-words"][0]
+        found = [_vmask(sat_upto(parse(text), budget, profile), budget)
+                 for text in ("~r & C[a] r", "~s & C[a](r & s)")]
+        assert found == [64, 192]
+
+
+#: sha256 of the JSON of the first model, or ``null``, that ``sat_upto``
+#: returned for ``_pinned_queries`` in order, as the one-byte-per-valuation
+#: scan returned them before valuations were packed into words.
+FIRST_MODELS_SHA256 = "fa95dbe647517e497636550fd09909553c9f18f6efb474368ccccfe6f65283a3"
+
+
+def _pinned_queries():
+    """200 seeded 1-atom, 1-agent formulas at 4 worlds, then 16 seeded
+    2-agent ones at 3 worlds, every other one conjoined with
+    ``C[a] p & C[b] ~p``, which takes two worlds; each under every profile."""
+    rng = random.Random(20240917)
+    one = [random_formula(rng, depth=4) for _ in range(200)]
+    rng = random.Random(20240917)
+    two = []
+    for i in range(16):
+        f = random_formula(rng, depth=3, atom_names=("p",), agent_names=("a", "b"))
+        two.append(And(f, parse("C[a] p & C[b] ~p")) if i % 2 else f)
+    budgets = (B4, EnumerationBudget(max_worlds=3, atoms=("p",), agents=("a", "b")))
+    for budget, formulas in zip(budgets, (one, two)):
+        for profile in PROFILES_BY_STRENGTH:
+            for f in formulas:
+                yield f, budget, profile
+
+
+def test_first_models_are_pinned():
+    digest = hashlib.sha256()
+    for f, budget, profile in _pinned_queries():
+        model = sat_upto(f, budget, profile)
+        found = None if model is None else model_to_json_dict(model)
+        digest.update(json.dumps(found, sort_keys=True).encode())
+    assert digest.hexdigest() == FIRST_MODELS_SHA256
+
+
+def test_a_warm_miss_stays_within_its_memory():
+    # a scan with one byte per (world, frame, valuation) cell peaked at
+    # 7.3 MB on this kd miss; 16 valuations packed in a uint16 word take
+    # an eighth of that per truth array
+    f = parse("B[a] p & ~B[a] p & C[a] ~p")
+    assert sat_upto(f, B4, KD) is None
+    tracemalloc.start()
+    try:
+        assert sat_upto(f, B4, KD) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_500_000
 
 
 class TestEngineAgreement:

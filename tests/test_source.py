@@ -371,3 +371,58 @@ def test_unread_option_check_sees_an_unread_option():
 def test_every_subcommand_option_is_read():
     # an option its command ignores looks like a choice to the user
     assert _unread_options(_build_parser()) == []
+
+
+#: numpy functions whose result is a bool array.
+BOOL_FUNCTIONS = {
+    "equal", "not_equal", "less", "less_equal", "greater", "greater_equal",
+    "logical_and", "logical_or", "logical_not", "logical_xor", "isin", "isnan",
+}
+_ORDERING = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _bool_arrays(func: ast.FunctionDef, scalars: set[str]) -> list[int]:
+    """Line numbers in ``func`` of each spelling of the bool dtype, each call
+    of a function in ``BOOL_FUNCTIONS``, and each comparison, which makes a
+    bool array of array operands, unless it compares only the int names in
+    ``scalars`` and constants."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and node.id == "bool":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in {"bool", "bool_"} | BOOL_FUNCTIONS:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Constant) and node.value in ("bool", "?"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(isinstance(op, _ORDERING) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            if not all(
+                isinstance(o, ast.Constant) or isinstance(o, ast.Name) and o.id in scalars
+                for o in operands
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_bool_array_check_sees_a_bool_array():
+    source = """
+def scan(hits, k, t):
+    if k == 1 and t is Atom:
+        a = hits != 0
+        b = hits.astype(bool)
+        c = np.zeros(3, dtype=np.bool_)
+        d = np.logical_not(hits)
+        e = hits.view("?")
+        return len(hits) > k
+"""
+    scan = ast.parse(source).body[0]
+    assert _bool_arrays(scan, {"k"}) == [4, 5, 6, 7, 8, 9]
+
+
+def test_oracle_scan_builds_no_bool_array():
+    # the truth arrays hold one bit per valuation in unsigned words; a bool
+    # array spends a byte on each
+    tree = ast.parse((Path(doxa.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("sat_upto", "_vector_truth"):
+        assert _bool_arrays(functions[name], {"k"}) == [], name

@@ -860,6 +860,17 @@ class TestClosureTable:
         Atom("afresh")
         assert ref() is None
 
+    def test_a_node_built_again_frees_dead_nodes(self):
+        Atom("p")
+        first = parse("B[a](gone1 | C[a] ~gone2)")
+        ref = weakref.ref(first.sub)
+        del first
+        gc.collect()
+        # the dead B[a] node's interning key holds its Or child until the
+        # next construction, here one that finds its node already interned
+        Atom("p")
+        assert ref() is None
+
     def test_search_builds_no_node(self, monkeypatch):
         built = []
         build = Formula.__new__
