@@ -26,8 +26,9 @@ import re
 import weakref
 from dataclasses import dataclass
 
-_AGENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_ATOM_RE = _AGENT_RE
+#: An agent or atom name: a lowercase identifier, the one form the parser
+#: reads as a name.
+NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +38,7 @@ class Agent:
     name: str
 
     def __post_init__(self) -> None:
-        if not _AGENT_RE.match(self.name):
+        if not NAME_RE.match(self.name):
             raise ValueError(f"invalid agent name: {self.name!r}")
 
     def __str__(self) -> str:
@@ -88,7 +89,7 @@ class Formula:
             names = cls.__match_args__
             if len(fields) != len(names):
                 raise TypeError(f"{cls.__name__} takes the fields {names}, got {len(fields)}")
-            if cls is Atom and not _ATOM_RE.match(fields[0]):
+            if cls is Atom and not NAME_RE.match(fields[0]):
                 raise ValueError(f"invalid atom name: {fields[0]!r}")
             node = object.__new__(cls)
             for name, value in zip(names, fields):

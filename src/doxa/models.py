@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .formula import (
+    NAME_RE,
     And,
     Atom,
     Bel,
@@ -585,10 +586,13 @@ def model_from_json_dict(data: object) -> ModelSystem:
             isinstance(atom_list, list) and all(isinstance(s, str) for s in atom_list),
             f"valuation for world {key} must be a list of atom names",
         )
+        for atom in atom_list:
+            _require(NAME_RE.match(atom), f"invalid atom name {atom!r}")
         valuation[int(key)] = frozenset(atom_list)
     alternatives_raw = data.get("alternatives", {})
     _require(isinstance(alternatives_raw, dict), "'alternatives' must be an object")
     for agent, pair_list in alternatives_raw.items():
+        _require(NAME_RE.match(agent), f"invalid agent name {agent!r}")
         _require(isinstance(pair_list, list), f"alternatives for {agent!r} must be a list")
         for pair in pair_list:
             _require(

@@ -24,43 +24,42 @@ The designated world is always 0.
 
 ``sat_upto`` answers "is there a model within this budget", which is only a
 lower bound: ``None`` means no model that small exists, not that the formula
-is unsatisfiable.  It is one numpy scan for any agent count.  Per world
-count and word type it caches a reach tensor of the m admissible masks of
-one agent; frame ``i < m**k`` of a k-agent budget gives the agent at
-position ``pos`` the mask ``(i // m**(k-1-pos)) % m``, which is the order
-above.  Truth values are packed into words, one bit per valuation, as
-``evaluate`` packs worlds into one int: valuation v of a world count is bit
-``v % b`` of word ``v // b``, in the smallest unsigned word of b bits that
-holds all ``2**(n * len(atoms))`` valuations, or in several uint64 words.  A
-truth array is then (worlds, frames, words), and ``~``, ``&``, ``|`` and
-``B`` are bitwise over whole words; the reach tensor holds all-ones or zero
-words, and the atom tables of each world count and atom count are built
-once.  Frames go through in chunks of at most ``CHUNK_CELLS`` bytes per
-truth array and per agent's reach array, so memory is bounded by the
-formula, not by the frame count.  The valuations of a world count are held
-all at once, so a budget may have at most ``MAX_VALUATION_BITS`` (20)
-valuation bits, ``max_worlds * len(atoms)``: past that,
-``EnumerationBudget`` raises ``ValueError``.  The first hit of a chunk, its
-first nonzero word in (frame, word) order and that word's lowest set bit, is
-the first in enumeration order; it is rebuilt and re-verified with the
-reference evaluator.  numpy is imported on the first call, not with the
-package.
+is unsatisfiable.  It is one numpy scan for any agent count.  The frames of
+a world count form a grid with one axis per agent, in budget order, over
+that agent's m admissible masks, so the order above is the grid's C order.
+Truth values are packed into words, one bit per valuation, as ``evaluate``
+packs worlds into one int: valuation v of a world count is bit ``v % b`` of
+word ``v // b``, in the smallest unsigned word of b bits that holds all
+``2**(n * len(atoms))`` valuations, or in several uint64 words.  A truth
+array is then (worlds, one axis per agent, words), with length 1 on the axis
+of an agent it does not depend on, and ``~``, ``&``, ``|`` and ``B`` are
+bitwise over whole words.  Per world count and word type a reach tensor over
+the m admissible masks of one agent is cached; it holds all-ones or zero
+words, and each agent reads it as a view with its masks on its own axis.
+The atom tables of each world count, atom count and agent count are built
+once.  The grid goes through in chunks, each a run of the first agent's
+masks with every mask of the others, of at most ``CHUNK_CELLS`` bytes per
+truth array, so memory is bounded by the formula, not by the frame count.
+The valuations of a world count are held all at once, so a budget may have
+at most ``MAX_VALUATION_BITS`` (20) valuation bits,
+``max_worlds * len(atoms)``: past that, ``EnumerationBudget`` raises
+``ValueError``.  The first hit of a chunk, its first nonzero word in C order
+and that word's lowest set bit, is the first in enumeration order; it is
+rebuilt and re-verified with the reference evaluator.  numpy is imported on
+the first call, not with the package.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .formula import And, Atom, Bel, Formula, Not, Or, desugar, postorder
+from .formula import NAME_RE, And, Atom, Bel, Formula, Not, Or, desugar, postorder
 from .models import PROFILE_RULES, LogicProfile, ModelSystem, evaluate
 
 if TYPE_CHECKING:
     import numpy as np
-
-_NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 #: Hard ceiling on budget size; 5 worlds already means 2**25 relations.
 MAX_BUDGET_WORLDS = 5
@@ -121,7 +120,7 @@ class EnumerationBudget:
         object.__setattr__(self, "agents", tuple(self.agents))
         for kind, names in (("atom", self.atoms), ("agent", self.agents)):
             for name in names:
-                if not isinstance(name, str) or not _NAME.match(name):
+                if not isinstance(name, str) or not NAME_RE.match(name):
                     raise ValueError(f"invalid {kind} name {name!r}")
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate {kind} names in budget")
@@ -133,15 +132,17 @@ class EnumerationBudget:
             )
 
 
-#: Most bytes in one truth array of ``sat_upto`` and in each agent's reach
-#: array of its chunk, and most (world, candidate mask) rows in one chunk of
-#: ``_frames``; a chunk of ``sat_upto`` holds at least one frame, with all
-#: its valuation words.
+#: Most bytes in one truth array of a ``sat_upto`` chunk, at max(words,
+#: worlds) words per (world, frame) cell, and most (world, candidate mask)
+#: rows in one chunk of ``_frames``.  A chunk of ``sat_upto`` holds at least
+#: one mask of the first agent times every mask of the others, with all
+#: their valuation words, whatever the bound: for 2 agents, 4 worlds and
+#: 2 atoms under kd that floor is 6.5 MB per truth array.
 CHUNK_CELLS = 1 << 20
 
 _MASK_CACHE: dict[tuple[int, LogicProfile], list[int]] = {}
 _REACH_CACHE: dict[tuple[int, LogicProfile, np.dtype], np.ndarray] = {}
-_VALUATION_CACHE: dict[tuple[int, int], tuple[np.dtype, int, int, list[np.ndarray]]] = {}
+_VALUATION_CACHE: dict[tuple[int, int, int], tuple[np.dtype, int, int, list[np.ndarray]]] = {}
 
 
 def _frames(n: int, profile: LogicProfile) -> list[int]:
@@ -175,12 +176,13 @@ def _frames(n: int, profile: LogicProfile) -> list[int]:
 def _reach_tensor(n: int, profile: LogicProfile, dtype: np.dtype) -> np.ndarray:
     """(worlds, worlds, masks, 1) array of ``dtype`` words over the admissible
     masks, all ones at ``[w, u, i]`` when world u is *not* an alternative of
-    w under mask i, else zero."""
-    import numpy as np
-
+    w under mask i, else zero.  ``sat_upto`` reads it through views that put
+    the masks on one agent's axis."""
     key = (n, profile, dtype)
     cached = _REACH_CACHE.get(key)
     if cached is None:
+        import numpy as np
+
         masks = np.asarray(_frames(n, profile), dtype=np.int64)
         tensor = np.empty((n, n, len(masks), 1), dtype=dtype)
         for w in range(n):
@@ -190,30 +192,32 @@ def _reach_tensor(n: int, profile: LogicProfile, dtype: np.dtype) -> np.ndarray:
     return cached
 
 
-def _valuations(n: int, width: int) -> tuple[np.dtype, int, int, list[np.ndarray]]:
+def _valuations(n: int, width: int, k: int) -> tuple[np.dtype, int, int, list[np.ndarray]]:
     """(word dtype, valuations per word, words per world, atom tables) of the
     ``2**(n * width)`` valuations of ``n`` worlds and ``width`` atoms.
 
     Valuation v is bit ``v % per_word`` of word ``v // per_word``, in the
     smallest unsigned dtype that holds all of them, else in as many uint64
-    words as they fill.  The table of atom index j is a (worlds, 1, words)
-    array of its truth: it is the same in every frame.
+    words as they fill.  The table of atom index j is a (worlds, 1, ..., 1,
+    words) array of its truth, with one axis of length 1 for each of ``k``
+    agents: it is the same in every frame.
     """
-    import numpy as np
-
-    key = (n, width)
+    key = (n, width, k)
     cached = _VALUATION_CACHE.get(key)
     if cached is None:
+        import numpy as np
+
         bits = n * width
         per_word = min(1 << bits, 64)
         dtype = np.dtype(f"uint{max(8, per_word)}")
         count = max(1, (1 << bits) >> 6)
         vmasks = np.arange(count * per_word, dtype=np.int64).reshape(count, per_word)
-        # (worlds, 1, words, valuations of a word), reduced to (worlds, 1, words)
-        shifts = np.arange(n, dtype=np.int64).reshape(n, 1, 1, 1) * width
+        # (worlds, 1 per agent, words, valuations of a word), reduced over
+        # the last axis
+        shifts = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (k + 2)) * width
         place = np.arange(per_word, dtype=dtype)
         tables = [
-            np.bitwise_or.reduce((vmasks >> (shifts + j) & 1).astype(dtype) << place, axis=3)
+            np.bitwise_or.reduce((vmasks >> (shifts + j) & 1).astype(dtype) << place, axis=-1)
             for j in range(width)
         ]
         cached = _VALUATION_CACHE[key] = (dtype, per_word, count, tables)
@@ -266,13 +270,14 @@ def _vector_truth(
     unreach: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Truth table of a kernel formula, given as its ``postorder`` walk, as a
-    (worlds, frames, words) array of valuation words, or one with a single
-    frame where it is the same in every frame.  Bit b of word i holds the
-    formula's truth under valuation ``i * per_word + b``; a word type wider
-    than the valuations has unused high bits.
+    (worlds, one axis per agent, words) array of valuation words, with
+    length 1 on the axis of an agent it does not depend on.  Bit b of word i
+    holds the formula's truth under valuation ``i * per_word + b``; a word
+    type wider than the valuations has unused high bits.
 
-    ``unreach[agent][w, u, k]`` is all ones when world u is not an
-    alternative of w for that agent in frame k, else zero.
+    ``unreach[agent][w, u, ..., i, ..., 0]``, with i on that agent's axis
+    and 0 on the others, is all ones when world u is not an alternative of w
+    under the agent's mask i, else zero.
     """
     truth: dict[Formula, np.ndarray] = {}
     for g in order:
@@ -318,37 +323,39 @@ def sat_upto(
     for n in range(1, budget.max_worlds + 1):
         masks = _frames(n, profile) if k else []
         m = len(masks)
-        num_frames = m**k  # 0**0 == 1: without agents the one frame is ()
-        strides = [m ** (k - 1 - pos) for pos in range(k)]
-        dtype, per_word, words, tables = _valuations(n, width)
+        dtype, per_word, words, tables = _valuations(n, width, k)
         atom_truth = dict(zip(budget.atoms, tables))
         # a word type wider than the valuations leaves high bits unused; no
         # atom holds there, so they repeat valuation 0, and the mask keeps
         # the hit test from leaning on that
         used = dtype.type((1 << per_word) - 1)
-        tensor = _reach_tensor(n, profile, dtype) if k else None
-        # a truth array is (n, frames, words), a reach array (n, n, frames, 1)
-        step = max(1, CHUNK_CELLS // (n * max(words, n) * dtype.itemsize))
-        for start in range(0, num_frames, step):
-            stop = min(start + step, num_frames)
-            if k == 1:  # a view: one agent copies no reach array
-                unreach = {budget.agents[0]: tensor[:, :, start:stop]}
-            else:
-                index = np.arange(start, stop)
-                unreach = {
-                    agent: tensor[:, :, index // stride % m]
-                    for agent, stride in zip(budget.agents, strides)
-                }
-            hits = (_vector_truth(order, atom_truth, unreach)[0] & used).reshape(-1)
-            if hits.any():
-                # the first nonzero word in (frame, word) order, and its
-                # lowest set bit, is the first hit in enumeration order
-                first = int(np.flatnonzero(hits)[0])
-                word = int(hits[first])
-                offset, position = divmod(first, words)
-                vmask = position * per_word + (word & -word).bit_length() - 1
-                index = start + offset
-                frame = tuple(masks[index // stride % m] for stride in strides)
+        # agent pos reads the reach tensor with its masks on grid axis pos
+        views = [
+            _reach_tensor(n, profile, dtype).reshape(
+                (n, n) + (1,) * pos + (m,) + (1,) * (k - pos)
+            )
+            for pos in range(k)
+        ]
+        # a chunk is a run of the first agent's masks times every mask of
+        # the others; without agents the one frame is ()
+        step = max(1, CHUNK_CELLS // (n * max(words, n) * dtype.itemsize * m ** max(k - 1, 0)))
+        for start in range(0, m if k else 1, step):
+            unreach = {
+                agent: view if pos else view[:, :, start : start + step]
+                for pos, (agent, view) in enumerate(zip(budget.agents, views))
+            }
+            hits = _vector_truth(order, atom_truth, unreach)[0] & used
+            found = hits.ravel().nonzero()[0]
+            if len(found):
+                # the first nonzero word in C order, (mask of each agent,
+                # word), and its lowest set bit, is the first hit in
+                # enumeration order; an axis of length 1 is one the formula
+                # does not read, and its index 0 stands for the first mask
+                first = int(found[0])
+                word = int(hits.flat[first])
+                *index, position = np.unravel_index(first, hits.shape)
+                vmask = int(position) * per_word + (word & -word).bit_length() - 1
+                frame = tuple(masks[i + (0 if pos else start)] for pos, i in enumerate(index))
                 model = _build_model(n, frame, vmask, budget)
                 if not evaluate(model, 0, kernel):
                     raise RuntimeError(

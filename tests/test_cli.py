@@ -300,6 +300,27 @@ class TestCheckModel:
         assert (code, out) == (2, "")
         assert err == f"error: invalid model in {path}: 'worlds' is above the limit of 4096\n"
 
+    @pytest.mark.parametrize(
+        ("alternatives", "valuation", "message"),
+        [
+            ({"A B": [[0, 1]]}, {"0": ["p"]}, "invalid agent name 'A B'"),
+            ({"a": [[0, 1]]}, {"0": ["P Q"]}, "invalid atom name 'P Q'"),
+            ({"": [[0, 1]]}, {}, "invalid agent name ''"),
+            ({"a": [[0, 1]]}, {"1": [""]}, "invalid atom name ''"),
+        ],
+    )
+    def test_name_no_formula_can_write_is_invalid(
+        self, capsys, tmp_path, alternatives, valuation, message
+    ):
+        # no formula can name such an agent or atom, so a frame check of it
+        # (exit 1 for a serial violation of "A B") would answer nothing
+        path = self._write(
+            tmp_path, {"worlds": 2, "alternatives": alternatives, "valuation": valuation}
+        )
+        code, out, err = run_cli(capsys, "check-model", path, "--profile", "kd")
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid model in {path}: {message}\n"
+
     def test_invalid_model_data(self, capsys, tmp_path):
         path = self._write(tmp_path, {"worlds": "2"})
         code, _, err = run_cli(capsys, "check-model", path)

@@ -458,6 +458,10 @@ class TestJsonRoundTrip:
             (lambda d: d.update(worlds=MAX_MODEL_WORLDS + 1), "above the limit of 4096"),
             (lambda d: d.update(worlds=10**9), "above the limit of 4096"),
             (lambda d: d.update(labels={"0": "p"}), "must be a list of formula strings"),
+            (lambda d: d.update(alternatives={"A B": [[0, 1]]}), "invalid agent name 'A B'"),
+            (lambda d: d.update(alternatives={"": []}), "invalid agent name ''"),
+            (lambda d: d.update(valuation={"0": ["P Q"]}), "invalid atom name 'P Q'"),
+            (lambda d: d.update(valuation={"1": [""]}), "invalid atom name ''"),
             *(
                 (lambda d, field=field, key=key: d.update({field: {key: ["p"]}}),
                  f"{field} key '{key}' is not a world index")

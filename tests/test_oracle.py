@@ -9,6 +9,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from conftest import random_formula
 
@@ -30,7 +31,7 @@ from doxa import (
     render,
     sat_upto,
 )
-from doxa.oracle import _frames
+from doxa.oracle import _frames, _reach_tensor, _vector_truth
 
 HSTAR = LogicProfile.HSTAR
 KD = LogicProfile.KD
@@ -436,19 +437,53 @@ def test_first_models_are_pinned():
     assert digest.hexdigest() == FIRST_MODELS_SHA256
 
 
+def _warm_miss_peak(text: str, budget: EnumerationBudget) -> int:
+    """tracemalloc peak of a kd ``sat_upto`` miss, run once before to warm
+    the caches."""
+    f = parse(text)
+    assert sat_upto(f, budget, KD) is None
+    tracemalloc.start()
+    try:
+        assert sat_upto(f, budget, KD) is None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_warm_miss_stays_within_its_memory():
     # a scan with one byte per (world, frame, valuation) cell peaked at
     # 7.3 MB on this kd miss; 16 valuations packed in a uint16 word take
     # an eighth of that per truth array
-    f = parse("B[a] p & ~B[a] p & C[a] ~p")
-    assert sat_upto(f, B4, KD) is None
-    tracemalloc.start()
-    try:
-        assert sat_upto(f, B4, KD) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3_500_000
+    assert _warm_miss_peak("B[a] p & ~B[a] p & C[a] ~p", B4) < 3_500_000
+
+
+def test_a_warm_two_agent_miss_stays_within_its_memory():
+    # gathering each agent's reach rows per chunk peaked at 4.55 MB on this
+    # kd miss; views of the reach tensor copy nothing
+    budget = EnumerationBudget(max_worlds=3, atoms=("p", "q"), agents=("a", "b"))
+    assert _warm_miss_peak("B[a] p & ~B[a] p & C[b] ~p", budget) < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [B4, ORDER_BUDGETS["2-agents-2-atoms"], ORDER_BUDGETS["3-agents-1-atom"]],
+    ids=["1-agent", "2-agents", "3-agents"],
+)
+def test_every_reach_array_is_a_view(budget, monkeypatch):
+    seen = []
+
+    def recording(order, atom_truth, unreach):
+        seen.extend(unreach.values())
+        return _vector_truth(order, atom_truth, unreach)
+
+    monkeypatch.setattr("doxa.oracle._vector_truth", recording)
+    for f in _seeded_formulas(budget, 10):
+        sat_upto(f, budget, KD)
+    assert seen
+    for array in seen:
+        tensor = _reach_tensor(len(array), KD, array.dtype)
+        assert np.shares_memory(array, tensor)
+        assert not array.flags.owndata
 
 
 class TestEngineAgreement:
