@@ -37,9 +37,11 @@ bitwise over whole words.  Per world count and word type a reach tensor over
 the m admissible masks of one agent is cached; it holds all-ones or zero
 words, and each agent reads it as a view with its masks on its own axis.
 The atom tables of each world count, atom count and agent count are built
-once.  The grid goes through in chunks, each a run of the first agent's
-masks with every mask of the others, of at most ``CHUNK_CELLS`` bytes per
-truth array, so memory is bounded by the formula, not by the frame count.
+once.  The grid goes through in chunks of at most ``CHUNK_CELLS`` bytes per
+truth array, or of one frame if that is larger: a chunk holds every mask of
+the last agents, a run of masks of the agent before them and one mask of
+each earlier agent, so memory is bounded by the formula, not by the frame
+count or the agent count.
 The valuations of a world count are held all at once, so a budget may have
 at most ``MAX_VALUATION_BITS`` (20) valuation bits,
 ``max_worlds * len(atoms)``: past that, ``EnumerationBudget`` raises
@@ -135,9 +137,7 @@ class EnumerationBudget:
 #: Most bytes in one truth array of a ``sat_upto`` chunk, at max(words,
 #: worlds) words per (world, frame) cell, and most (world, candidate mask)
 #: rows in one chunk of ``_frames``.  A chunk of ``sat_upto`` holds at least
-#: one mask of the first agent times every mask of the others, with all
-#: their valuation words, whatever the bound: for 2 agents, 4 worlds and
-#: 2 atoms under kd that floor is 6.5 MB per truth array.
+#: one frame with all its valuation words, whatever the bound.
 CHUNK_CELLS = 1 << 20
 
 _MASK_CACHE: dict[tuple[int, LogicProfile], list[int]] = {}
@@ -329,20 +329,24 @@ def sat_upto(
         # atom holds there, so they repeat valuation 0, and the mask keeps
         # the hit test from leaning on that
         used = dtype.type((1 << per_word) - 1)
-        # agent pos reads the reach tensor with its masks on grid axis pos
-        views = [
-            _reach_tensor(n, profile, dtype).reshape(
-                (n, n) + (1,) * pos + (m,) + (1,) * (k - pos)
-            )
-            for pos in range(k)
-        ]
-        # a chunk is a run of the first agent's masks times every mask of
-        # the others; without agents the one frame is ()
-        step = max(1, CHUNK_CELLS // (n * max(words, n) * dtype.itemsize * m ** max(k - 1, 0)))
-        for start in range(0, m if k else 1, step):
+        # a chunk takes a run of masks on each agent's axis: whole axes from
+        # the last agent back while the frames fit in CHUNK_CELLS, then a
+        # shorter run, then one mask each; runs[pos] is agent pos's
+        frames = max(1, CHUNK_CELLS // (n * max(words, n) * dtype.itemsize))
+        runs = []
+        for _ in range(k):
+            runs.insert(0, min(m, frames))
+            frames = max(1, frames // m)
+        tensor = _reach_tensor(n, profile, dtype) if k else None
+        # without agents the one chunk is the one frame ()
+        for starts in product(*(range(0, m, run) for run in runs)):
+            # agent pos reads its run of the reach tensor as a view with the
+            # masks on grid axis pos
             unreach = {
-                agent: view if pos else view[:, :, start : start + step]
-                for pos, (agent, view) in enumerate(zip(budget.agents, views))
+                agent: tensor[:, :, lo : lo + run].reshape(
+                    (n, n) + (1,) * pos + (-1,) + (1,) * (k - pos)
+                )
+                for pos, (agent, lo, run) in enumerate(zip(budget.agents, starts, runs))
             }
             hits = _vector_truth(order, atom_truth, unreach)[0] & used
             found = hits.ravel().nonzero()[0]
@@ -350,12 +354,13 @@ def sat_upto(
                 # the first nonzero word in C order, (mask of each agent,
                 # word), and its lowest set bit, is the first hit in
                 # enumeration order; an axis of length 1 is one the formula
-                # does not read, and its index 0 stands for the first mask
+                # does not read, and its index 0 stands for the run's first
+                # mask
                 first = int(found[0])
                 word = int(hits.flat[first])
                 *index, position = np.unravel_index(first, hits.shape)
                 vmask = int(position) * per_word + (word & -word).bit_length() - 1
-                frame = tuple(masks[i + (0 if pos else start)] for pos, i in enumerate(index))
+                frame = tuple(masks[lo + i] for lo, i in zip(starts, index))
                 model = _build_model(n, frame, vmask, budget)
                 if not evaluate(model, 0, kernel):
                     raise RuntimeError(

@@ -381,6 +381,20 @@ class TestSearchOrder:
             )
             assert sat_upto(f, budget, KD) == expected, render(f)
 
+    @pytest.mark.parametrize("cells", [24, 108])
+    def test_chunks_split_at_a_later_agent_keep_the_order(self, cells, monkeypatch):
+        # one 2-world frame is 4 bytes here, so a chunk holds 6 or 27 of
+        # the 9**3 frames: one mask of the first two agents and a run of the
+        # third's, or one of the first, a run of the second's and all of the
+        # third's
+        monkeypatch.setattr("doxa.oracle.CHUNK_CELLS", cells)
+        budget = ORDER_BUDGETS["3-agents-1-atom"]
+        for f in _seeded_formulas(budget, 40):
+            expected = next(
+                (m for m in enumerate_models(budget, KD) if evaluate(m, 0, f)), None
+            )
+            assert sat_upto(f, budget, KD) == expected, render(f)
+
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     @pytest.mark.parametrize("name", WORD_BUDGETS)
     def test_word_boundaries_keep_the_order(self, name, profile, monkeypatch):
@@ -437,14 +451,16 @@ def test_first_models_are_pinned():
     assert digest.hexdigest() == FIRST_MODELS_SHA256
 
 
-def _warm_miss_peak(text: str, budget: EnumerationBudget) -> int:
-    """tracemalloc peak of a kd ``sat_upto`` miss, run once before to warm
-    the caches."""
+def _warm_peak(text: str, budget: EnumerationBudget, worlds: int | None = None) -> int:
+    """tracemalloc peak of a kd ``sat_upto`` call, run once before to warm
+    the caches, whose first model has ``worlds`` worlds, or which misses
+    when ``worlds`` is None."""
     f = parse(text)
-    assert sat_upto(f, budget, KD) is None
+    model = sat_upto(f, budget, KD)
+    assert (None if model is None else model.worlds) == worlds
     tracemalloc.start()
     try:
-        assert sat_upto(f, budget, KD) is None
+        assert sat_upto(f, budget, KD) == model
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,14 +470,23 @@ def test_a_warm_miss_stays_within_its_memory():
     # a scan with one byte per (world, frame, valuation) cell peaked at
     # 7.3 MB on this kd miss; 16 valuations packed in a uint16 word take
     # an eighth of that per truth array
-    assert _warm_miss_peak("B[a] p & ~B[a] p & C[a] ~p", B4) < 3_500_000
+    assert _warm_peak("B[a] p & ~B[a] p & C[a] ~p", B4) < 3_500_000
 
 
 def test_a_warm_two_agent_miss_stays_within_its_memory():
     # gathering each agent's reach rows per chunk peaked at 4.55 MB on this
     # kd miss; views of the reach tensor copy nothing
     budget = EnumerationBudget(max_worlds=3, atoms=("p", "q"), agents=("a", "b"))
-    assert _warm_miss_peak("B[a] p & ~B[a] p & C[b] ~p", budget) < 2_000_000
+    assert _warm_peak("B[a] p & ~B[a] p & C[b] ~p", budget) < 2_000_000
+
+
+def test_a_warm_three_agent_hit_stays_within_its_memory():
+    # chunks of one mask of the first agent times every mask of the others,
+    # 343**2 frames and 2.8 MB per truth array here, peaked at 3.8 MB on
+    # this kd hit, which takes three worlds; chunks that split the second
+    # agent's axis to fit CHUNK_CELLS peak at 0.5 MB
+    budget = EnumerationBudget(max_worlds=3, atoms=("p", "q"), agents=("a", "b", "c"))
+    assert _warm_peak("p & q & ~B[b](p | q) & ~B[c](~p | q)", budget, worlds=3) < 1_500_000
 
 
 @pytest.mark.parametrize(
