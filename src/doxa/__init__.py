@@ -42,6 +42,7 @@ from .formula import (
     subformulas,
 )
 from .models import (
+    InternalVerificationError,
     LabeledModelSystem,
     LogicProfile,
     ModelSystem,
@@ -64,7 +65,6 @@ from .oracle import (
 )
 from .parser import ParseError, SourceSpan, format_parse_error, parse
 from .tableau import (
-    InternalVerificationError,
     ProofStep,
     RULES,
     SatVerdict,

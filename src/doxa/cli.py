@@ -12,6 +12,13 @@ Exit codes follow one convention everywhere: 0 for a positive outcome
 error.  Text output colors verdicts when attached to a terminal unless
 ``DOXA_COLOR=0``; ``--output json`` prints stable machine-readable JSON
 with sorted keys.
+
+A subcommand writes only its verdict to stdout and returns 0 or 1; an input
+it refuses or an engine defect it meets, it raises.  ``main`` alone turns
+those into exit 2 and their report on stderr, with nothing on stdout: a
+formula argument that does not parse gets the three-line caret report of
+``format_parse_error``, anything else one ``error:`` line.  argparse
+reports its own usage errors, also with exit 2.
 """
 
 from __future__ import annotations
@@ -26,9 +33,12 @@ from pathlib import Path
 from .corpus import load_corpus, run_corpus
 from .formula import Formula, agents, atoms, render
 from .models import (
+    InternalVerificationError,
+    LabeledModelSystem,
     LogicProfile,
     ModelSystem,
     PROFILES_BY_STRENGTH,
+    _unique_keys,
     check_model_set,
     evaluate,
     labeled_from_json_dict,
@@ -36,7 +46,7 @@ from .models import (
 )
 from .oracle import MAX_BUDGET_WORLDS, EnumerationBudget, sat_upto
 from .parser import ParseError, format_parse_error, parse
-from .tableau import InternalVerificationError, decide, render_trace, verdict_to_json_dict
+from .tableau import decide, render_trace, verdict_to_json_dict
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -53,12 +63,16 @@ def _verdict_word(word: str, positive: bool) -> str:
     return f"{_GREEN if positive else _RED}{word}{_RESET}"
 
 
-def _parse_formula(text: str) -> Formula | None:
+class _Unparsed(Exception):
+    """A formula argument that does not parse; its text is the caret
+    report, which ``main`` prints as it is."""
+
+
+def _parse_formula(text: str) -> Formula:
     try:
         return parse(text)
     except ParseError as err:
-        print(format_parse_error(text, err), file=sys.stderr)
-        return None
+        raise _Unparsed(format_parse_error(text, err)) from None
 
 
 def _out(text: str) -> None:
@@ -93,8 +107,6 @@ def _render_model_text(model: ModelSystem) -> str:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     f = _parse_formula(args.formula)
-    if f is None:
-        return 2
     profile = LogicProfile.from_name(args.profile)
     verdict = decide(f, profile, args.mode)
     if args.output == "json":
@@ -110,48 +122,31 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0 if verdict.positive else 1
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict, refusing a repeated key, of which
-    ``json.loads`` would otherwise keep the last value without a word."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"repeated key {json.dumps(key)}")
-        obj[key] = value
-    return obj
+def _read_model(path: str) -> LabeledModelSystem:
+    """The model in the JSON file ``path``.  A file that cannot be read or
+    holds no valid model raises ``ValueError`` naming the file."""
+    try:
+        text = Path(path).read_text("utf-8")
+        return labeled_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
+    except OSError as err:
+        raise ValueError(f"cannot read {path}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(
+            f"malformed JSON in {path}: {err.msg} (line {err.lineno}, column {err.colno})"
+        ) from None
+    except RecursionError:
+        raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
+    except (ValueError, TypeError) as err:
+        raise ValueError(f"invalid model in {path}: {err}") from None
 
 
 def cmd_check_model(args: argparse.Namespace) -> int:
-    try:
-        raw = json.loads(Path(args.model).read_text("utf-8"), object_pairs_hook=_unique_keys)
-    except OSError as err:
-        print(f"error: cannot read {args.model}: {err}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as err:
-        print(
-            f"error: malformed JSON in {args.model}: {err.msg} "
-            f"(line {err.lineno}, column {err.colno})",
-            file=sys.stderr,
-        )
-        return 2
-    except RecursionError:
-        print(f"error: malformed JSON in {args.model}: nested too deeply", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: invalid model in {args.model}: {err}", file=sys.stderr)
-        return 2
+    labeled = _read_model(args.model)
     profile = LogicProfile.from_name(args.profile)
-    try:
-        labeled = labeled_from_json_dict(raw)
-    except (ValueError, TypeError, ParseError) as err:
-        print(f"error: invalid model in {args.model}: {err}", file=sys.stderr)
-        return 2
     model = labeled.model
     f = None
     if args.formula is not None:
         f = _parse_formula(args.formula)
-        if f is None:
-            return 2
         # An agent the file omits has no alternatives, and the frame
         # conditions apply to it too.
         missing = {a.name for a in agents(f)} - set(model.rows)
@@ -187,12 +182,7 @@ def cmd_check_model(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    try:
-        entries = load_corpus(args.path)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    result = run_corpus(entries)
+    result = run_corpus(load_corpus(args.path))
     if args.output == "json":
         _dump_json(result.to_json_dict())
     else:
@@ -210,8 +200,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     f = _parse_formula(args.formula)
-    if f is None:
-        return 2
     profiles = [LogicProfile.from_name(p.strip()) for p in args.profiles.split(",")]
     if len(set(profiles)) != len(profiles):
         raise ValueError("duplicate profile names in --profiles")
@@ -240,14 +228,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     f = _parse_formula(args.formula)
-    if f is None:
-        return 2
     if not 1 <= args.max_worlds <= MAX_BUDGET_WORLDS:
-        print(
-            f"error: --max-worlds must be between 1 and {MAX_BUDGET_WORLDS}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--max-worlds must be between 1 and {MAX_BUDGET_WORLDS}")
     profile = LogicProfile.from_name(args.profile)
     budget = EnumerationBudget(
         max_worlds=args.max_worlds,
@@ -351,7 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except _Unparsed as err:
+        print(err, file=sys.stderr)
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
     except (InternalVerificationError, RecursionError) as err:
         print(f"error: internal engine error: {err}", file=sys.stderr)

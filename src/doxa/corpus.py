@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .models import LogicProfile
+from .models import LogicProfile, _unique_keys
 from .parser import ParseError, parse
 from .tableau import decide
 
@@ -113,7 +113,9 @@ def _entry_from_dict(raw: dict, where: str) -> CorpusEntry:
 
 
 def load_corpus(path: str | Path | None = None) -> tuple[CorpusEntry, ...]:
-    """Load corpus entries from ``path``, or the bundled corpus by default."""
+    """Load corpus entries from ``path``, or the bundled corpus by default.
+    A row that is not valid JSON, repeats a key or breaks the row schema
+    raises ``ValueError`` naming its file and line."""
     if path is None:
         text = (
             resources.files("doxa").joinpath("data/corpus.jsonl").read_text("utf-8")
@@ -128,11 +130,12 @@ def load_corpus(path: str | Path | None = None) -> tuple[CorpusEntry, ...]:
             continue
         where = f"{origin}:{lineno}"
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{where}: {err}") from None
+            raw = json.loads(line, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{where}: JSON nested too deeply") from None
+        except ValueError as err:
+            # a decode error, a repeated key or an integer too long to convert
+            raise ValueError(f"{where}: {err}") from None
         entries.append(_entry_from_dict(raw, where))
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):

@@ -39,6 +39,7 @@ of the profile, reporting each breach as a ``Violation``.
 from __future__ import annotations
 
 import enum
+import json
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -205,6 +206,13 @@ class Violation:
     worlds: tuple[int, ...]
     formula: Formula | None = None
     message: str = ""
+
+
+class InternalVerificationError(Exception):
+    """A defect in an engine, never a property of the input formula: a
+    tableau model failed its own verification or a termination bound was
+    exceeded, or a model the oracle's vectorized scan found is false under
+    ``evaluate``."""
 
 
 def evaluate(m: ModelSystem, w: int, f: Formula) -> bool:
@@ -555,6 +563,18 @@ _WORLD_KEY = re.compile("0|[1-9][0-9]*")
 #: is known to return has 1,957 worlds, and the frame check of a 4,096-world
 #: model takes seconds per agent, where a huge count would exhaust memory.
 MAX_MODEL_WORLDS = 4096
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key, of which
+    ``json.loads`` would otherwise keep the last value without a word.
+    Model files and corpus rows are read with it."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
 
 
 def _require(condition: object, message: str) -> None:

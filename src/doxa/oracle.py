@@ -47,8 +47,10 @@ at most ``MAX_VALUATION_BITS`` (20) valuation bits,
 ``max_worlds * len(atoms)``: past that, ``EnumerationBudget`` raises
 ``ValueError``.  The first hit of a chunk, its first nonzero word in C order
 and that word's lowest set bit, is the first in enumeration order; it is
-rebuilt and re-verified with the reference evaluator.  numpy is imported on
-the first call, not with the package.
+rebuilt and re-verified with the reference evaluator; a model that
+evaluator finds false is a defect of the scan, not a property of the
+formula, and raises ``models.InternalVerificationError``, as a defect of the
+tableau does.  numpy is imported on the first call, not with the package.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .formula import NAME_RE, And, Atom, Bel, Formula, Not, Or, desugar, postorder
-from .models import PROFILE_RULES, LogicProfile, ModelSystem, evaluate
+from .models import PROFILE_RULES, InternalVerificationError, LogicProfile, ModelSystem, evaluate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -363,7 +365,7 @@ def sat_upto(
                 frame = tuple(masks[lo + i] for lo, i in zip(starts, index))
                 model = _build_model(n, frame, vmask, budget)
                 if not evaluate(model, 0, kernel):
-                    raise RuntimeError(
+                    raise InternalVerificationError(
                         "vectorized evaluation disagreed with the reference evaluator"
                     )
                 return model

@@ -183,7 +183,11 @@ def parse(text: str) -> Formula:
 
 
 def format_parse_error(text: str, err: ParseError) -> str:
-    """Show the offending input with a caret line under the error span."""
+    """Show the offending input with a caret line under the error span.
+    Each whitespace character of the input is shown as one space, so that
+    a newline or a tab neither adds a line to the report nor shifts the
+    carets off the span."""
     width = max(1, err.span.end - err.span.start)
     caret_line = " " * err.span.start + "^" * width
-    return f"{err.message}\n  {text}\n  {caret_line}"
+    shown = re.sub(r"\s", " ", text)
+    return f"{err.message}\n  {shown}\n  {caret_line}"

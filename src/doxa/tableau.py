@@ -230,6 +230,7 @@ from .models import (
     C_CB,
     PROFILE_RULES,
     PROPOSITIONAL_RULES,
+    InternalVerificationError,
     LogicProfile,
     ModalRule,
     ModelSystem,
@@ -370,12 +371,6 @@ def _compile(query: Formula) -> _Closure:
     if table is None or table.query is not query:
         table = _LAST = _Closure(query)
     return table
-
-
-class InternalVerificationError(Exception):
-    """A produced model failed its own verification, or a termination bound
-    was exceeded.  Indicates a defect in the engine, never a property of the
-    input formula."""
 
 
 @dataclass(frozen=True)

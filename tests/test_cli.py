@@ -472,6 +472,15 @@ class TestOracle:
         assert out == ""
         assert err.startswith("error: budget of 4 worlds and 7 atoms") and err.count("\n") == 1
 
+    def test_disagreement_with_the_reference_is_an_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("doxa.oracle.evaluate", lambda m, w, f: False)
+        code, out, err = run_cli(capsys, "oracle", "p")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: internal engine error: vectorized evaluation disagreed"
+            " with the reference evaluator\n"
+        )
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "B[a] p & ~p", "--max-worlds", "2", "--output", "json"

@@ -80,6 +80,23 @@ class TestLoad:
         with pytest.raises(ValueError, match=r"corpus.jsonl:2: Expecting"):
             load_corpus(path)
 
+    def test_repeated_key_names_the_line(self, tmp_path):
+        # json.loads alone keeps the last "expected", and the row replays
+        # against a verdict its author may not have meant
+        path = tmp_path / "corpus.jsonl"
+        row = json.dumps(_row(mode="sat", expected="sat"))
+        path.write_text(row[:-1] + ', "expected": "unsat"}\n', encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f'{path}:1: repeated key "expected"'
+
+    def test_integer_too_long_to_convert_names_the_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(_row()) + '\n{"id": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(f"{path}:2: Exceeds the limit (4300 digits)")
+
 
 class TestRun:
     def test_single_entry(self):

@@ -17,6 +17,7 @@ from doxa import (
     And,
     EnumerationBudget,
     Formula,
+    InternalVerificationError,
     LogicProfile,
     MAX_BUDGET_WORLDS,
     ModelSystem,
@@ -298,6 +299,13 @@ class TestSatUpto:
         f = parse("B[a] p -> C[a] B[a] p")
         model = sat_upto(f, B2, HSTAR)
         assert model is not None and evaluate(model, 0, f)
+
+    def test_a_hit_the_reference_evaluator_refutes_is_a_defect(self, monkeypatch):
+        # the one defect type of both engines, which the CLI reports as an
+        # internal engine error with exit 2, never as "no model"
+        monkeypatch.setattr("doxa.oracle.evaluate", lambda m, w, f: False)
+        with pytest.raises(InternalVerificationError, match="disagreed with the reference"):
+            sat_upto(parse("p"), B2, KD)
 
 
 def _seeded_formulas(budget: EnumerationBudget, count: int) -> list[Formula]:

@@ -146,6 +146,16 @@ class TestErrors:
         assert lines[0].startswith("unknown token")
         assert "^" in lines[2]
 
+    def test_whitespace_shows_as_one_space(self):
+        # a newline would add a line to the report and a tab would shift
+        # the carets off the span
+        text = "p\n\t& q )"
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert format_parse_error(text, exc.value) == (
+            "unbalanced parenthesis\n  p  & q )\n         ^"
+        )
+
 
 _atoms_st = st.sampled_from([P, Q, Atom("r_2")])
 _agents_st = st.sampled_from([A, B])

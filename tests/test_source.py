@@ -426,3 +426,54 @@ def test_oracle_scan_builds_no_bool_array():
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     for name in ("sat_upto", "_vector_truth"):
         assert _bool_arrays(functions[name], {"k"}) == [], name
+
+
+def _error_exits(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each read of ``sys.stderr`` and each ``return 2``
+    in a function of a module other than ``main``, nested ones included."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in _own_nodes(func):
+            stderr = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "stderr"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            )
+            two = (
+                isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Constant)
+                and node.value.value == 2
+            )
+            if stderr or two:
+                found.append((func.name, node.lineno))
+    return sorted(found, key=lambda pair: pair[1])
+
+
+def test_error_exit_check_sees_a_report():
+    source = """
+def cmd_x(args):
+    if args.bad:
+        print("error: bad", file=sys.stderr)
+        return 2
+    def warn():
+        sys.stderr.write("late")
+    return 1
+
+def main(argv):
+    try:
+        return run(argv)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+    return 2
+"""
+    assert _error_exits(ast.parse(source)) == [("cmd_x", 4), ("cmd_x", 5), ("warn", 7)]
+
+
+def test_only_main_reports_an_error():
+    # a subcommand raises what it refuses, and ``main`` alone turns it into
+    # exit 2 and its one report, so that no input gets a second format
+    tree = ast.parse((Path(doxa.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    assert _error_exits(tree) == []
