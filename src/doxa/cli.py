@@ -28,7 +28,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .corpus import load_corpus, run_corpus
 from .formula import Formula, agents, atoms, render
@@ -38,6 +37,7 @@ from .models import (
     LogicProfile,
     ModelSystem,
     PROFILES_BY_STRENGTH,
+    _read_text,
     _unique_keys,
     check_model_set,
     evaluate,
@@ -125,11 +125,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def _read_model(path: str) -> LabeledModelSystem:
     """The model in the JSON file ``path``.  A file that cannot be read or
     holds no valid model raises ``ValueError`` naming the file."""
+    text = _read_text(path)
     try:
-        text = Path(path).read_text("utf-8")
         return labeled_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
-    except OSError as err:
-        raise ValueError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise ValueError(
             f"malformed JSON in {path}: {err.msg} (line {err.lineno}, column {err.colno})"

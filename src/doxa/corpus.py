@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .models import LogicProfile, _unique_keys
+from .models import LogicProfile, _read_text, _unique_keys
 from .parser import ParseError, parse
 from .tableau import decide
 
@@ -114,15 +114,16 @@ def _entry_from_dict(raw: dict, where: str) -> CorpusEntry:
 
 def load_corpus(path: str | Path | None = None) -> tuple[CorpusEntry, ...]:
     """Load corpus entries from ``path``, or the bundled corpus by default.
-    A row that is not valid JSON, repeats a key or breaks the row schema
-    raises ``ValueError`` naming its file and line."""
+    A file that cannot be read or is not UTF-8 raises ``ValueError`` naming
+    the file, and a row that is not valid JSON, repeats a key or breaks the
+    row schema one naming its file and line."""
     if path is None:
         text = (
             resources.files("doxa").joinpath("data/corpus.jsonl").read_text("utf-8")
         )
         origin = "bundled corpus"
     else:
-        text = Path(path).read_text("utf-8")
+        text = _read_text(path)
         origin = str(path)
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):

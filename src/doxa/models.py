@@ -43,6 +43,7 @@ import json
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 from .formula import (
@@ -575,6 +576,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ValueError(f"repeated key {json.dumps(key)}")
         obj[key] = value
     return obj
+
+
+def _read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``.  A file that cannot be read or
+    is not UTF-8 raises ``ValueError`` naming it.  Model files and corpus
+    files are read with it."""
+    try:
+        return Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValueError(f"cannot read {path}: {err}") from None
 
 
 def _require(condition: object, message: str) -> None:

@@ -17,9 +17,9 @@ are listed once per world count and profile: the ``2**(n*n)`` candidate
 masks go through in ascending chunks, each read as ``n`` numpy int64 arrays
 of successor rows, one candidate per element, by the profile's frame
 predicates all at once, and the masks that satisfy every predicate are kept
-in ascending order.  For each surviving frame, valuations ascend as
-``n * len(atoms)``-bit masks with bit ``world * len(atoms) + atom_index``
-set when the atom holds at the world.
+in ascending order, in one int64 array.  For each surviving frame,
+valuations ascend as ``n * len(atoms)``-bit masks with bit
+``world * len(atoms) + atom_index`` set when the atom holds at the world.
 The designated world is always 0.
 
 ``sat_upto`` answers "is there a model within this budget", which is only a
@@ -37,11 +37,14 @@ bitwise over whole words.  Per world count and word type a reach tensor over
 the m admissible masks of one agent is cached; it holds all-ones or zero
 words, and each agent reads it as a view with its masks on its own axis.
 The atom tables of each world count, atom count and agent count are built
-once.  The grid goes through in chunks of at most ``CHUNK_CELLS`` bytes per
-truth array, or of one frame if that is larger: a chunk holds every mask of
-the last agents, a run of masks of the agent before them and one mask of
-each earlier agent, so memory is bounded by the formula, not by the frame
-count or the agent count.
+once.  The masks, the reach tensors and the atom tables are ``functools``
+caches of read-only arrays, shared by every scan: a write into one raises
+``ValueError`` instead of changing every later scan.  The grid goes through
+in chunks of at most ``CHUNK_CELLS`` bytes per truth array, or of one frame
+if that is larger: a chunk holds every mask of the last agents, a run of
+masks of the agent before them and one mask of each earlier agent, so
+memory is bounded by the formula, not by the frame count or the agent
+count.
 The valuations of a world count are held all at once, so a budget may have
 at most ``MAX_VALUATION_BITS`` (20) valuation bits,
 ``max_worlds * len(atoms)``: past that, ``EnumerationBudget`` raises
@@ -55,6 +58,7 @@ tableau does.  numpy is imported on the first call, not with the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
@@ -142,88 +146,83 @@ class EnumerationBudget:
 #: one frame with all its valuation words, whatever the bound.
 CHUNK_CELLS = 1 << 20
 
-_MASK_CACHE: dict[tuple[int, LogicProfile], list[int]] = {}
-_REACH_CACHE: dict[tuple[int, LogicProfile, np.dtype], np.ndarray] = {}
-_VALUATION_CACHE: dict[tuple[int, int, int], tuple[np.dtype, int, int, list[np.ndarray]]] = {}
 
-
-def _frames(n: int, profile: LogicProfile) -> list[int]:
-    """Admissible relation masks of one agent on ``n`` worlds, ascending.
+@functools.cache
+def _frames(n: int, profile: LogicProfile) -> np.ndarray:
+    """Admissible relation masks of one agent on ``n`` worlds, ascending, as
+    one read-only int64 array.
 
     The candidates go through in chunks of at most ``CHUNK_CELLS`` successor
     rows, each chunk one int64 array per world that the profile's frame
-    predicates read all at once.
+    predicates read all at once; the admitted masks of the chunks are
+    concatenated.
     """
-    key = (n, profile)
-    cached = _MASK_CACHE.get(key)
-    if cached is None:
-        import numpy as np
+    import numpy as np
 
-        found: list[int] = []
-        total = 1 << (n * n)
-        step = max(1, CHUNK_CELLS // n)
-        for start in range(0, total, step):
-            masks = np.arange(start, min(start + step, total), dtype=np.int64)
-            rows = [masks >> (w * n) & ((1 << n) - 1) for w in range(n)]
-            admitted = np.ones(len(masks), dtype=bool)
-            for condition in PROFILE_RULES[profile].frame:
-                for holds in condition.cells(rows):
-                    admitted &= holds
-            found += masks[admitted].tolist()
-        # cached only when complete: a time limit may interrupt the loop
-        cached = _MASK_CACHE[key] = found
-    return cached
+    found = []
+    total = 1 << (n * n)
+    step = max(1, CHUNK_CELLS // n)
+    for start in range(0, total, step):
+        masks = np.arange(start, min(start + step, total), dtype=np.int64)
+        rows = [masks >> (w * n) & ((1 << n) - 1) for w in range(n)]
+        admitted = np.ones(len(masks), dtype=bool)
+        for condition in PROFILE_RULES[profile].frame:
+            for holds in condition.cells(rows):
+                admitted &= holds
+        found.append(masks[admitted])
+    # a time limit may interrupt the loop; ``cache`` stores a value only on
+    # return, so an interrupted build caches nothing
+    frames = np.concatenate(found)
+    frames.flags.writeable = False
+    return frames
 
 
+@functools.cache
 def _reach_tensor(n: int, profile: LogicProfile, dtype: np.dtype) -> np.ndarray:
-    """(worlds, worlds, masks, 1) array of ``dtype`` words over the admissible
-    masks, all ones at ``[w, u, i]`` when world u is *not* an alternative of
-    w under mask i, else zero.  ``sat_upto`` reads it through views that put
-    the masks on one agent's axis."""
-    key = (n, profile, dtype)
-    cached = _REACH_CACHE.get(key)
-    if cached is None:
-        import numpy as np
+    """Read-only (worlds, worlds, masks, 1) array of ``dtype`` words over the
+    admissible masks, all ones at ``[w, u, i]`` when world u is *not* an
+    alternative of w under mask i, else zero.  ``sat_upto`` reads it through
+    views that put the masks on one agent's axis."""
+    import numpy as np
 
-        masks = np.asarray(_frames(n, profile), dtype=np.int64)
-        tensor = np.empty((n, n, len(masks), 1), dtype=dtype)
-        for w in range(n):
-            for u in range(n):
-                tensor[w, u, :, 0] = np.where(masks >> (w * n + u) & 1, 0, ~dtype.type(0))
-        cached = _REACH_CACHE[key] = tensor
-    return cached
+    masks = _frames(n, profile)
+    tensor = np.empty((n, n, len(masks), 1), dtype=dtype)
+    for w in range(n):
+        for u in range(n):
+            tensor[w, u, :, 0] = np.where(masks >> (w * n + u) & 1, 0, ~dtype.type(0))
+    tensor.flags.writeable = False
+    return tensor
 
 
-def _valuations(n: int, width: int, k: int) -> tuple[np.dtype, int, int, list[np.ndarray]]:
+@functools.cache
+def _valuations(n: int, width: int, k: int) -> tuple[np.dtype, int, int, tuple[np.ndarray, ...]]:
     """(word dtype, valuations per word, words per world, atom tables) of the
     ``2**(n * width)`` valuations of ``n`` worlds and ``width`` atoms.
 
     Valuation v is bit ``v % per_word`` of word ``v // per_word``, in the
     smallest unsigned dtype that holds all of them, else in as many uint64
-    words as they fill.  The table of atom index j is a (worlds, 1, ..., 1,
-    words) array of its truth, with one axis of length 1 for each of ``k``
-    agents: it is the same in every frame.
+    words as they fill.  The table of atom index j is a read-only (worlds,
+    1, ..., 1, words) array of its truth, with one axis of length 1 for each
+    of ``k`` agents: it is the same in every frame.
     """
-    key = (n, width, k)
-    cached = _VALUATION_CACHE.get(key)
-    if cached is None:
-        import numpy as np
+    import numpy as np
 
-        bits = n * width
-        per_word = min(1 << bits, 64)
-        dtype = np.dtype(f"uint{max(8, per_word)}")
-        count = max(1, (1 << bits) >> 6)
-        vmasks = np.arange(count * per_word, dtype=np.int64).reshape(count, per_word)
-        # (worlds, 1 per agent, words, valuations of a word), reduced over
-        # the last axis
-        shifts = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (k + 2)) * width
-        place = np.arange(per_word, dtype=dtype)
-        tables = [
-            np.bitwise_or.reduce((vmasks >> (shifts + j) & 1).astype(dtype) << place, axis=-1)
-            for j in range(width)
-        ]
-        cached = _VALUATION_CACHE[key] = (dtype, per_word, count, tables)
-    return cached
+    bits = n * width
+    per_word = min(1 << bits, 64)
+    dtype = np.dtype(f"uint{max(8, per_word)}")
+    count = max(1, (1 << bits) >> 6)
+    vmasks = np.arange(count * per_word, dtype=np.int64).reshape(count, per_word)
+    # (worlds, 1 per agent, words, valuations of a word), reduced over the
+    # last axis
+    shifts = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (k + 2)) * width
+    place = np.arange(per_word, dtype=dtype)
+    tables = tuple(
+        np.bitwise_or.reduce((vmasks >> (shifts + j) & 1).astype(dtype) << place, axis=-1)
+        for j in range(width)
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return dtype, per_word, count, tables
 
 
 def _build_model(
@@ -250,7 +249,7 @@ def _build_model(
 def enumerate_models(budget: EnumerationBudget, profile: LogicProfile):
     """Yield every model in the budget, smallest first, in canonical order."""
     for n in range(1, budget.max_worlds + 1):
-        for frame in product(_frames(n, profile), repeat=len(budget.agents)):
+        for frame in product(_frames(n, profile).tolist(), repeat=len(budget.agents)):
             for vmask in range(1 << (n * len(budget.atoms))):
                 yield _build_model(n, frame, vmask, budget)
 
@@ -362,7 +361,7 @@ def sat_upto(
                 word = int(hits.flat[first])
                 *index, position = np.unravel_index(first, hits.shape)
                 vmask = int(position) * per_word + (word & -word).bit_length() - 1
-                frame = tuple(masks[lo + i] for lo, i in zip(starts, index))
+                frame = tuple(int(masks[lo + i]) for lo, i in zip(starts, index))
                 model = _build_model(n, frame, vmask, budget)
                 if not evaluate(model, 0, kernel):
                     raise InternalVerificationError(

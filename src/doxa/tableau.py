@@ -79,11 +79,11 @@ demands one part a step-3 branch with one alternative per part.  Steps
 1-3, ``_add`` and ``_alternatives`` read these facts instead of testing
 node classes, and no node is built while the search runs; a negation ~x
 clashes with x and with ~~x, so the clash test tries both.  The last table
-stays in a one-entry cache keyed by the query node: a formula decided
-under several profiles, or ``decide_valid``'s ``Not(f)`` under several, is
-compiled once.  Nodes are hash-consed, so a structurally equal query is
-the same node, and the key is exact; the cache holds that one query's
-nodes and table alive, and no other query's.
+stays in ``_compile``, an ``lru_cache`` of one entry keyed by the query
+node: a formula decided under several profiles, or ``decide_valid``'s
+``Not(f)`` under several, is compiled once.  Nodes are hash-consed, so a
+structurally equal query is the same node, and the key is exact; the cache
+holds that one query's nodes and table alive, and no other query's.
 
 Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
 logic reasoner: system description", IJCAR 2006): steps 4 and 5 visit
@@ -211,6 +211,7 @@ jump past every remaining alternative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .formula import (
@@ -359,18 +360,8 @@ class _Closure:
         self.world_bound = 2 ** min(len(closure), 20)
 
 
-#: The closure table of the last query compiled, or None.
-_LAST: _Closure | None = None
-
-
-def _compile(query: Formula) -> _Closure:
-    """The closure table of ``query``, from the one-entry cache when the
-    last query compiled was this node."""
-    global _LAST
-    table = _LAST
-    if table is None or table.query is not query:
-        table = _LAST = _Closure(query)
-    return table
+#: The closure table of ``query``, cached for the last query compiled.
+_compile = functools.lru_cache(maxsize=1)(_Closure)
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,17 @@ class TestCheckModel:
         assert code == 2
         assert "cannot read" in err
 
+    def test_file_that_is_not_utf8_cannot_be_read(self, capsys, tmp_path):
+        # a decode error is about the file, not about the model it holds
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"worlds": 1, "valuation": {"0": ["\xff"]}}')
+        code, out, err = run_cli(capsys, "check-model", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in"
+            " position 35: invalid start byte\n"
+        )
+
     def test_repeated_key_is_invalid(self, capsys, tmp_path):
         # json.loads alone keeps the last "1" and the formula reads false
         path = tmp_path / "model.json"
@@ -388,6 +399,23 @@ class TestCorpus:
         code, _, err = run_cli(capsys, "corpus", str(tmp_path / "missing.jsonl"))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])
+    def test_unreadable_corpus_is_named(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        code, out, err = run_cli(capsys, "corpus", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: [Errno ")
+
+    def test_corpus_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\xff\n")
+        code, out, err = run_cli(capsys, "corpus", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in"
+            " position 0: invalid start byte\n"
+        )
 
 
 class TestCompare:

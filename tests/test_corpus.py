@@ -97,6 +97,23 @@ class TestLoad:
             load_corpus(path)
         assert str(exc.value).startswith(f"{path}:2: Exceeds the limit (4300 digits)")
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\xff" + json.dumps(_row()).encode() + b"\n")
+        with pytest.raises(ValueError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0:"
+            " invalid start byte"
+        )
+
+    @pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])
+    def test_unreadable_path_is_named(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ValueError) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(f"cannot read {path}: [Errno ")
+
 
 class TestRun:
     def test_single_entry(self):

@@ -32,7 +32,7 @@ from doxa import (
     render,
     sat_upto,
 )
-from doxa.oracle import _frames, _reach_tensor, _vector_truth
+from doxa.oracle import _frames, _reach_tensor, _valuations, _vector_truth
 
 HSTAR = LogicProfile.HSTAR
 KD = LogicProfile.KD
@@ -244,10 +244,10 @@ class TestFrameLists:
 
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_small_chunks_keep_the_list(self, profile, monkeypatch):
+        # the uncached function, so that the shared cache is left alone
         monkeypatch.setattr("doxa.oracle.CHUNK_CELLS", 1000)
-        monkeypatch.setattr("doxa.oracle._MASK_CACHE", {})
         for n in (3, 4):
-            assert _digest(_frames(n, profile)) == FRAME_PINS[profile.value, n]
+            assert _digest(_frames.__wrapped__(n, profile)) == FRAME_PINS[profile.value, n]
 
 
 class TestSatUpto:
@@ -519,14 +519,24 @@ def test_every_reach_array_is_a_view(budget, monkeypatch):
         assert not array.flags.owndata
 
 
+def test_cached_oracle_tables_are_read_only():
+    # every scan shares these tables, so a write into one would change the
+    # answer of every later scan
+    dtype, _, _, tables = _valuations(3, 1, 1)
+    for table in (_frames(3, KD), _reach_tensor(3, KD, dtype), *tables):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
+
+
 class TestEngineAgreement:
-    """The tableau against the oracle over two atoms and two agents.  Every
-    other seeded formula is conjoined with ``C[b] q & C[a] ~q``, which takes
-    two worlds.  kd45 is left out: some 2-agent formulas of this generator
+    """The tableau against the oracle over two atoms, two agents and models
+    of up to three worlds.  Every other seeded formula is conjoined with
+    ``C[b] q & C[a] ~q``, which takes two worlds, so the budget leaves room
+    for one more.  kd45 is left out: some 2-agent formulas of this generator
     overrun the engine's world bound under kd45, formula 186 only after
     about five minutes."""
 
-    BUDGET = EnumerationBudget(max_worlds=2, atoms=("p", "q"), agents=("a", "b"))
+    BUDGET = EnumerationBudget(max_worlds=3, atoms=("p", "q"), agents=("a", "b"))
 
     @pytest.mark.parametrize("profile", [KD, HSTAR, LogicProfile.HINTIKKA])
     def test_oracle_and_engine_agree(self, profile):

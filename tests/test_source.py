@@ -477,3 +477,41 @@ def test_only_main_reports_an_error():
     # exit 2 and its one report, so that no input gets a second format
     tree = ast.parse((Path(doxa.__file__).parent / "cli.py").read_text(encoding="utf-8"))
     assert _error_exits(tree) == []
+
+
+def _global_statements(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each ``global`` statement in a function of a
+    module, nested ones included."""
+    found = [
+        (func.name, node.lineno)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in _own_nodes(func)
+        if isinstance(node, ast.Global)
+    ]
+    return sorted(found, key=lambda pair: pair[1])
+
+
+def test_global_check_sees_a_global():
+    source = """
+_LAST = None
+
+def compile_once(query):
+    global _LAST
+    if _LAST is None:
+        def reset():
+            global _LAST
+            _LAST = None
+        _LAST = query
+    return _LAST
+"""
+    assert _global_statements(ast.parse(source)) == [("compile_once", 5), ("reset", 8)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(doxa.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_function_assigns_a_global(path):
+    # a derived table is cached with ``functools``, not kept by hand in a
+    # module variable that a function rebinds
+    assert _global_statements(ast.parse(path.read_text(encoding="utf-8"))) == []
