@@ -71,6 +71,7 @@ from .tableau import (
     TableauStats,
     UnsatVerdict,
     ValidityVerdict,
+    decide,
     decide_sat,
     decide_valid,
     render_trace,
@@ -115,6 +116,7 @@ __all__ = [
     "atoms",
     "check_frame",
     "check_model_set",
+    "decide",
     "decide_sat",
     "decide_valid",
     "desugar",

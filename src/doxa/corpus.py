@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .models import LogicProfile, _read_text, _unique_keys
@@ -118,13 +117,10 @@ def load_corpus(path: str | Path | None = None) -> tuple[CorpusEntry, ...]:
     the file, and a row that is not valid JSON, repeats a key or breaks the
     row schema one naming its file and line."""
     if path is None:
-        text = (
-            resources.files("doxa").joinpath("data/corpus.jsonl").read_text("utf-8")
-        )
-        origin = "bundled corpus"
+        path, origin = Path(__file__).with_name("data") / "corpus.jsonl", "bundled corpus"
     else:
-        text = _read_text(path)
         origin = str(path)
+    text = _read_text(path)
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

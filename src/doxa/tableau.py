@@ -50,40 +50,41 @@ failed re-verification is an internal error, never a verdict.
 Incremental scanning: on a branch, labels only grow, and a rule can only
 stop applying to a label entry, never start again: what it would add stays
 in place once added.  Each world therefore keeps its label entries in
-insertion order, one cursor each for the scans of steps 1, 2 and 3, and
-one cursor per propagation rule: into its own entries for (C.CB) and
-(C.B-lift), into its creator's for the down rules, which send formulas
-down the edge from the creator.  Every world but the seed has exactly that
-one incoming edge, so a world records it as its parent (agent, creator,
-dependency set), and model extraction walks the edges in world order.  A
-scan resumes at its cursor instead of at the first entry; no entry before
-a cursor can fire again.  The one exception is a belief that (C.CB) passes
-over while its world has no designated witness for the belief's agent:
-designating the witness resets that world's (C.CB) cursor.  Cursors are
-restored with their world on backtracking, so rules fire in exactly the
-order a full rescan after every firing would give.
+insertion order, one cursor for the scans of steps 1 and 2 (step 2 scans
+the span that step 1 just scanned), one for step 3, and one cursor per
+propagation rule: into its own entries for (C.CB) and (C.B-lift), into its
+creator's for the down rules, which send formulas down the edge from the
+creator.  Every world but the seed has exactly that one incoming edge, so
+a world records it as its parent (agent, creator, dependency set), and
+model extraction walks the edges in world order.  A scan resumes at its
+cursor instead of at the first entry; no entry before a cursor can fire
+again.  The one exception is a belief that (C.CB) passes over while its
+world has no designated witness for the belief's agent: designating the
+witness resets that world's (C.CB) cursor.  Cursors are restored with
+their world on backtracking, so rules fire in exactly the order a full
+rescan after every firing would give.
 
-Label entries are members of the query's subformula closure, and each
-query is compiled once into a read-only closure table: the complement
-(each member mapped to its negation when that is a member too: a ``Not``
-node x maps x.sub to x, any other node g maps to ``Not(g)``, so nothing is
+Label entries are members of the query's subformula closure, and each query
+is compiled once into a read-only closure table: the complement (each
+member mapped to its negation when that is a member too: a ``Not`` node x
+maps x.sub to x, any other node g maps to ``Not(g)``, so nothing is
 interned beyond the closure), the agent names, the world bound, and each
 member's rule facts: its step-1 rule and parts, its step-2 demand with the
 ``Comp`` node the trace records, its step-3 options, and the agent of each
-belief and negated belief.  One pass over the desugared query's nodes
-gives the complement and the modal facts, and one pass over the members
-gives the step-1 and step-3 facts from the one table of propositional
-conditions, ``models.PROPOSITIONAL_RULES``, which ``check_model_set`` also
-reads: a condition that demands every part is a step-1 rule, one that
-demands one part a step-3 branch with one alternative per part.  Steps
-1-3, ``_add`` and ``_alternatives`` read these facts instead of testing
-node classes, and no node is built while the search runs; a negation ~x
-clashes with x and with ~~x, so the clash test tries both.  The last table
-stays in ``_compile``, an ``lru_cache`` of one entry keyed by the query
-node: a formula decided under several profiles, or ``decide_valid``'s
-``Not(f)`` under several, is compiled once.  Nodes are hash-consed, so a
-structurally equal query is the same node, and the key is exact; the cache
-holds that one query's nodes and table alive, and no other query's.
+belief and negated belief.  One pass over the desugared query's nodes gives
+the complement and the modal facts, and one pass over the members gives the
+step-1 and step-3 facts from the one table of propositional conditions,
+``models.PROPOSITIONAL_RULES``, which ``check_model_set`` also reads: a
+condition that demands every part is a step-1 rule, one that demands one
+part a step-3 branch with one alternative per part.  Steps 1-3 and ``_add``
+read these facts instead of testing node classes, and no node is built
+while the search runs; a negation ~x clashes with x and with ~~x, so the
+clash test tries both.  The last table stays in ``_compile``, an
+``lru_cache`` of one entry keyed by the query node: a formula decided under
+several profiles, or ``decide_valid``'s ``Not(f)`` under several, is
+compiled once.  Nodes are hash-consed, so a structurally equal query is the
+same node, and the key is exact; the cache holds that one query's nodes and
+table alive, and no other query's.
 
 Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
 logic reasoner: system description", IJCAR 2006): steps 4 and 5 visit
@@ -140,22 +141,23 @@ only, so each runs to completion in one call.
 The search changes one branch in place and undoes it from a trail (Eén &
 Sörensson, "An extensible SAT-solver", SAT 2003).  Before its first change
 since the current alternative was applied, a world is logged on the trail
-with a mark: the lengths of its lists and records, its cursors and its
-sleepers, which is all that undoing the later changes needs, since along
-a branch those lists and records only grow.  At a choice point steps 1
-and 2 have scanned every entry of every world, so a mark leaves out their
-cursors, and restoring a world sets them to its entry count.  For the
-same reason a cursor of steps 1-3 moves only in a world already logged:
-by the entry it reaches, or by the branch alternative written into it.
-A choice point keeps the trail length, the world count, the trace, the
+with a mark: the lengths of its lists and records, its bitsets of children
+and sleepers, and its cursors, which is all that undoing the later changes
+needs, since along a branch those lists and records only grow.  At a choice
+point steps 1 and 2 have scanned every entry of every world, so a mark
+leaves out their cursor, and restoring a world sets it to its entry count.
+For the same reason a cursor of steps 1-3 moves only in a world already
+logged: by the entry it reaches, or by the branch alternative written into
+it.  ``_step`` returns a choice point as the tuple of its alternatives, and
+the choice point keeps the trail length, the world count, the trace, the
 focus and the agendas; the trace is a linked list whose steps before the
-choice point stay shared.  Trying its next alternative restores the
-worlds logged since, drops the worlds made since and resets the trace,
-the focus and the agendas.  The open choice points sit on an explicit
-stack instead of the call stack, so the search depth is bounded by memory
-only, and memory grows with the work done on the branch, not with its
-depth times its label size.  Each step of the trace is a plain tuple;
-``ProofStep`` records are built once, for the verdict.
+choice point stay shared.  Trying its next alternative restores the worlds
+logged since, drops the worlds made since and resets the trace, the focus
+and the agendas.  The open choice points sit on an explicit stack instead
+of the call stack, so the search depth is bounded by memory only, and
+memory grows with the work done on the branch, not with its depth times its
+label size.  Each step of the trace is a plain tuple; ``ProofStep`` records
+are built once, for the verdict.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999): a choice
@@ -246,28 +248,6 @@ from .models import (
     transitive,
 )
 
-#: Every rule name that may appear in a proof trace.
-RULES: tuple[str, ...] = (
-    "seed",
-    "C.&",
-    "C.v-left",
-    "C.v-right",
-    "C.~~",
-    "C.~&-left",
-    "C.~&-right",
-    "C.~v",
-    "C.B*",
-    "C.BB*",
-    "C.~B*",
-    "C.B-lift",
-    "C.C",
-    "C.CB",
-    "C.B",
-    "C.BDef-rewrite",
-    "C.~-clash",
-)
-
-
 #: Lifts a belief from an alternative back to the world that created it.
 #: Added to the propagation rules of a euclidean profile: it makes every
 #: member of a belief cluster agree on what is believed.
@@ -281,10 +261,10 @@ class _Propagation:
     it, any other scans the world's own entries.  The index tuples name the
     agendas that gain work: ``own`` at a world gaining a belief, ``down``
     at its children, ``down_negated`` at its children when it gains a
-    negated belief, and ``down_all`` at a new world.  ``cb`` is the index
-    of (C.CB), or None."""
+    negated belief, and both at a new world.  ``cb`` is the index of
+    (C.CB), or None."""
 
-    __slots__ = ("steps", "own", "down", "down_negated", "down_all", "cb")
+    __slots__ = ("steps", "own", "down", "down_negated", "cb")
 
     def __init__(self, rules: ProfileRules) -> None:
         chain = rules.propagation + ((_B_LIFT,) if euclidean in rules.frame else ())
@@ -299,7 +279,6 @@ class _Propagation:
         self.own = tuple(r for r in indices if not down[r])
         self.down = tuple(r for r in indices if down[r] and not chain[r].negated)
         self.down_negated = tuple(r for r in indices if down[r] and chain[r].negated)
-        self.down_all = tuple(r for r in indices if down[r])
         self.cb = chain.index(C_CB) if C_CB in chain else None
 
 
@@ -314,6 +293,17 @@ _SIDES = {
     for rule in PROPOSITIONAL_RULES.values()
     if not rule.every
 }
+
+
+#: Every rule name that may appear in a proof trace: the step-1 rules, each
+#: side of a step-3 branch, the modal rules of every profile, and the
+#: engine's own seed, rewrite and clash steps.
+RULES: tuple[str, ...] = tuple(dict.fromkeys([
+    "seed", "C.BDef-rewrite", "C.~-clash", _B_LIFT.kind, C_C.kind, C_B.kind,
+    *(rule.kind for rule in PROPOSITIONAL_RULES.values() if rule.every),
+    *(side for sides in _SIDES.values() for side in sides),
+    *(rule.kind for rules in PROFILE_RULES.values() for rule in rules.propagation),
+]))
 
 
 class _Closure:
@@ -474,7 +464,7 @@ class _Closed(Exception):
 class _World:
     __slots__ = (
         "id", "parent", "epoch", "label", "entries", "demands", "spawn_cursor", "cb",
-        "beliefs", "alternatives", "saturated", "rewritten", "branched", "cursors",
+        "beliefs", "alternatives", "saturated", "branched", "cursors",
         "children", "sleepers",
     )
 
@@ -503,55 +493,50 @@ class _World:
         # agent -> (first alternative created for that agent, dependency
         # set of its edge)
         self.alternatives: dict[str, tuple[int, int]] = {}
-        # scan cursors into ``entries`` of steps 1, 2 and 3
+        # scan cursors into ``entries``: one for steps 1 and 2, which step 2
+        # scans over the span that step 1 scanned, and one for step 3
         self.saturated = 0
-        self.rewritten = 0
         self.branched = 0
         # one scan cursor per propagation rule: into this world's own
         # entries for (C.CB) and (C.B-lift), into its creator's otherwise
         self.cursors = [0] * rules
-        # the worlds this one created, in creation order
-        self.children: list[int] = []
+        # bitset of the worlds this one created
+        self.children = 0
         # bitset of the blocked worlds off ``todo`` that this world's label
         # growing may wake: itself if it is one, and those it blocks
         self.sleepers = 0
 
     def mark(self) -> tuple:
         """The world and what ``restore`` needs to undo every later change.
-        Along a branch ``label``, ``entries``, ``demands``, ``children``,
-        ``cb``, ``beliefs`` and ``alternatives`` only gain entries, and no
-        dict key is ever overwritten, so their lengths are enough:
-        ``restore`` pops the newest keys of the dicts, which keep insertion
-        order.  The cursors come last."""
+        Along a branch ``label``, ``entries``, ``demands``, ``cb``,
+        ``beliefs`` and ``alternatives`` only gain entries, and no dict key
+        is ever overwritten, so their lengths are enough: ``restore`` pops
+        the newest keys of the dicts, which keep insertion order.  The
+        bitsets are saved by value, and the cursors come last."""
         return (
-            self, len(self.entries), len(self.demands), len(self.children), len(self.cb),
+            self, len(self.entries), len(self.demands), self.children, len(self.cb),
             len(self.beliefs), len(self.alternatives), self.branched, self.spawn_cursor,
             self.sleepers, *self.cursors,
         )
 
     def restore(self, mark: tuple) -> None:
         (
-            _, entries, demands, children, cb, beliefs, alternatives,
+            _, entries, demands, self.children, cb, beliefs, alternatives,
             self.branched, self.spawn_cursor, self.sleepers, *cursors,
         ) = mark
         # a mark holds the world as it was at a choice point, where steps 1
         # and 2 had scanned every entry
-        self.saturated = self.rewritten = entries
+        self.saturated = entries
         for f in self.entries[entries:]:
             del self.label[f]
         del self.entries[entries:]
         del self.demands[demands:]
-        del self.children[children:]
         for records, length in (
             (self.cb, cb), (self.beliefs, beliefs), (self.alternatives, alternatives)
         ):
             while len(records) > length:
                 records.popitem()
         self.cursors[:] = cursors
-
-
-#: What ``_step`` returns after firing a rule.
-_APPLIED = ("applied",)
 
 
 class _Engine:
@@ -584,10 +569,10 @@ class _Engine:
     def run(self) -> ModelSystem:
         """Depth-first search over an explicit stack of the open choice
         points, the one at depth d at index d.  An entry is [(trail length,
-        world count, trace, focus) when the choice was made, its
+        world count, trace, focus, agendas) when the choice was made, its
         alternatives, the index of the next one to try, the union of the
-        closing sets of those tried].  ``pending`` says that the innermost entry is due to
-        try its next alternative."""
+        closing sets of those tried].  ``pending`` says that the innermost
+        entry is due to try its next alternative."""
         self._add(0, self.table.kernel, "seed", (), 0)
         stack: list[list] = []
         pending = False
@@ -605,16 +590,16 @@ class _Engine:
                     self.epoch += 1
                     pending = False
                     self._apply(alternatives[k], 1 << (len(stack) - 1))
-                choice = self._step()
-                if choice is None:
+                alternatives = self._step()
+                if alternatives is None:
                     return self._extract()
-                if choice is not _APPLIED:
+                if alternatives:
                     self.stats.choice_points += 1
                     saved = (
                         len(self.trail), len(self.worlds), self.trace, self.focus,
                         tuple(self.agenda), self.todo,
                     )
-                    stack.append([saved, self._alternatives(*choice), 0, 0])
+                    stack.append([saved, alternatives, 0, 0])
                     pending = True
             except _Closed as closed:
                 pending, deps = True, closed.deps
@@ -633,22 +618,10 @@ class _Engine:
                 else:
                     raise _Closed(closed.trace, deps) from None
 
-    def _alternatives(self, kind: str, wid: int, x: Formula | str) -> list[tuple]:
-        """The alternatives of the choice point that ``_step`` reached, each
-        as (rule, world, formula or agent, premise or witness, dependency
-        set without the choice point's own bit, which ``_apply`` adds).  A
-        branch on ``x`` tries its (C.v) or (C.~&) disjuncts left first; a
-        (C.CB) choice for agent ``x`` tries the world's first alternative
-        for the agent, if any, then a fresh world (witness None)."""
-        if kind == "branch":
-            premise, deps = self.worlds[wid].label[x]
-            return [(rule, wid, g, premise, deps) for g, rule in self.table.options[x]]
-        reuse = self.worlds[wid].alternatives.get(x)
-        fresh = (C_CB.kind, wid, x, None, 0)
-        return [fresh] if reuse is None else [(C_CB.kind, wid, x, *reuse), fresh]
-
     def _apply(self, alternative: tuple, bit: int) -> None:
-        """Write an alternative of the choice point whose bit is ``bit``."""
+        """Write an alternative of the choice point whose bit is ``bit``:
+        (rule, world, formula or agent, premise or witness, dependency set
+        without the choice point's own bit)."""
         rule, wid, x, y, deps = alternative
         deps |= bit
         if rule != C_CB.kind:
@@ -667,6 +640,12 @@ class _Engine:
     # one deterministic rule application
 
     def _step(self) -> tuple | None:
+        """Fire the first rule that applies and return (), or return the
+        alternatives of the choice point reached, each as ``_apply`` takes
+        it, or None when no rule applies.  A branch tries its (C.v) or
+        (C.~&) disjuncts left first; a (C.CB) choice tries the world's first
+        alternative for the agent, if any, then a fresh world (witness
+        None)."""
         # Steps 1-3 scan only the focus, the world written last: no other
         # world has entries they have not scanned, and no entry before a
         # cursor can fire again (see the module docstring).  Steps 1 and 2
@@ -674,22 +653,27 @@ class _Engine:
         w = self.worlds[self.focus]
         label, entries = w.label, w.entries
         table = self.table
-        # 1. non-branching propositional saturation
+        # 1. non-branching propositional saturation, from the cursor of steps
+        # 1 and 2 to the end of the entries, which grows as it goes
         saturate = table.saturate
-        while w.saturated < len(entries):
-            f = entries[w.saturated]
-            w.saturated += 1
+        i = start = w.saturated
+        while i < len(entries):
+            f = entries[i]
+            i += 1
             if f in saturate:
                 rule, parts = saturate[f]
                 step, deps = label[f]
                 for g in parts:
                     self._add(w.id, g, rule, (step,), deps)
+        w.saturated = end = i
 
-        # 2. negated-modal rewrites: ~B[a] q is the demand C[a] ~q
+        # 2. negated-modal rewrites over the same span: ~B[a] q is the
+        # demand C[a] ~q
         demands = table.demand
-        while w.rewritten < len(entries):
-            f = entries[w.rewritten]
-            w.rewritten += 1
+        i = start
+        while i < end:
+            f = entries[i]
+            i += 1
             if f in demands:
                 agent, demanded, comp = demands[f]
                 premise, deps = label[f]
@@ -703,9 +687,13 @@ class _Engine:
             f = entries[w.branched]
             w.branched += 1
             if f in options:
-                (left, _), (right, _) = options[f]
+                (left, left_rule), (right, right_rule) = options[f]
                 if left not in label and right not in label:
-                    return ("branch", w.id, f)
+                    premise, deps = label[f]
+                    return (
+                        (left_rule, w.id, left, premise, deps),
+                        (right_rule, w.id, right, premise, deps),
+                    )
 
         # 4. propagation, rule by rule in the profile's order, world by world
         # in creation order among the worlds on the rule's agenda
@@ -751,7 +739,7 @@ class _Engine:
                         agenda[r] = pending | low
                         step, deps = source.label[f]
                         self._add(dst, g, kind, (step,), deps | via)
-                        return _APPLIED
+                        return ()
             # every scan reached the end of its source's entries
             agenda[r] = 0
 
@@ -785,14 +773,17 @@ class _Engine:
                 w.spawn_cursor += 1
                 new_id = self._spawn(w.id, agent, deps)
                 self._add(new_id, g, C_C.kind, (premise,), deps)
-                return _APPLIED
+                return ()
             if unwitnessed:
-                return ("cb", w.id, unwitnessed[0])
+                agent = unwitnessed[0]
+                fresh = (C_CB.kind, w.id, agent, None, 0)
+                reuse = w.alternatives.get(agent)
+                return (fresh,) if reuse is None else ((C_CB.kind, w.id, agent, *reuse), fresh)
             first = w.beliefs[unserved[0]]
             premise, deps = w.label[first]
             new_id = self._spawn(w.id, unserved[0], deps)
             self._add(new_id, first.sub, C_B.kind, (premise,), deps)
-            return _APPLIED
+            return ()
         return None
 
     # ------------------------------------------------------------------
@@ -836,9 +827,8 @@ class _Engine:
         elif w.children and f in self.table.doubter:
             down = self.propagation.down_negated
         if down and w.children:
-            children = sum(1 << c for c in w.children)
             for r in down:
-                self.agenda[r] |= children
+                self.agenda[r] |= w.children
         # a negation ~x clashes with x and with ~~x
         if isinstance(f, Not) and f.sub in w.label:
             positive, negative = f.sub, f
@@ -857,9 +847,9 @@ class _Engine:
         creator = self.worlds[parent]
         self._touch(creator)
         creator.alternatives.setdefault(agent, (new_id, deps))
-        creator.children.append(new_id)
         bit = 1 << new_id
-        for r in self.propagation.down_all:
+        creator.children |= bit
+        for r in self.propagation.down + self.propagation.down_negated:
             agenda[r] |= bit
         self.stats.worlds_created += 1
         if len(self.worlds) > self.table.world_bound:

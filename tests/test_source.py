@@ -290,7 +290,7 @@ def test_step_and_add_build_no_node():
     # query's closure table, which also holds the (C.BDef-rewrite) demand's
     # ``Comp`` node for the trace; a node interned per firing is mostly
     # built only to die at once
-    for name in ("_step", "_add", "_alternatives"):
+    for name in ("_step", "_add"):
         assert _node_builds(_engine_method(name)) == [], name
 
 
@@ -303,14 +303,12 @@ KINDS = {rule.kind for rule in models.PROPOSITIONAL_RULES.values()} | {
 
 def _kind_literals(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, text) of each string constant of a module that spells a rule
-    kind in ``KINDS``, leaving out docstrings and the ``RULES`` tuple."""
+    kind in ``KINDS``, leaving out docstrings."""
     skipped = set()
     for node in ast.walk(tree):
         documented = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
         if documented and ast.get_docstring(node):
             skipped.add(node.body[0].value)
-        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "RULES":
-            skipped |= set(ast.walk(node.value))
     return sorted(
         (node.lineno, node.value)
         for node in ast.walk(tree)
@@ -328,7 +326,7 @@ def _step(self):
     self._add(new_id, g, "C.C", (premise,), deps)
     return f"{C_B.kind}-left", "C.v-left"
 '''
-    assert _kind_literals(ast.parse(source)) == [(7, "C.C")]
+    assert _kind_literals(ast.parse(source)) == [(3, "C.B"), (3, "C.C"), (7, "C.C")]
 
 
 def test_tableau_spells_no_rule_kind():

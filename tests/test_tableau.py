@@ -13,6 +13,7 @@ import weakref
 import pytest
 from conftest import random_formula
 
+import doxa
 from doxa import (
     EnumerationBudget,
     LogicProfile,
@@ -111,6 +112,13 @@ class TestVerdicts:
     def test_verdict_flags(self):
         assert decide_sat(parse("p"), KD).is_sat is True
         assert decide_sat(parse("p & ~p"), KD).is_sat is False
+
+    def test_decide_is_exported(self):
+        # the one verdict front door is reachable from the package
+        from doxa import decide
+
+        assert decide is tableau.decide and "decide" in doxa.__all__
+        assert decide(parse("p -> p"), KD, "valid").valid
 
     def test_deeply_nested_negations_decide(self):
         # hashing a node no longer recurses into its children
@@ -226,6 +234,15 @@ class TestTraceStructure:
     def test_sat_models_are_deterministic(self):
         f = parse("B[a](p | q) & ~B[a] p")
         assert decide_sat(f, HSTAR).model == decide_sat(f, HSTAR).model
+
+    def test_rules_name_every_trace_rule(self):
+        # derived from the rule tables, with the engine's own three steps
+        assert len(RULES) == len(set(RULES)) == 17
+        assert set(RULES) == {
+            "seed", "C.&", "C.v-left", "C.v-right", "C.~~", "C.~&-left", "C.~&-right",
+            "C.~v", "C.B*", "C.BB*", "C.~B*", "C.B-lift", "C.C", "C.CB", "C.B",
+            "C.BDef-rewrite", "C.~-clash",
+        }
 
 
 class TestRenderTrace:
@@ -693,6 +710,74 @@ class TestAgendas:
         assert decide_sat(parse(text), profile).is_sat
         assert checked["ends"] == 1
         assert checked["missed"] == []
+
+
+def _frozen(value):
+    """A dict as its items in order, a list as a tuple, else the value."""
+    if isinstance(value, dict):
+        return tuple(value.items())
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _state(engine: tableau._Engine) -> tuple:
+    """Every slot of every world but its ``epoch``, and the engine's
+    agendas, ``todo`` and ``focus``."""
+    slots = [slot for slot in tableau._World.__slots__ if slot != "epoch"]
+    worlds = tuple(tuple(_frozen(getattr(w, slot)) for slot in slots) for w in engine.worlds)
+    return worlds, tuple(engine.agenda), engine.todo, engine.focus
+
+
+class TestUndoTrail:
+    """Whenever the next alternative of a choice point is tried, every
+    world that existed when the choice point opened, slot by slot, and the
+    engine's agendas, ``todo``, ``focus`` and trace are as they were then."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The number of alternatives checked and the mismatches found."""
+        step, apply = tableau._Engine._step, tableau._Engine._apply
+        # the state and trace of each open choice point by depth, and the
+        # state of the choice point that ``_step`` just returned
+        opened: list[tuple] = []
+        result = {"checked": 0, "mismatches": [], "new": None}
+
+        def checked_step(engine):
+            alternatives = step(engine)
+            if alternatives:
+                result["new"] = (_state(engine), engine.trace)
+            return alternatives
+
+        def checked_apply(engine, alternative, bit):
+            depth = bit.bit_length() - 1
+            if result["new"] is not None:
+                # the first alternative of the choice point at ``depth``
+                del opened[depth:]
+                opened.append(result["new"])
+                result["new"] = None
+            state, trace = opened[depth]
+            result["checked"] += 1
+            if _state(engine) != state or engine.trace is not trace:
+                result["mismatches"].append((depth, alternative))
+            apply(engine, alternative, bit)
+
+        monkeypatch.setattr(tableau._Engine, "_step", checked_step)
+        monkeypatch.setattr(tableau._Engine, "_apply", checked_apply)
+        return result
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_random_suite_restores_every_choice_point(self, checked, random_suite, profile):
+        for f in random_suite:
+            decide_sat(f, profile)
+        assert checked["checked"] > 0
+        assert checked["mismatches"] == []
+
+    @pytest.mark.parametrize(
+        "text", [_TRAIL_CATCH, _SLEEP_CATCH, _NEGATED_CATCH, _FOCUS_CATCH]
+    )
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_catch_rows_restore_every_choice_point(self, checked, text, profile):
+        decide_sat(parse(text), profile)
+        assert checked["mismatches"] == []
 
 
 _ATOMS = ("p", "q", "r", "s", "t")
