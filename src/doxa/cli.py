@@ -92,12 +92,14 @@ def _dump_json(payload) -> None:
 
 
 def _render_model_text(model: ModelSystem) -> str:
-    lines = [f"worlds: {model.worlds} (designated w{model.designated})"]
-    for w in range(model.worlds):
-        atoms = ", ".join(sorted(model.valuation[w])) or "-"
-        lines.append(f"  w{w}: {atoms}")
-    for agent, pairs in sorted(model.alternatives.items()):
-        pairs = ", ".join(f"w{u}->w{v}" for u, v in sorted(pairs))
+    """The listing of ``model_to_json_dict`` as text: the atoms of each
+    world, then each agent's edges."""
+    listing = model_to_json_dict(model)
+    lines = [f"worlds: {listing['worlds']} (designated w{listing['designated']})"]
+    for w, atoms in listing["valuation"].items():
+        lines.append(f"  w{w}: {', '.join(atoms) or '-'}")
+    for agent, pairs in listing["alternatives"].items():
+        pairs = ", ".join(f"w{u}->w{v}" for u, v in pairs)
         lines.append(f"  alternatives[{agent}]: {pairs or '-'}")
     return "\n".join(lines)
 

@@ -363,7 +363,9 @@ def sat_upto(
                 vmask = int(position) * per_word + (word & -word).bit_length() - 1
                 frame = tuple(int(masks[lo + i]) for lo, i in zip(starts, index))
                 model = _build_model(n, frame, vmask, budget)
-                if not evaluate(model, 0, kernel):
+                # re-checked against the query as given, so that a defect
+                # of ``desugar`` cannot hide behind both evaluations
+                if not evaluate(model, 0, f):
                     raise InternalVerificationError(
                         "vectorized evaluation disagreed with the reference evaluator"
                     )

@@ -148,16 +148,19 @@ point steps 1 and 2 have scanned every entry of every world, so a mark
 leaves out their cursor, and restoring a world sets it to its entry count.
 For the same reason a cursor of steps 1-3 moves only in a world already
 logged: by the entry it reaches, or by the branch alternative written into
-it.  ``_step`` returns a choice point as the tuple of its alternatives, and
-the choice point keeps the trail length, the world count, the trace, the
-focus and the agendas; the trace is a linked list whose steps before the
-choice point stay shared.  Trying its next alternative restores the worlds
-logged since, drops the worlds made since and resets the trace, the focus
-and the agendas.  The open choice points sit on an explicit stack instead
-of the call stack, so the search depth is bounded by memory only, and
-memory grows with the work done on the branch, not with its depth times its
-label size.  Each step of the trace is a plain tuple; ``ProofStep`` records
-are built once, for the verdict.
+it.  The branch's trace is a list of steps, each a plain tuple, and a
+step's number is its position in the list; ``ProofStep`` records are built
+once, for the verdict.  ``_step`` returns a choice point as the tuple of its
+alternatives, and the choice point keeps the lengths of the trail, the
+world list and the trace, the focus and the agendas.  Trying its next
+alternative restores the worlds logged since, cuts the world list and the
+trace back to their saved lengths, and resets the focus and the agendas;
+until then the steps of the alternative that closed are the trace past its
+saved length.  The open choice points sit on an explicit stack instead of
+the call stack, so the search depth is bounded by memory only, and memory
+grows with the work done on the branch, not with its depth times its label
+size.  Once every branch has closed, ``run`` returns None, and the trace is
+the branch that closed last.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999): a choice
@@ -382,11 +385,7 @@ class TableauStats:
 class SatVerdict:
     model: ModelSystem
     stats: TableauStats
-    word, positive = "sat", True
-
-    @property
-    def is_sat(self) -> bool:
-        return True
+    word, positive, is_sat = "sat", True, True
 
     @property
     def evidence(self) -> ModelSystem:
@@ -397,11 +396,7 @@ class SatVerdict:
 class UnsatVerdict:
     trace: tuple[ProofStep, ...]
     stats: TableauStats
-    word, positive = "unsat", False
-
-    @property
-    def is_sat(self) -> bool:
-        return False
+    word, positive, is_sat = "unsat", False, False
 
     @property
     def evidence(self) -> tuple[ProofStep, ...]:
@@ -437,27 +432,21 @@ class ValidityVerdict:
 #: the (counter)model when there is one, otherwise the refutation trace.
 Verdict = SatVerdict | UnsatVerdict | ValidityVerdict
 
-#: A branch's trace as its last step, (index, world id, formula, rule,
-#: premises), followed by the trace before it, so that the branch and the
-#: choice points open on it share the steps before them.
-_Trace = tuple[int, int, Formula, str, tuple[int, ...], "_Trace"] | None
-
-
-def _steps(trace: _Trace) -> tuple[ProofStep, ...]:
-    steps = []
-    while trace is not None:
-        i, wid, f, rule, premises, trace = trace
-        steps.append(ProofStep(i, f"w{wid}", f, rule, premises))
-    return tuple(reversed(steps))
+def _steps(trace: list[tuple]) -> tuple[ProofStep, ...]:
+    """The ``ProofStep`` records of a branch's trace of (world id, formula,
+    rule, premises) steps, numbered by position from 1."""
+    return tuple(
+        ProofStep(i, f"w{wid}", f, rule, premises)
+        for i, (wid, f, rule, premises) in enumerate(trace, 1)
+    )
 
 
 class _Closed(Exception):
-    """Internal: the current branch closed; carries the branch trace and the
+    """Internal to ``_Engine``: the current branch closed; carries the
     dependency set of the clash, the choice points it rests on."""
 
-    def __init__(self, trace: _Trace, deps: int) -> None:
+    def __init__(self, deps: int) -> None:
         super().__init__("branch closed")
-        self.trace = trace
         self.deps = deps
 
 
@@ -540,17 +529,18 @@ class _World:
 
 
 class _Engine:
-    def __init__(self, query: Formula, profile: LogicProfile, stats: TableauStats) -> None:
+    def __init__(self, query: Formula, profile: LogicProfile) -> None:
         # the query's closure table, shared with every profile's engine
         # for the same query node; holding it keeps the closure's nodes alive
         self.table = _compile(query)
         self.profile = profile
         self.frame = PROFILE_RULES[profile].frame
         self.propagation = _PROPAGATION[profile]
-        self.stats = stats
-        # the one branch the search is on, changed in place
+        self.stats = TableauStats()
+        # the one branch the search is on, changed in place, and its steps
+        # as (world id, formula, rule, premises), step i at index i - 1
         self.worlds = [_World(0, None, 0, len(self.propagation.steps))]
-        self.trace: _Trace = None
+        self.trace: list[tuple] = []
         # the mark of each world changed since the alternative that began
         # the world's epoch was applied; nothing is logged before the first
         # choice point, whose first alternative begins epoch 1
@@ -566,13 +556,15 @@ class _Engine:
     # ------------------------------------------------------------------
     # search
 
-    def run(self) -> ModelSystem:
-        """Depth-first search over an explicit stack of the open choice
+    def run(self) -> ModelSystem | None:
+        """The model of the first open branch, or None once every branch
+        has closed, leaving ``trace`` on the branch that closed last.
+        Depth-first search over an explicit stack of the open choice
         points, the one at depth d at index d.  An entry is [(trail length,
-        world count, trace, focus, agendas) when the choice was made, its
-        alternatives, the index of the next one to try, the union of the
-        closing sets of those tried].  ``pending`` says that the innermost
-        entry is due to try its next alternative."""
+        world count, trace length, focus, agendas) when the choice was
+        made, its alternatives, the index of the next one to try, the union
+        of the closing sets of those tried].  ``pending`` says that the
+        innermost entry is due to try its next alternative."""
         self._add(0, self.table.kernel, "seed", (), 0)
         stack: list[list] = []
         pending = False
@@ -580,12 +572,13 @@ class _Engine:
             try:
                 if pending:
                     saved, alternatives, k, _ = entry = stack[-1]
-                    length, count, self.trace, self.focus, agenda, self.todo = saved
+                    length, count, steps, self.focus, agenda, self.todo = saved
                     entry[2] = k + 1
                     while len(self.trail) > length:
                         mark = self.trail.pop()
                         mark[0].restore(mark)
                     del self.worlds[count:]
+                    del self.trace[steps:]
                     self.agenda[:] = agenda
                     self.epoch += 1
                     pending = False
@@ -596,7 +589,7 @@ class _Engine:
                 if alternatives:
                     self.stats.choice_points += 1
                     saved = (
-                        len(self.trail), len(self.worlds), self.trace, self.focus,
+                        len(self.trail), len(self.worlds), len(self.trace), self.focus,
                         tuple(self.agenda), self.todo,
                     )
                     stack.append([saved, alternatives, 0, 0])
@@ -616,7 +609,7 @@ class _Engine:
                         # the clash does not rest on this choice: backjump
                         self.stats.skipped += len(entry[1]) - entry[2]
                 else:
-                    raise _Closed(closed.trace, deps) from None
+                    return None
 
     def _apply(self, alternative: tuple, bit: int) -> None:
         """Write an alternative of the choice point whose bit is ``bit``:
@@ -790,10 +783,9 @@ class _Engine:
     # primitive actions
 
     def _record(self, wid: int, f: Formula, rule: str, premises: tuple[int, ...]) -> int:
-        index = self.trace[0] + 1 if self.trace else 1
-        self.trace = (index, wid, f, rule, premises, self.trace)
+        self.trace.append((wid, f, rule, premises))
         self.stats.rules_fired += 1
-        return index
+        return len(self.trace)
 
     def _touch(self, w: _World) -> None:
         """Log ``w`` on the trail before its first change in this epoch."""
@@ -838,7 +830,7 @@ class _Engine:
                 return
         (i, deps_i), (j, deps_j) = w.label[positive], w.label[negative]
         self._record(wid, positive, "C.~-clash", (min(i, j), max(i, j)))
-        raise _Closed(self.trace, deps_i | deps_j)
+        raise _Closed(deps_i | deps_j)
 
     def _spawn(self, parent: int, agent: str, deps: int) -> int:
         new_id = len(self.worlds)
@@ -985,13 +977,11 @@ def decide_sat(f: Formula, profile: LogicProfile) -> SatVerdict | UnsatVerdict:
     An unsatisfiable verdict carries the closing exploration as a trace
     whose last step is the clash.
     """
-    stats = TableauStats()
-    engine = _Engine(f, profile, stats)
-    try:
-        model = engine.run()
-    except _Closed as closed:
-        return UnsatVerdict(trace=_steps(closed.trace), stats=stats)
-    return SatVerdict(model=model, stats=stats)
+    engine = _Engine(f, profile)
+    model = engine.run()
+    if model is None:
+        return UnsatVerdict(trace=_steps(engine.trace), stats=engine.stats)
+    return SatVerdict(model=model, stats=engine.stats)
 
 
 def decide_valid(f: Formula, profile: LogicProfile) -> ValidityVerdict:
@@ -1005,8 +995,13 @@ def decide_valid(f: Formula, profile: LogicProfile) -> ValidityVerdict:
 
 
 def decide(f: Formula, profile: LogicProfile, mode: str) -> Verdict:
-    """The verdict on ``f`` in mode "sat" (satisfiability) or "valid"."""
-    return decide_sat(f, profile) if mode == "sat" else decide_valid(f, profile)
+    """The verdict on ``f`` in mode "sat" (satisfiability) or "valid"; any
+    other mode raises ``ValueError``."""
+    if mode == "sat":
+        return decide_sat(f, profile)
+    if mode == "valid":
+        return decide_valid(f, profile)
+    raise ValueError(f"unknown mode {mode!r}: expected 'sat' or 'valid'")
 
 
 def _rendered(trace: tuple[ProofStep, ...] | list[ProofStep]) -> list[str]:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -575,3 +577,15 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["failed"] == 0
+
+    def test_console_script_entry_point(self, capsys):
+        # the [project.scripts] entry that an installed ``doxa`` would run
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["doxa"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        code = entry(["corpus", "--output", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["failed"] == 0

@@ -21,10 +21,12 @@ from doxa import (
     LogicProfile,
     MAX_BUDGET_WORLDS,
     ModelSystem,
+    Not,
     PROFILES_BY_STRENGTH,
     agents,
     check_frame,
     decide_sat,
+    desugar,
     enumerate_models,
     evaluate,
     model_to_json_dict,
@@ -306,6 +308,13 @@ class TestSatUpto:
         monkeypatch.setattr("doxa.oracle.evaluate", lambda m, w, f: False)
         with pytest.raises(InternalVerificationError, match="disagreed with the reference"):
             sat_upto(parse("p"), B2, KD)
+
+    def test_a_hit_is_checked_against_the_query_as_given(self, monkeypatch):
+        # a defect of ``desugar`` that both evaluations of the kernel agree
+        # on: the hit is a model of the negated query
+        monkeypatch.setattr("doxa.oracle.desugar", lambda g: desugar(Not(g)))
+        with pytest.raises(InternalVerificationError, match="disagreed with the reference"):
+            sat_upto(parse("B[a] p -> p"), B2, KD)
 
 
 def _seeded_formulas(budget: EnumerationBudget, count: int) -> list[Formula]:

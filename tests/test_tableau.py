@@ -120,6 +120,12 @@ class TestVerdicts:
         assert decide is tableau.decide and "decide" in doxa.__all__
         assert decide(parse("p -> p"), KD, "valid").valid
 
+    @pytest.mark.parametrize("mode", ["SAT", "validity", ""])
+    def test_decide_rejects_an_unknown_mode(self, mode):
+        # no mode but the two falls through to a validity check
+        with pytest.raises(ValueError, match="'sat' or 'valid'"):
+            tableau.decide(parse("p & ~p"), KD, mode)
+
     def test_deeply_nested_negations_decide(self):
         # hashing a node no longer recurses into its children
         assert sat("~" * 500 + "p", KD) is True
@@ -744,7 +750,7 @@ class TestUndoTrail:
         def checked_step(engine):
             alternatives = step(engine)
             if alternatives:
-                result["new"] = (_state(engine), engine.trace)
+                result["new"] = (_state(engine), tuple(engine.trace))
             return alternatives
 
         def checked_apply(engine, alternative, bit):
@@ -756,7 +762,7 @@ class TestUndoTrail:
                 result["new"] = None
             state, trace = opened[depth]
             result["checked"] += 1
-            if _state(engine) != state or engine.trace is not trace:
+            if _state(engine) != state or tuple(engine.trace) != trace:
                 result["mismatches"].append((depth, alternative))
             apply(engine, alternative, bit)
 
@@ -965,11 +971,11 @@ class TestClosureTable:
             return build(cls, *fields)
 
         for text, profile in _HARD_ROWS:
-            engine = tableau._Engine(parse(text), profile, tableau.TableauStats())
+            engine = tableau._Engine(parse(text), profile)
             monkeypatch.setattr(Formula, "__new__", staticmethod(counted))
             try:
                 engine.run()
-            except (tableau._Closed, InternalVerificationError):
+            except InternalVerificationError:
                 pass
             finally:
                 monkeypatch.undo()
