@@ -23,17 +23,23 @@ demand then spawns one fresh alternative containing ``~q`` per (C.C).
 
 Profiles differ only in the modal rules, which step 4 reads from the
 profile's row of ``models.PROFILE_RULES``.  Every profile propagates believed
-formulas into alternatives per (C.B*) and spawns a seriality witness per
-(C.B) when a believing world has no alternative.  The hstar profile adds
-the weak-introspection witness (C.CB): each believing world designates one
-alternative that receives the belief formulas themselves, first trying to
-reuse an existing alternative and falling back to a fresh witness world if
-reuse closes the branch.  The hintikka profile instead propagates beliefs
-into every alternative per (C.BB*).  The kd45 profile propagates beliefs
-and negated beliefs into every alternative.  A euclidean profile (kd45)
-additionally lifts beliefs from an alternative back to its creator; the lift
-is what makes every member of a belief cluster agree on what is believed, so
-that a euclidean model can be read off an open branch.
+formulas into alternatives per (C.B*).  The hintikka profile also propagates
+beliefs into every alternative per (C.BB*), and the kd45 profile beliefs and
+negated beliefs.  A euclidean profile (kd45) additionally lifts beliefs from
+an alternative back to its creator; the lift is what makes every member of
+a belief cluster agree on what is believed, so that a euclidean model can be
+read off an open branch.
+
+Step 5 serves one needy agent per world.  The hstar profile has the
+weak-introspection witness (C.CB): each believing world designates, for
+each believing agent, one alternative that receives the belief formulas
+themselves, first trying to reuse an existing alternative and falling back
+to a fresh witness world if reuse closes the branch.  Its needy agent is
+the first believing agent without a witness.  Every other profile spawns a
+seriality witness per (C.B), and its needy agent is the first believing
+agent without an alternative.  A witness is itself an alternative, so under
+hstar (C.CB) serves every agent that (C.B) would, and (C.B) never fires
+there.  A (C.C) demand and a (C.B) belief seed their new world the same way.
 
 Termination: world labels are subsets of the query's subformula closure, so
 only finitely many labels exist.  A world whose label equals the label of a
@@ -92,15 +98,14 @@ only the worlds that may have work, kept as int bitsets of world ids.
 ``agenda[r]`` holds the worlds whose cursor for propagation rule r may lag
 behind an entry the rule can fire on, a belief (a negated belief for
 (C.~B*)).  ``todo`` holds the worlds that may have a demand left to spawn,
-or an agent whose belief has no witness or no alternative yet.  Step 4
-takes the rules in the profile's order and, for each rule, its worlds
-lowest id first; a world leaves the rule's agenda once its scan reaches
-the end of its source entries.  A world off the agenda has no belief past
-its cursor, only entries that a scan would pass over, so step 4 fires
-what a sweep over every (rule, world) pair in creation order would fire.
-Step 5 walks ``todo`` the same way, reading per-world records of each
-agent's first belief and first alternative; a world with nothing left to
-create leaves it.  So does a blocked world, which sleeps: step 5 sets its
+or a needy agent.  Step 4 takes the rules in the profile's order and, for
+each rule, its worlds lowest id first; a world leaves the rule's agenda
+once its scan reaches the end of its source entries.  A world off the
+agenda has no belief past its cursor, only entries that a scan would pass
+over, so step 4 fires what a sweep over every (rule, world) pair in
+creation order would fire.  Step 5 walks ``todo`` the same way, reading
+per-world records of each agent's first belief, first alternative and
+witness; a world with nothing left to create leaves it.  So does a blocked world, which sleeps: step 5 sets its
 bit in the ``sleepers`` bitsets of the world itself and of its blocker.
 Along a branch labels only grow, so a sleeping world stays blocked while
 neither of the two labels grows.  The agendas miss no work, because a
@@ -108,10 +113,13 @@ neither of the two labels grows.  The agendas miss no work, because a
 its blocker, only through these events, each of which marks it:
 
     - ``_add`` of a belief marks its world in the agendas of the rules
-      that scan their own world, (C.CB) and (C.B-lift), and the world's
-      children in those of the down rules; ``_add`` of a negated belief
-      marks the children for (C.~B*); an agent's first belief in a world
-      marks the world to do;
+      that scan their own world, (C.CB) and (C.B-lift), and an agent's
+      first belief in a world marks the world to do;
+    - ``_add`` of a belief or a negated belief marks the world's children
+      in the agenda of every down rule.  A bit only says that a scan may
+      have work, and a down rule's scan passes over only entries that any
+      later scan would pass over too: the rule's kind and the edge's agent
+      are fixed, and a target entry stays along a branch;
     - a new world is marked in the agenda of every down rule, since its
       cursors start at the first entry of its creator;
     - a (C.BDef-rewrite) demand marks its world to do, and a (C.CB)
@@ -263,11 +271,10 @@ class _Propagation:
     ``down`` rule sends its world's creator's entries down the edge into
     it, any other scans the world's own entries.  The index tuples name the
     agendas that gain work: ``own`` at a world gaining a belief, ``down``
-    at its children, ``down_negated`` at its children when it gains a
-    negated belief, and both at a new world.  ``cb`` is the index of
-    (C.CB), or None."""
+    at its children when it gains a belief or a negated belief, and at a
+    new world.  ``cb`` is the index of (C.CB), or None."""
 
-    __slots__ = ("steps", "own", "down", "down_negated", "cb")
+    __slots__ = ("steps", "own", "down", "cb")
 
     def __init__(self, rules: ProfileRules) -> None:
         chain = rules.propagation + ((_B_LIFT,) if euclidean in rules.frame else ())
@@ -280,8 +287,7 @@ class _Propagation:
         )
         indices = range(len(chain))
         self.own = tuple(r for r in indices if not down[r])
-        self.down = tuple(r for r in indices if down[r] and not chain[r].negated)
-        self.down_negated = tuple(r for r in indices if down[r] and chain[r].negated)
+        self.down = tuple(r for r in indices if down[r])
         self.cb = chain.index(C_CB) if C_CB in chain else None
 
 
@@ -747,9 +753,12 @@ class _Engine:
             pending ^= low
             w = worlds[low.bit_length() - 1]
             demand = w.spawn_cursor < len(w.demands)
-            unwitnessed = [a for a in w.beliefs if a not in w.cb] if witnesses else []
-            unserved = [a for a in w.beliefs if a not in w.alternatives]
-            if not (demand or unwitnessed or unserved):
+            # the first believing agent without a witness, or without an
+            # alternative when the profile has no witness rule: a witness is
+            # an alternative, so (C.CB) serves what (C.B) would
+            served = w.cb if witnesses else w.alternatives
+            needy = next((a for a in w.beliefs if a not in served), None)
+            if not demand and needy is None:
                 self.todo ^= low
                 continue
             blocker = self._blocker(w)
@@ -761,21 +770,20 @@ class _Engine:
                 self.todo ^= low
                 continue
             if demand:
-                self._touch(w)
                 agent, g, premise, deps = w.demands[w.spawn_cursor]
-                w.spawn_cursor += 1
-                new_id = self._spawn(w.id, agent, deps)
-                self._add(new_id, g, C_C.kind, (premise,), deps)
-                return ()
-            if unwitnessed:
-                agent = unwitnessed[0]
-                fresh = (C_CB.kind, w.id, agent, None, 0)
-                reuse = w.alternatives.get(agent)
-                return (fresh,) if reuse is None else ((C_CB.kind, w.id, agent, *reuse), fresh)
-            first = w.beliefs[unserved[0]]
-            premise, deps = w.label[first]
-            new_id = self._spawn(w.id, unserved[0], deps)
-            self._add(new_id, first.sub, C_B.kind, (premise,), deps)
+                rule = C_C.kind
+            elif witnesses:
+                fresh = (C_CB.kind, w.id, needy, None, 0)
+                reuse = w.alternatives.get(needy)
+                return (fresh,) if reuse is None else ((C_CB.kind, w.id, needy, *reuse), fresh)
+            else:
+                first = w.beliefs[needy]
+                agent, g, rule = needy, first.sub, C_B.kind
+                premise, deps = w.label[first]
+            new_id = self._spawn(w.id, agent, deps)
+            # ``_spawn`` logged ``w`` on the trail before the cursor moves
+            w.spawn_cursor += demand
+            self._add(new_id, g, rule, (premise,), deps)
             return ()
         return None
 
@@ -807,7 +815,6 @@ class _Engine:
             # the blocked worlds resting on this label may be unblocked
             self.todo |= w.sleepers
             w.sleepers = 0
-        down = ()
         agent = self.table.believer.get(f)
         if agent is not None:
             if agent not in w.beliefs:
@@ -815,11 +822,8 @@ class _Engine:
                 self.todo |= 1 << wid
             for r in self.propagation.own:
                 self.agenda[r] |= 1 << wid
-            down = self.propagation.down
-        elif w.children and f in self.table.doubter:
-            down = self.propagation.down_negated
-        if down and w.children:
-            for r in down:
+        if w.children and (agent is not None or f in self.table.doubter):
+            for r in self.propagation.down:
                 self.agenda[r] |= w.children
         # a negation ~x clashes with x and with ~~x
         if isinstance(f, Not) and f.sub in w.label:
@@ -841,7 +845,7 @@ class _Engine:
         creator.alternatives.setdefault(agent, (new_id, deps))
         bit = 1 << new_id
         creator.children |= bit
-        for r in self.propagation.down + self.propagation.down_negated:
+        for r in self.propagation.down:
             agenda[r] |= bit
         self.stats.worlds_created += 1
         if len(self.worlds) > self.table.world_bound:

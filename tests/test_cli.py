@@ -384,6 +384,14 @@ class TestCorpus:
         assert code == 2 and out == ""
         assert err == f"error: {path}:1: fields ['formula'] must be strings\n"
 
+    @pytest.mark.parametrize("line", ["[1]", '"p"', "3", "true", "null"])
+    def test_row_that_is_not_an_object_is_a_usage_error(self, capsys, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "corpus", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:1: corpus row must be a JSON object\n"
+
     def test_empty_corpus(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

@@ -74,6 +74,14 @@ class TestLoad:
         with pytest.raises(ValueError, match=":2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line", ["[1]", '"p"', "3", "true", "null"])
+    def test_row_that_is_not_an_object_names_the_line(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == f"{path}:1: corpus row must be a JSON object"
+
     def test_malformed_json_names_the_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(_row()) + "\n{not json\n", encoding="utf-8")

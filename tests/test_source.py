@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -513,3 +514,24 @@ def test_no_function_assigns_a_global(path):
     # a derived table is cached with ``functools``, not kept by hand in a
     # module variable that a function rebinds
     assert _global_statements(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _python_floor() -> tuple[int, int]:
+    """The oldest Python that ``pyproject.toml`` declares, read with a
+    regex: ``tomllib`` needs 3.11."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_floor_check_sees_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(source, feature_version=_python_floor())
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(doxa.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_module_parses_at_the_declared_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=_python_floor())

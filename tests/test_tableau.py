@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import hashlib
 import json
@@ -21,6 +22,7 @@ from doxa import (
     RULES,
     SatVerdict,
     UnsatVerdict,
+    Violation,
     check_frame,
     decide_sat,
     decide_valid,
@@ -31,7 +33,7 @@ from doxa import (
     sat_upto,
     verdict_to_json_dict,
 )
-from doxa import tableau
+from doxa import cli, tableau
 from doxa.formula import (
     And,
     Atom,
@@ -190,6 +192,60 @@ class TestSatModels:
         verdict = decide_sat(parse("B[a] p"), KD)
         assert verdict.stats.rules_fired > 0
         assert verdict.stats.worlds_created >= 1
+
+
+def _plant_frame_violation(monkeypatch) -> None:
+    violation = Violation("serial", (0,), None, "planted")
+    monkeypatch.setattr(tableau, "check_frame", lambda model, profile: [violation])
+
+
+def _plant_false_query(monkeypatch) -> None:
+    monkeypatch.setattr(tableau, "evaluate", lambda model, world, f: False)
+
+
+def _plant_lost_witness(monkeypatch) -> None:
+    extract = tableau._Engine._extract
+
+    def unwitnessed(engine):
+        for w in engine.worlds:
+            w.cb.clear()
+        return extract(engine)
+
+    monkeypatch.setattr(tableau._Engine, "_extract", unwitnessed)
+
+
+class TestSelfVerification:
+    """Model extraction re-verifies what it read off an open branch: a
+    model that fails its frame class or the query, or a believing world
+    without a witness under hstar, is an internal error, never a verdict."""
+
+    @pytest.mark.parametrize(
+        ("plant", "profile", "message"),
+        [
+            (_plant_frame_violation, KD, "extracted model violates its frame class: serial"),
+            (
+                _plant_false_query,
+                KD,
+                "extracted model does not satisfy the query at the designated world",
+            ),
+            (_plant_lost_witness, HSTAR, "believing world 0 saturated without a witness"),
+        ],
+        ids=["frame", "query", "witness"],
+    )
+    def test_planted_defect_raises(self, monkeypatch, plant, profile, message):
+        plant(monkeypatch)
+        with pytest.raises(InternalVerificationError) as exc:
+            decide_sat(parse("B[a] p"), profile)
+        assert str(exc.value) == message
+
+    def test_cli_reports_a_planted_defect(self, monkeypatch, capsys):
+        _plant_frame_violation(monkeypatch)
+        code = cli.main(["decide", "B[a] p"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: internal engine error: extracted model violates its frame class: serial\n"
+        )
 
 
 def _unsat_traces() -> list[tuple[str, LogicProfile]]:
@@ -806,6 +862,37 @@ def _propositional(rng: random.Random, depth: int, conjuncts: int = 4):
         return Not(_propositional(rng, depth - 1, 1))
     left, right = _propositional(rng, depth - 1, 1), _propositional(rng, depth - 1, 1)
     return {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind](left, right)
+
+
+class TestWitnessRules:
+    """A (C.CB) witness is an alternative, so under hstar (C.CB) serves
+    every believing agent before (C.B) could, and (C.B) never fires; no
+    other profile has (C.CB)."""
+
+    def test_only_hstar_designates_and_it_spawns_no_seriality_witness(
+        self, monkeypatch, random_suite
+    ):
+        record = tableau._Engine._record
+        fired = collections.Counter()
+
+        def counted(engine, wid, f, rule, premises):
+            fired[engine.profile, rule] += 1
+            return record(engine, wid, f, rule, premises)
+
+        monkeypatch.setattr(tableau._Engine, "_record", counted)
+        for profile in PROFILES_BY_STRENGTH:
+            for mode in ("sat", "valid"):
+                for f in random_suite:
+                    tableau.decide(f, profile, mode)
+        for text, profile in _HARD_ROWS:
+            try:
+                decide_sat(parse(text), profile)
+            except InternalVerificationError:
+                # kd45-fuzz-2agent overruns the world bound
+                assert profile is KD45
+        assert fired[HSTAR, "C.B"] == 0 < fired[HSTAR, "C.CB"]
+        for profile in (KD, HINTIKKA, KD45):
+            assert fired[profile, "C.CB"] == 0 < fired[profile, "C.B"], profile
 
 
 class TestPropositionalDifferential:
