@@ -12,72 +12,40 @@ introspection witness), ``hintikka`` (seriality plus transitivity), and
 
 from __future__ import annotations
 
-from .corpus import (
-    CorpusEntry,
-    CorpusResult,
-    CorpusRow,
-    load_corpus,
-    run_corpus,
-    run_entry,
-)
-from .formula import (
-    Agent,
-    And,
-    Atom,
-    Bel,
-    Comp,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    agents,
-    atoms,
-    desugar,
-    modal_depth,
-    neg,
-    node_count,
-    render,
-    subformula_closure,
-    subformulas,
-)
-from .models import (
-    InternalVerificationError,
-    LabeledModelSystem,
-    LogicProfile,
-    ModelSystem,
-    PROFILES_BY_STRENGTH,
-    Violation,
-    check_frame,
-    check_model_set,
-    evaluate,
-    labeled_from_json_dict,
-    labeled_to_json_dict,
-    model_from_json_dict,
-    model_to_json_dict,
-)
-from .oracle import (
-    MAX_BUDGET_WORLDS,
-    REFERENCE_COUNTS,
-    EnumerationBudget,
-    enumerate_models,
-    sat_upto,
-)
-from .parser import ParseError, SourceSpan, format_parse_error, parse
-from .tableau import (
-    ProofStep,
-    RULES,
-    SatVerdict,
-    TableauStats,
-    UnsatVerdict,
-    ValidityVerdict,
-    decide,
-    decide_sat,
-    decide_valid,
-    render_trace,
-    trace_to_json_dict,
-    verdict_to_json_dict,
-)
+import importlib
+
+#: The module that defines each public name.  ``__getattr__`` (PEP 562)
+#: imports it on the name's first use, so that ``import doxa`` loads no
+#: submodule and a process loads only the modules it runs.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "corpus": "CorpusEntry CorpusResult CorpusRow load_corpus run_corpus run_entry",
+        "formula": "Agent And Atom Bel Comp Formula Iff Implies Not Or agents atoms desugar"
+        " modal_depth neg node_count render subformula_closure subformulas",
+        "models": "InternalVerificationError LabeledModelSystem LogicProfile ModelSystem"
+        " PROFILES_BY_STRENGTH Violation check_frame check_model_set evaluate"
+        " labeled_from_json_dict labeled_to_json_dict model_from_json_dict model_to_json_dict",
+        "oracle": "MAX_BUDGET_WORLDS REFERENCE_COUNTS EnumerationBudget enumerate_models sat_upto",
+        "parser": "ParseError SourceSpan format_parse_error parse",
+        "tableau": "ProofStep RULES SatVerdict TableauStats UnsatVerdict ValidityVerdict decide"
+        " decide_sat decide_valid render_trace trace_to_json_dict verdict_to_json_dict",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

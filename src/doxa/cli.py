@@ -19,6 +19,10 @@ those into exit 2 and their report on stderr, with nothing on stdout: a
 formula argument that does not parse gets the three-line caret report of
 ``format_parse_error``, anything else one ``error:`` line.  argparse
 reports its own usage errors, also with exit 2.
+
+A process loads only what its subcommand runs: ``corpus`` and ``oracle``
+import their modules inside their commands, so that ``decide``,
+``compare`` and ``check-model`` load neither of them.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
-from .corpus import load_corpus, run_corpus
 from .formula import Formula, agents, atoms, render
 from .models import (
     InternalVerificationError,
@@ -44,7 +46,6 @@ from .models import (
     labeled_from_json_dict,
     model_to_json_dict,
 )
-from .oracle import MAX_BUDGET_WORLDS, EnumerationBudget, sat_upto
 from .parser import ParseError, format_parse_error, parse
 from .tableau import decide, render_trace, verdict_to_json_dict
 
@@ -150,8 +151,10 @@ def cmd_check_model(args: argparse.Namespace) -> int:
         # An agent the file omits has no alternatives, and the frame
         # conditions apply to it too.
         missing = {a.name for a in agents(f)} - set(model.rows)
-        model = replace(model, rows={**model.rows, **dict.fromkeys(missing, (0,) * model.worlds)})
-    violations = check_model_set(replace(labeled, model=model), profile)
+        rows = {**model.rows, **dict.fromkeys(missing, (0,) * model.worlds)}
+        model = ModelSystem(model.worlds, model.designated, model.valuation, rows)
+        labeled = LabeledModelSystem(model, labeled.labels)
+    violations = check_model_set(labeled, profile)
     value = None if f is None else evaluate(model, model.designated, f)
     if args.output == "json":
         _dump_json(
@@ -182,6 +185,8 @@ def cmd_check_model(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus, run_corpus
+
     result = run_corpus(load_corpus(args.path))
     if args.output == "json":
         _dump_json(result.to_json_dict())
@@ -227,6 +232,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import MAX_BUDGET_WORLDS, EnumerationBudget, sat_upto
+
     f = _parse_formula(args.formula)
     if not 1 <= args.max_worlds <= MAX_BUDGET_WORLDS:
         raise ValueError(f"--max-worlds must be between 1 and {MAX_BUDGET_WORLDS}")

@@ -10,8 +10,8 @@ of a run is stable, so two runs over the same corpus are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .models import LogicProfile, _read_text, _unique_keys
 from .parser import ParseError, parse
@@ -21,8 +21,7 @@ _REQUIRED_KEYS = {"id", "formula", "profile", "mode", "expected", "source"}
 _MODES = {"sat": ("sat", "unsat"), "valid": ("valid", "invalid")}
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     id: str
     formula: str
     profile: LogicProfile
@@ -31,8 +30,7 @@ class CorpusEntry:
     source: str
 
 
-@dataclass(frozen=True)
-class CorpusRow:
+class CorpusRow(NamedTuple):
     """One replayed corpus entry and what the engine actually said."""
 
     entry: CorpusEntry
@@ -43,8 +41,7 @@ class CorpusRow:
         return self.actual == self.entry.expected
 
 
-@dataclass(frozen=True)
-class CorpusResult:
+class CorpusResult(NamedTuple):
     rows: tuple[CorpusRow, ...]
 
     @property

@@ -24,22 +24,69 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 
 #: An agent or atom name: a lowercase identifier, the one form the parser
 #: reads as a name.
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, slots=True)
-class Agent:
+class Record:
+    """Base of a frozen value class whose ``__slots__`` are its fields, in
+    the order of its constructor's parameters; ``__init__`` sets them with
+    ``_set``.  As with a frozen dataclass, a record refuses assignment,
+    equals a record of its own class with equal fields, hashes as the tuple
+    of its fields and shows as ``Class(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Agent(Record):
     """An agent index, named by a lowercase identifier."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not NAME_RE.match(self.name):
-            raise ValueError(f"invalid agent name: {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not NAME_RE.match(name):
+            raise ValueError(f"invalid agent name: {name!r}")
+        self._set(name=name)
+
+    # an agent is in the hash-consing key of every modal node, so these two
+    # skip the generic field tuple
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Agent:
+            return NotImplemented
+        return other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name

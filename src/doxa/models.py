@@ -42,7 +42,6 @@ import enum
 import json
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,6 +56,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    Record,
     desugar,
     neg,
     postorder,
@@ -91,8 +91,7 @@ PROFILES_BY_STRENGTH: tuple[LogicProfile, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ModelSystem:
+class ModelSystem(Record):
     """Immutable Kripke structure with a designated world.
 
     ``valuation`` maps a world to the atoms true there (absent atoms are
@@ -104,31 +103,38 @@ class ModelSystem:
     afterwards.
     """
 
+    __slots__ = ("worlds", "designated", "valuation", "rows")
     worlds: int
     designated: int
-    valuation: dict[int, frozenset[str]] = field(default_factory=dict)
-    rows: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    valuation: dict[int, frozenset[str]]
+    rows: dict[str, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        if self.worlds < 1:
+    def __init__(
+        self,
+        worlds: int,
+        designated: int,
+        valuation: dict[int, Iterable[str]] | None = None,
+        rows: dict[str, Iterable[int]] | None = None,
+    ) -> None:
+        if worlds < 1:
             raise ValueError("a model needs at least one world")
-        if not 0 <= self.designated < self.worlds:
-            raise ValueError(f"designated world {self.designated} out of range")
-        valuation: dict[int, frozenset[str]] = {}
-        for w, atoms_at_w in self.valuation.items():
+        if not 0 <= designated < worlds:
+            raise ValueError(f"designated world {designated} out of range")
+        self._set(worlds=worlds, designated=designated)
+        normal_valuation: dict[int, frozenset[str]] = {}
+        for w, atoms_at_w in (valuation or {}).items():
             self._check_world(int(w))
-            valuation[int(w)] = frozenset(atoms_at_w)
-        rows: dict[str, tuple[int, ...]] = {}
-        for agent, agent_rows in self.rows.items():
+            normal_valuation[int(w)] = frozenset(atoms_at_w)
+        normal_rows: dict[str, tuple[int, ...]] = {}
+        for agent, agent_rows in (rows or {}).items():
             agent_rows = tuple(agent_rows)
-            if len(agent_rows) != self.worlds:
-                raise ValueError(f"{len(agent_rows)} {agent}-rows for {self.worlds} worlds")
+            if len(agent_rows) != worlds:
+                raise ValueError(f"{len(agent_rows)} {agent}-rows for {worlds} worlds")
             for w, row in enumerate(agent_rows):
-                if row >> self.worlds:
+                if row >> worlds:
                     raise ValueError(f"{agent}-row of world {w} sees a world out of range")
-            rows[str(agent)] = agent_rows
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "rows", rows)
+            normal_rows[str(agent)] = agent_rows
+        self._set(valuation=normal_valuation, rows=normal_rows)
 
     @classmethod
     def from_pairs(
@@ -164,26 +170,28 @@ class ModelSystem:
         return self.valuation.get(w, frozenset())
 
 
-@dataclass(frozen=True)
-class LabeledModelSystem:
+class LabeledModelSystem(Record):
     """A model whose worlds carry the formulas they are meant to satisfy.
 
     Labels must be desugared (kernel connectives only); label order is kept
     so that checking reports violations deterministically.
     """
 
+    __slots__ = ("model", "labels")
     model: ModelSystem
-    labels: dict[int, tuple[Formula, ...]] = field(default_factory=dict)
+    labels: dict[int, tuple[Formula, ...]]
 
-    def __post_init__(self) -> None:
-        labels: dict[int, tuple[Formula, ...]] = {}
-        for w, formulas in self.labels.items():
-            self.model._check_world(int(w))
+    def __init__(
+        self, model: ModelSystem, labels: dict[int, Iterable[Formula]] | None = None
+    ) -> None:
+        normal_labels: dict[int, tuple[Formula, ...]] = {}
+        for w, formulas in (labels or {}).items():
+            model._check_world(int(w))
             for f in formulas:
                 if _has_sugar(f):
                     raise ValueError(f"label {render(f)!r} is not desugared")
-            labels[int(w)] = tuple(formulas)
-        object.__setattr__(self, "labels", labels)
+            normal_labels[int(w)] = tuple(formulas)
+        self._set(model=model, labels=normal_labels)
 
     def label(self, w: int) -> tuple[Formula, ...]:
         return self.labels.get(w, ())
@@ -193,8 +201,7 @@ def _has_sugar(f: Formula) -> bool:
     return any(isinstance(g, (Implies, Iff, Comp)) for g in subformulas(f))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One breached closure or frame condition.
 
     ``kind`` is drawn from a fixed catalog: the propositional conditions

@@ -59,14 +59,15 @@ tableau does.  numpy is imported on the first call, not with the package.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .formula import NAME_RE, And, Atom, Bel, Formula, Not, Or, desugar, postorder
+from .formula import NAME_RE, And, Atom, Bel, Formula, Not, Or, Record, desugar, postorder
 from .models import PROFILE_RULES, InternalVerificationError, LogicProfile, ModelSystem, evaluate
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
 #: Hard ceiling on budget size; 5 worlds already means 2**25 relations.
@@ -108,36 +109,36 @@ REFERENCE_COUNTS: tuple[tuple[tuple[str, int, int, int], int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(Record):
     """Finite search space: up to ``max_worlds`` worlds over fixed atom and
     agent vocabularies."""
 
+    __slots__ = ("max_worlds", "atoms", "agents")
     max_worlds: int
     atoms: tuple[str, ...]
     agents: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_worlds, int) or isinstance(self.max_worlds, bool):
+    def __init__(self, max_worlds: int, atoms: Iterable[str], agents: Iterable[str]) -> None:
+        if not isinstance(max_worlds, int) or isinstance(max_worlds, bool):
             raise TypeError("max_worlds must be an int")
-        if not 1 <= self.max_worlds <= MAX_BUDGET_WORLDS:
+        if not 1 <= max_worlds <= MAX_BUDGET_WORLDS:
             raise ValueError(
-                f"max_worlds must be between 1 and {MAX_BUDGET_WORLDS}, got {self.max_worlds}"
+                f"max_worlds must be between 1 and {MAX_BUDGET_WORLDS}, got {max_worlds}"
             )
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "agents", tuple(self.agents))
-        for kind, names in (("atom", self.atoms), ("agent", self.agents)):
+        atoms, agents = tuple(atoms), tuple(agents)
+        for kind, names in (("atom", atoms), ("agent", agents)):
             for name in names:
                 if not isinstance(name, str) or not NAME_RE.match(name):
                     raise ValueError(f"invalid {kind} name {name!r}")
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate {kind} names in budget")
-        if self.max_worlds * len(self.atoms) > MAX_VALUATION_BITS:
+        if max_worlds * len(atoms) > MAX_VALUATION_BITS:
             raise ValueError(
-                f"budget of {self.max_worlds} worlds and {len(self.atoms)} atoms needs"
-                f" 2**{self.max_worlds * len(self.atoms)} valuations; max_worlds * atoms"
+                f"budget of {max_worlds} worlds and {len(atoms)} atoms needs"
+                f" 2**{max_worlds * len(atoms)} valuations; max_worlds * atoms"
                 f" must be at most {MAX_VALUATION_BITS}"
             )
+        self._set(max_worlds=max_worlds, atoms=atoms, agents=agents)
 
 
 #: Most bytes in one truth array of a ``sat_upto`` chunk, at max(words,

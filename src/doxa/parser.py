@@ -26,7 +26,6 @@ a missing operand, or a malformed agent bracket.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -38,8 +37,7 @@ from .formula import INFIX, Agent, Atom, Bel, Comp, Formula, Not
 _TOKEN_RE = re.compile(r"(\s+)|(<->|->|[|&~()\[\]])|([BC])|([a-z][a-z0-9_]*)|(.)", re.DOTALL)
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Half-open [start, end) offset range into the parsed text."""
 
     start: int

@@ -225,7 +225,7 @@ jump past every remaining alternative.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (
     Atom,
@@ -233,6 +233,7 @@ from .formula import (
     Comp,
     Formula,
     Not,
+    Record,
     desugar,
     neg,
     postorder,
@@ -363,8 +364,7 @@ class _Closure:
 _compile = functools.lru_cache(maxsize=1)(_Closure)
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     """One line of a refutation trace: formula ``formula`` entered world
     ``world`` at position ``i`` by ``rule`` from the premises at the given
     earlier positions."""
@@ -376,49 +376,63 @@ class ProofStep:
     premises: tuple[int, ...] = ()
 
 
-@dataclass
-class TableauStats:
-    worlds_created: int = 0
-    rules_fired: int = 0
-    blocks_applied: int = 0
-    # choice points opened, branching and (C.CB), and the alternatives of
-    # theirs that a backjump skipped
-    choice_points: int = 0
-    skipped: int = 0
+class TableauStats(Record):
+    """The work counts of one search, which its engine raises as it goes.
+    ``choice_points`` counts the choice points opened, branching and
+    (C.CB), and ``skipped`` the alternatives of theirs that a backjump
+    skipped."""
+
+    __slots__ = ("worlds_created", "rules_fired", "blocks_applied", "choice_points", "skipped")
+    # counters: assignable, and so, like a dataclass that is not frozen, unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, worlds_created: int = 0, rules_fired: int = 0, blocks_applied: int = 0,
+        choice_points: int = 0, skipped: int = 0,
+    ) -> None:
+        self._set(worlds_created=worlds_created, rules_fired=rules_fired,
+                  blocks_applied=blocks_applied, choice_points=choice_points, skipped=skipped)
 
 
-@dataclass(frozen=True)
-class SatVerdict:
-    model: ModelSystem
-    stats: TableauStats
+class SatVerdict(Record):
+    __slots__ = ("model", "stats")
     word, positive, is_sat = "sat", True, True
+
+    def __init__(self, model: ModelSystem, stats: TableauStats) -> None:
+        self._set(model=model, stats=stats)
 
     @property
     def evidence(self) -> ModelSystem:
         return self.model
 
 
-@dataclass(frozen=True)
-class UnsatVerdict:
-    trace: tuple[ProofStep, ...]
-    stats: TableauStats
+class UnsatVerdict(Record):
+    __slots__ = ("trace", "stats")
     word, positive, is_sat = "unsat", False, False
+
+    def __init__(self, trace: tuple[ProofStep, ...], stats: TableauStats) -> None:
+        self._set(trace=trace, stats=stats)
 
     @property
     def evidence(self) -> tuple[ProofStep, ...]:
         return self.trace
 
 
-@dataclass(frozen=True)
-class ValidityVerdict:
+class ValidityVerdict(Record):
     """Validity via refutation: valid when the negated query is
     unsatisfiable (carrying that refutation trace), invalid otherwise
     (carrying a countermodel that falsifies the query)."""
 
-    valid: bool
-    trace: tuple[ProofStep, ...] | None
-    countermodel: ModelSystem | None
-    stats: TableauStats
+    __slots__ = ("valid", "trace", "countermodel", "stats")
+
+    def __init__(
+        self,
+        valid: bool,
+        trace: tuple[ProofStep, ...] | None,
+        countermodel: ModelSystem | None,
+        stats: TableauStats,
+    ) -> None:
+        self._set(valid=valid, trace=trace, countermodel=countermodel, stats=stats)
 
     @property
     def word(self) -> str:

@@ -52,11 +52,18 @@ def _references() -> set[str]:
     return found
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each top-level function, class and
-    constant, and of each method that is not a dunder."""
+    """(qualified name, name) of each top-level class and constant, and of
+    each top-level function and method that is not a dunder: the interpreter
+    calls a dunder, as it calls a module's ``__getattr__`` (PEP 562)."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef) or (
+            isinstance(node, ast.FunctionDef) and not _is_dunder(node.name)
+        ):
             yield node.name, node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -65,9 +72,7 @@ def _definitions(tree: ast.Module):
                     yield t.id, t.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name
 
 
