@@ -22,13 +22,14 @@ reports its own usage errors, also with exit 2.
 
 A process loads only what its subcommand runs: ``corpus`` and ``oracle``
 import their modules inside their commands, so that ``decide``,
-``compare`` and ``check-model`` load neither of them.
+``compare`` and ``check-model`` load neither of them, and ``json`` is
+imported where JSON is written or read, so that text output never loads
+it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -89,6 +90,8 @@ def _out(text: str) -> None:
 
 
 def _dump_json(payload) -> None:
+    import json
+
     _out(json.dumps(payload, sort_keys=True, indent=2))
 
 
@@ -128,6 +131,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def _read_model(path: str) -> LabeledModelSystem:
     """The model in the JSON file ``path``.  A file that cannot be read or
     holds no valid model raises ``ValueError`` naming the file."""
+    import json
+
     text = _read_text(path)
     try:
         return labeled_from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))

@@ -39,7 +39,6 @@ of the profile, reporting each breach as a ``Violation``.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
@@ -580,6 +579,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
+            import json
+
             raise ValueError(f"repeated key {json.dumps(key)}")
         obj[key] = value
     return obj

@@ -41,17 +41,52 @@ agent without an alternative.  A witness is itself an alternative, so under
 hstar (C.CB) serves every agent that (C.B) would, and (C.B) never fires
 there.  A (C.C) demand and a (C.B) belief seed their new world the same way.
 
-Termination: world labels are subsets of the query's subformula closure, so
-only finitely many labels exist.  A world whose label equals the label of a
-strict ancestor reached through alternatives of the same agent (the blocker
-itself being created for that agent) is never expanded; at model extraction
-its incoming edge is redirected to the blocker, yielding a finite, possibly
-cyclic model.  Extraction then completes each relation, one successor row
-per world, to the profile's frame class: each frame condition adds its own
-completion (the a3-witness fixpoint, Warshall's transitive closure, or
-euclidean belief clusters), then seriality loops fill empty rows, and it
-finally re-verifies the model with ``check_frame`` and ``evaluate``; a
-failed re-verification is an internal error, never a verdict.
+Blocking: world labels are subsets of the query's subformula closure, so
+only finitely many labels exist.  A world whose label equals the label of
+one of its candidate blockers creates no world; at model extraction its
+incoming edge enters the blocker instead.  Which worlds are candidates
+depends on the frame:
+
+    - kd, hstar and hintikka: every world created before it on the branch,
+      in any subtree and for any agent, and the blocker is the earliest
+      one with the label (anywhere blocking, after Motik, Shearer &
+      Horrocks, "Hypertableau reasoning for description logics", JAIR 36,
+      2009).  No rule of these profiles sends a formula from a world back
+      to its creator, so what a world's expansion adds below it depends on
+      its label alone, and the blocker's expansion stands in for the
+      blocked world's.  The earliest world with a label has no earlier one
+      with that label, so no blocker is itself blocked;
+    - kd45: only a strict ancestor on the unbroken chain of alternatives
+      for the agent that created the world, itself created for that agent,
+      nearest first.  (C.B-lift) sends beliefs from a world back to its
+      creator, so a world's label is never final, and only a blocker in the
+      same belief cluster keeps the cluster's beliefs in agreement.
+
+Termination.  Under kd and hintikka a label grows only by its own world's
+rules and by what the world's creator sends down, and step 5 creates only
+when steps 1-4 have nothing left anywhere, so when a world creates, every
+label on the branch is final until backtracking.  A world that creates
+therefore stays unblocked, no two worlds that create share a label, and
+each creates at most one world per demand and per agent: a branch is
+finite.  Under hstar a (C.CB) reuse sends its creator's beliefs into an
+existing alternative, which may have created already if its creator slept
+meanwhile, so there the count holds only for the worlds unblocked at each
+moment; under kd45 (C.B-lift) changes labels above.  Every profile checks
+the world count against a bound derived from the closure, and exceeding it
+is an internal error, never a verdict.
+
+Extraction keeps the worlds that the seed reaches through the edges, once
+every edge into a blocked world enters its blocker, and numbers them in
+world order.  Under kd, hintikka and kd45 these are the worlds whose every
+ancestor is unblocked.  Under hstar a blocker's own creator may have been
+blocked after it created, and the blocker is then reached only through the
+redirected edge.  The result is a finite, possibly cyclic model.
+Extraction then completes each relation, one successor row per world, to
+the profile's frame class: each frame condition adds its own completion
+(the a3-witness fixpoint, Warshall's transitive closure, or euclidean
+belief clusters), then seriality loops fill empty rows, and it finally
+re-verifies the model with ``check_frame`` and ``evaluate``; a failed
+re-verification is an internal error, never a verdict.
 
 Incremental scanning: on a branch, labels only grow, and a rule can only
 stop applying to a label entry, never start again: what it would add stays
@@ -61,8 +96,8 @@ the span that step 1 just scanned), one for step 3, and one cursor per
 propagation rule: into its own entries for (C.CB) and (C.B-lift), into its
 creator's for the down rules, which send formulas down the edge from the
 creator.  Every world but the seed has exactly that one incoming edge, so
-a world records it as its parent (agent, creator, dependency set), and
-model extraction walks the edges in world order.  A scan resumes at its
+a world records it as its parent (agent, creator, dependency set), and its
+creator records it in a bitset of children.  A scan resumes at its
 cursor instead of at the first entry; no entry before a cursor can fire
 again.  The one exception is a belief that (C.CB) passes over while its
 world has no designated witness for the belief's agent: designating the
@@ -201,7 +236,7 @@ alternative would have closed.  Three decisions read an absence, and each
 still closes the skipped alternatives:
 
     - blocking: a blocked world's label equals its blocker's, so whatever
-      closes below one closes below the other;
+      closes below one closes below the other, wherever the blocker sits;
     - (C.B) fires only while its world has no alternative for the agent,
       and (C.B*) sends every believed formula into any alternative, so an
       alternative made otherwise receives all that the (C.B) witness would;
@@ -390,8 +425,10 @@ class TableauStats(Record):
         self, worlds_created: int = 0, rules_fired: int = 0, blocks_applied: int = 0,
         choice_points: int = 0, skipped: int = 0,
     ) -> None:
-        self._set(worlds_created=worlds_created, rules_fired=rules_fired,
-                  blocks_applied=blocks_applied, choice_points=choice_points, skipped=skipped)
+        self.worlds_created, self.rules_fired, self.blocks_applied = (
+            worlds_created, rules_fired, blocks_applied
+        )
+        self.choice_points, self.skipped = choice_points, skipped
 
 
 class SatVerdict(Record):
@@ -572,6 +609,9 @@ class _Engine:
         # step 4, and one for step 5 (see the module docstring)
         self.agenda = [0] * len(self.propagation.steps)
         self.todo = 0
+        # whether only an ancestor on one agent's chain may block a world
+        # (see ``_blocker``)
+        self.chain = euclidean in self.frame
 
     # ------------------------------------------------------------------
     # search
@@ -869,54 +909,75 @@ class _Engine:
         return new_id
 
     def _blocker(self, w: _World) -> _World | None:
-        """Nearest strict ancestor with an identical label, reached through
-        an unbroken chain of alternatives for the creating agent.  Only an
-        ancestor that was itself created for that agent can block, so a
-        redirect target always lies inside the same cluster."""
-        if w.parent is None:
-            return None
-        agent = w.parent[0]
+        """The first of ``w``'s candidate blockers whose label equals
+        ``w``'s, or None.  With ``chain`` (a euclidean frame) the candidates
+        are the strict ancestors on the unbroken chain of alternatives for
+        the agent that created ``w``, nearest first: only an ancestor that
+        was itself created for that agent can block, so a redirect target
+        always lies inside the same cluster.  Otherwise they are all the
+        worlds created before ``w``, earliest first, in any subtree and for
+        any agent, so the blocker found is itself never blocked."""
         keys = w.label.keys()
-        current = self.worlds[w.parent[1]]
-        while current.parent is not None and current.parent[0] == agent:
-            if current.label.keys() == keys:
+        if self.chain:
+            if w.parent is None:
+                return None
+            worlds = self.worlds
+            agent = w.parent[0]
+            current = worlds[w.parent[1]]
+            while current.parent is not None and current.parent[0] == agent:
+                if current.label.keys() == keys:
+                    return current
+                current = worlds[current.parent[1]]
+            return None
+        size = len(keys)
+        for current in self.worlds[: w.id]:
+            if len(current.entries) == size and current.label.keys() == keys:
                 return current
-            current = self.worlds[current.parent[1]]
         return None
 
     # ------------------------------------------------------------------
     # model extraction
 
     def _extract(self) -> ModelSystem:
-        # A world is kept when it is not blocked and its creator is kept, and
-        # creators precede their worlds.  The edge into a blocked world with
-        # a kept creator enters its blocker instead, an ancestor and so kept.
+        """The model of the open branch.  The edge into a blocked world
+        enters its blocker instead, and the model keeps the worlds that the
+        seed reaches through the edges, numbered in world order.  No kept
+        world is blocked: a blocker is the earliest world with its label,
+        or, with ``chain``, an ancestor of the blocked world, and with
+        ``chain`` every ancestor of a kept world is kept and so not
+        blocked.  Each relation is then completed to the profile's frame
+        class, and the model re-verified."""
+        worlds = self.worlds
+        target = list(range(len(worlds)))  # the world each world's edge enters
+        blocked = 0
+        for w in worlds:
+            blocker = self._blocker(w)
+            if blocker is not None:
+                blocked += 1
+                target[w.id] = blocker.id
+        self.stats.blocks_applied += blocked
+        # the seed reaches every world when none is blocked
+        reached = _reached(worlds, target) if blocked else (1 << len(worlds)) - 1
+        # creators and blockers precede their worlds, so each is numbered
+        # before an edge names it
         keep: list[_World] = []
         index: dict[int, int] = {}  # kept world -> model world
         into: dict[int, int] = {}  # world with a kept creator -> model world its edge enters
-        rows: dict[str, list[int]] = {a: [] for a in self.table.agent_names}
-        for w in self.worlds:
-            blocker = self._blocker(w)
-            if blocker is not None:
-                self.stats.blocks_applied += 1
-            if w.parent is not None and w.parent[1] not in index:
-                continue
-            if blocker is None:
-                index[w.id] = into[w.id] = len(keep)
+        rows: dict[str, list[int]] = {a: [0] * reached.bit_count() for a in self.table.agent_names}
+        for w in worlds:
+            if reached >> w.id & 1:
+                index[w.id] = len(keep)
                 keep.append(w)
-                for agent_rows in rows.values():
-                    agent_rows.append(0)
-            else:
-                into[w.id] = index[blocker.id]
-            if w.parent is not None:
+            if w.parent is not None and reached >> w.parent[1] & 1:
                 agent, creator, _ = w.parent
-                rows[agent][index[creator]] |= 1 << into[w.id]
+                into[w.id] = v = index[target[w.id]]
+                rows[agent][index[creator]] |= 1 << v
 
         for agent in self.table.agent_names:
             self._complete_relation(agent, rows[agent], keep, into)
 
         valuation = {
-            w: frozenset(f.name for f in world.label if isinstance(f, Atom))
+            w: frozenset(f.name for f in world.entries if type(f) is Atom)
             for w, world in enumerate(keep)
         }
         model = ModelSystem(
@@ -985,6 +1046,23 @@ class _Engine:
         for w, row in enumerate(rows):
             if not row:
                 rows[w] = 1 << w
+
+
+def _reached(worlds: list[_World], target: list[int]) -> int:
+    """The bitset of the worlds that the seed reaches when the edge into
+    each world w enters ``target[w.id]``.  Creators precede their worlds,
+    so one pass in world order reaches every world whose edges all run
+    forward; a target reached only after its own worlds were passed over,
+    a blocker whose creator the seed does not reach, takes another pass."""
+    reached, again = 1, True
+    while again:
+        again = False
+        for w in worlds[1:]:
+            t = target[w.id]
+            if reached >> w.parent[1] & 1 and not reached >> t & 1:
+                reached |= 1 << t
+                again = again or t < w.id
+    return reached
 
 
 def decide_sat(f: Formula, profile: LogicProfile) -> SatVerdict | UnsatVerdict:

@@ -1,0 +1,104 @@
+"""Bounded-exhaustive agreement: every small formula over one atom and one
+agent, decided by the tableau under every profile and checked against the
+oracle, against the validity verdict and along the profiles' strength.
+
+The small-scope hypothesis says that most defects have a small
+counterexample (Jackson, "Software Abstractions", MIT Press, 2006), and
+the tableau's known defects sat in formulas of four to ten nodes.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+
+from doxa import (
+    And,
+    Atom,
+    Bel,
+    Comp,
+    EnumerationBudget,
+    Formula,
+    LogicProfile,
+    Not,
+    Or,
+    PROFILES_BY_STRENGTH,
+    decide_sat,
+    decide_valid,
+    render,
+    sat_upto,
+)
+from doxa.formula import Agent
+
+MAX_NODES = 6
+BUDGET = EnumerationBudget(max_worlds=3, atoms=("p",), agents=("a",))
+
+
+def small_formulas(max_nodes: int, atom: str = "p", agent: str = "a") -> list[Formula]:
+    """Every formula over ``atom`` with ~, &, |, B and C for ``agent`` of at
+    most ``max_nodes`` nodes, each connective and atom one node, smallest
+    first.  ``&`` and ``|`` are commutative, so of x & y and y & x only the
+    one whose left operand comes first in this order is kept."""
+    a = Agent(agent)
+    by_size: list[list[Formula]] = [[], [Atom(atom)]]
+    for n in range(2, max_nodes + 1):
+        level = [node(a, g) for g in by_size[n - 1] for node in (Bel, Comp)]
+        level += [Not(g) for g in by_size[n - 1]]
+        for left in range(1, n // 2 + 1):
+            right = n - 1 - left
+            if right < left:
+                break
+            for i, x in enumerate(by_size[left]):
+                for y in by_size[right][i if right == left else 0:]:
+                    level += [And(x, y), Or(x, y)]
+        by_size.append(level)
+    return [f for level in by_size for f in level]
+
+
+@functools.cache
+def _formulas() -> tuple[Formula, ...]:
+    return tuple(small_formulas(MAX_NODES))
+
+
+@functools.cache
+def _verdict(f: Formula, profile: LogicProfile):
+    return decide_sat(f, profile)
+
+
+def _nodes(f: Formula) -> int:
+    return 1 + sum(_nodes(getattr(f, name)) for name in ("sub", "left", "right") if hasattr(f, name))
+
+
+def test_enumeration_counts():
+    counts = [0] * (MAX_NODES + 1)
+    for f in _formulas():
+        counts[_nodes(f)] += 1
+    assert counts[1:] == [1, 3, 11, 39, 151, 597]
+    assert len(set(_formulas())) == len(_formulas())
+    assert len(small_formulas(7)) == 3261
+
+
+@pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH, ids=lambda p: p.value)
+def test_engine_agrees_with_the_oracle(profile: LogicProfile):
+    """An oracle hit means the engine says SAT, an engine SAT with a model
+    inside the budget means the oracle finds one, and the validity verdict
+    of f is the negation of the satisfiability verdict of ~f."""
+    for f in _formulas():
+        verdict = _verdict(f, profile)
+        if not verdict.is_sat:
+            assert sat_upto(f, BUDGET, profile) is None, (
+                f"oracle found a model of engine-unsat {render(f)}"
+            )
+        elif verdict.model.worlds <= BUDGET.max_worlds:
+            assert sat_upto(f, BUDGET, profile) is not None, (
+                f"oracle missed the engine's model of {render(f)}"
+            )
+        assert decide_valid(f, profile).valid is not decide_sat(Not(f), profile).is_sat, render(f)
+
+
+def test_satisfiability_is_monotone_in_strength():
+    # a model in a smaller frame class is a model in every larger one
+    for f in _formulas():
+        words = [_verdict(f, p).is_sat for p in PROFILES_BY_STRENGTH]
+        assert words == sorted(words), render(f)

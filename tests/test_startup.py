@@ -67,8 +67,8 @@ class TestStartup:
     @pytest.mark.parametrize(
         "argv, unloaded",
         [
-            (["decide", GAP], {"doxa.oracle", "doxa.corpus", "numpy", "dataclasses"}),
-            (["compare", GAP], {"doxa.oracle", "doxa.corpus", "numpy", "dataclasses"}),
+            (["decide", GAP], {"doxa.oracle", "doxa.corpus", "numpy", "dataclasses", "json"}),
+            (["compare", GAP], {"doxa.oracle", "doxa.corpus", "numpy", "dataclasses", "json"}),
             (["corpus"], {"doxa.oracle", "numpy", "dataclasses"}),
             (["oracle", "p"], {"doxa.corpus", "dataclasses"}),
         ],

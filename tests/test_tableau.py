@@ -49,6 +49,7 @@ from doxa.formula import (
     postorder,
     subformula_closure,
 )
+from doxa.models import PROFILE_RULES, euclidean
 from doxa.tableau import InternalVerificationError
 
 HSTAR = LogicProfile.HSTAR
@@ -441,27 +442,27 @@ class TestPinnedVerdicts:
 
     SUITE = {
         KD45: "e0f5b9042b58c84e9bd09df4a78331e519b6a64c53478c1bdf4d6d26fd2f9b32",
-        HINTIKKA: "8d99d19a1056ef6a1fd7419b62bec4dd85e9dc3b49c601d5273813101f9613d8",
-        HSTAR: "a0c6065f937b3838cc587ed9afaa60e8003d3982498176bca00036427d336dca",
-        KD: "db8669a7da334e00b4b1b01195cc70b7769d7ebd60783b15abee2383e417e92b",
+        HINTIKKA: "6c2dd4a0a4612a601a502db7b5937dd3c29e47b41421bc4532df73390a2c18d1",
+        HSTAR: "55815c5f4bc5232a300dc6fa1a917af8edcd82272360909331a9cd2cda906c31",
+        KD: "a479bc29cd5ec4ce858cd081766de492f0af2611280a66c9911bea0bcea205d4",
     }
     SUITE_WORK = {
         KD45: "a99e330334c53274ee9135ec9b891b3a3c31b3ffb91f0a9dfb3f6b1709873702",
-        HINTIKKA: "ea8f8647260c731ac0738a4884d68038f3467e87ecf56bf0f1ca04a82bc60840",
-        HSTAR: "a622fbdc0113de83739209743bb64f9e46a6e9577d11bb79acba81e23d9c16dc",
-        KD: "086b27bec6fb88bd22a5e919a0f5eda86cfd08eaa72c1c2a34ebd74160d1dc6d",
+        HINTIKKA: "151cc3acf2af93d6587d6ed874a2fa7d9b8470ca6802ab051e270aa2ffb22776",
+        HSTAR: "f086366d2e3913a32b48f8ae025a6e50e9ac06ae26b5125ceb4ce48a24245367",
+        KD: "81ee65006dd2fd4b530f16df5f5e9c288417a4167305edef4fb5b5d77056ca3c",
     }
     # kd45 is left out: some 2-agent formulas of this seed overrun the
     # engine's world bound, formula 186 only after about five minutes.
     TWO_AGENT = {
-        HINTIKKA: "9baa2d6a08f37f888573c449c6b2adc9ccd172f1299141ba62f21f8a7483c264",
-        HSTAR: "ce0e5059795ace0a5c519eff16cf4b7b8cbb79053e64523ed0fc6166aff9264d",
-        KD: "d1a7eed871e7bd24afbb03c738ff87a8dd700abc069230f5c36935b6861464a7",
+        HINTIKKA: "d4a75e756c9641c466e092de5991c66fb58a2730de3d803f7b3fda4d42a71563",
+        HSTAR: "2e554de123e0da4d026c0d1f0e209cfc7bd64a89db2494c880011f7392534968",
+        KD: "a1a6ec521e1710e3f40fa8c88165737e9821ecc7a4b40354406af1233e888414",
     }
     TWO_AGENT_WORK = {
-        HINTIKKA: "f8898e82595b1201d34375c36f0ab04b6e22553862a7aa26f147586267c47ebb",
-        HSTAR: "b7bdbe23bf0eb80533d405130707b0b654870441f7ade159528b591f0b4dab19",
-        KD: "c48a0ab718e743103da6f342edb2ea4e85bb064994440e959d48f0e0b37d3edf",
+        HINTIKKA: "222db485a4fee4516379bc2b27bf9bf8296d83f6f9e09b1f6837825ca28a4397",
+        HSTAR: "1498159420a28587daa444da4da9b9cc6612e9f533d01bfb3727f114082920e8",
+        KD: "c56b055280a6e9543874061caa3266814daf608e18c761ce622b8a3d653c40b2",
     }
 
     # (verdict words, models) per profile, in sat and valid mode; these stay
@@ -473,29 +474,29 @@ class TestPinnedVerdicts:
         ),
         HINTIKKA: (
             "cf48a9873d30692f20ca17a847c5f5eb8ed41be24f96e4f70b58ffffec085af2",
-            "1786557137996858f6c25649fa9042d854ee77ff441ec4389e16658bd4b5254f",
+            "8352367e6610bd3ef6be2b05c437b06ea57ed7319864b2914964c8a4b9fd7a5f",
         ),
         HSTAR: (
             "ff98f3d03451ab9b4fe0ed9b9a08485d07eea1d82751ae7a2634c31d3ac466a0",
-            "b2e1cf5e0a954de787faa75526ece3b1ff174a0b8f46b6c410df668888a2ff5b",
+            "57fb3e8007ee83064803a0c2928dcff62b76e30c4aa8478b3147a0ab185498a8",
         ),
         KD: (
             "068dc539a651c02557cc49a5c729eae75fb533a2123570c008c3db0260b40131",
-            "baf849e397d22c92f87ef28c0a65b24f542df056463aed4e4062d88a157ca114",
+            "8b4745705954d0bf1a3bd4045afe800930bfd6c959db40a52e0c3b18ace3be09",
         ),
     }
     TWO_AGENT_ANSWERS = {
         HINTIKKA: (
             "b4eccbff4523293c342218b0dbf73270b31eedb630cde3e349da90366bfd55b9",
-            "a06c69a88e42b7c658feb0e1dcd6ac8918d805d51edc00593826a3220391c994",
+            "85f98ac7e31c4c807d0c32061aeba7722b4b0308a4766bca507105021cbef7c0",
         ),
         HSTAR: (
             "b4eccbff4523293c342218b0dbf73270b31eedb630cde3e349da90366bfd55b9",
-            "f5278efaf7265ab055908b93500d034b06c78e966c2a92bf670c7a3bdf6df98e",
+            "1b916ad2ff03ea9c8859a27198945caf7b67df57fc5af2556df65c77e7a96342",
         ),
         KD: (
             "f3c1bb9c8e872e57172701911772cb5067395f445909cd7ec664d0251f07dbb7",
-            "c7400cbac9480c4da213a502f69fa916519c01a9a72479b6b0485c13cac8cc92",
+            "ebff449e77c278b710019808a7228aa6c863e360faf792ccd1d6137be893959c",
         ),
     }
 
@@ -570,6 +571,11 @@ _NEGATED_CATCH = "~(B[a] B[a] ~(B[a] ~(B[a] q & q) & C[a] B[a] q) & B[a] C[a] B[
 _SLEEP_CATCH = "C[a]((~p -> p | p) & (B[a] p | (p | p))) & (p & C[a](p -> p <-> ~p))"
 
 
+def _chain(k: int) -> str:
+    """A satisfiable hstar chain whose equal labels sit in sibling subtrees."""
+    return "B[a] C[a] " * k + "C[a] p"
+
+
 class TestPinnedWork:
     """Exact (rules fired, worlds created, blocks applied) on rows of the
     scaling families, which exercise blocking, (C.CB) backjumping, the
@@ -597,12 +603,12 @@ class TestPinnedWork:
             (_prop(8), KD, False, (106, 0, 0), None),
             (_prop(14), KD, False, (178, 0, 0), None),
             (
-                _compat(12), HINTIKKA, True, (121, 36, 12),
-                "b142e1441758bce19b9fb2ed85648e1649e797220329483b3ba6bda6e25973c9",
+                _compat(12), HINTIKKA, True, (99, 25, 12),
+                "82157e9e9481c37fc6aab32870924ecd49b405de5d62e1105a138199729cc146",
             ),
             (
-                _HINTIKKA_FUZZ, HINTIKKA, True, (3778, 246, 11),
-                "82de0860201cb23ebd3f39c608a46fcf7a51549e78ea0fcdfa200c23235252e9",
+                _HINTIKKA_FUZZ, HINTIKKA, True, (1327, 82, 6),
+                "424083773f6834df749740b15a20fd6c3006d30aa22d732756bd4b3a75b2a99e",
             ),
             (
                 _TRAIL_CATCH, HSTAR, True, (70, 9, 2),
@@ -613,12 +619,31 @@ class TestPinnedWork:
                 "1e0eb5f56f7684e4a4ec0fc7ae5ea1bf6facd8818b1538cb933636d5ddfa07ea",
             ),
             (
-                _FOCUS_CATCH, HSTAR, True, (213, 35, 3),
-                "c14526140d2fd2683b59e8c49f780d0d7b0699a62c929d2d893c91ff56110a33",
+                _FOCUS_CATCH, HSTAR, True, (213, 35, 5),
+                "44d3ab332d84d5192e4c00d3c16d7039f79ee2889fc5a5489f2684f48ddc858e",
             ),
             (
                 _NEGATED_CATCH, KD45, True, (180, 19, 6),
                 "c6bfde7d0656c9700674fc909b9d870df7aa2ba47f0e7139a8fc92c89980d275",
+            ),
+            # blocked by worlds in sibling subtrees (see TestAnywhereBlocking);
+            # at k = 4 the search ran for more than 10 minutes when only
+            # ancestors could block
+            (
+                _chain(1), HSTAR, True, (26, 8, 2),
+                "42ca9b36a55f267314e95170ae63dd98ef37d167dda739bd54beb94178c6bc1c",
+            ),
+            (
+                _chain(2), HSTAR, True, (95, 23, 9),
+                "68ef7e6cd34de90d4deb733200f8a5a98e6b6184a628670faae16ae01bce1eba",
+            ),
+            (
+                _chain(3), HSTAR, True, (271, 57, 27),
+                "fb546189e6864425677000ed57d88df0b89b358854e5e9d199db0b8e36546f31",
+            ),
+            (
+                _chain(4), HSTAR, True, (633, 121, 64),
+                "a36213c7661bfcb6e3e4d5d4c7b59ade48f28a743468aacc6101935c49f5a66a",
             ),
         ],
     )
@@ -642,13 +667,81 @@ class TestPinnedWork:
             (_FOCUS_CATCH, HSTAR, (37, 16)),
             (_compat(4), KD45, (0, 0)),
             (_compat(5), KD45, (0, 0)),
-            (_HINTIKKA_FUZZ, HINTIKKA, (734, 519)),
+            (_HINTIKKA_FUZZ, HINTIKKA, (253, 149)),
         ],
     )
     def test_choice_counts(self, text, profile, choices):
         """(choice points opened, alternatives skipped by backjumps)."""
         stats = decide_sat(parse(text), profile).stats
         assert (stats.choice_points, stats.skipped) == choices
+
+
+def _ancestors(engine: tableau._Engine, w) -> set[int]:
+    found = set()
+    while w.parent is not None:
+        w = engine.worlds[w.parent[1]]
+        found.add(w.id)
+    return found
+
+
+class TestAnywhereBlocking:
+    """Under kd, hstar and hintikka a world is blocked by the earliest world
+    with its label, in any subtree; under kd45 by the nearest ancestor with
+    its label on the chain of the agent that created it."""
+
+    def test_a_blocker_off_the_ancestor_chain(self):
+        engine = tableau._Engine(parse(_chain(3)), HSTAR)
+        assert engine.run() is not None
+        blocked = [(w, engine._blocker(w)) for w in engine.worlds]
+        blocked = [(w, b) for w, b in blocked if b is not None]
+        assert blocked
+        for w, b in blocked:
+            assert b.id < w.id and b.label.keys() == w.label.keys()
+            assert engine._blocker(b) is None
+        assert any(b.id not in _ancestors(engine, w) for w, b in blocked)
+
+    def test_a_blocker_reached_only_through_a_redirected_edge(self):
+        # the seed blocks world 1, so world 1's world 2 is reached only
+        # through the edge into world 4, which world 2 blocks, and world 3,
+        # which world 2 created, only after that
+        creators = [None, 0, 1, 2, 0]
+        worlds = [
+            tableau._World(i, None if c is None else ("a", c, 0), 0, 0)
+            for i, c in enumerate(creators)
+        ]
+        assert tableau._reached(worlds, [0, 0, 2, 3, 2]) == 0b01101
+        assert tableau._reached(worlds, [0, 1, 2, 3, 4]) == 0b11111
+
+    def test_kd45_blocks_only_by_an_ancestor(self, random_suite):
+        found = 0
+        for f in random_suite:
+            engine = tableau._Engine(f, KD45)
+            if engine.run() is None:
+                continue
+            for w in engine.worlds:
+                b = engine._blocker(w)
+                if b is not None:
+                    found += 1
+                    assert b.id in _ancestors(engine, w)
+                    assert b.parent is not None and b.parent[0] == w.parent[0]
+        assert found
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_model_worlds_are_reachable_from_world_0(self, suite_verdicts, profile):
+        models = [v.model for v in suite_verdicts[profile] if v.is_sat]
+        assert models
+        for model in models:
+            reached, frontier = 1, [0]
+            while frontier:
+                w = frontier.pop()
+                step = 0
+                for rows in model.rows.values():
+                    step |= rows[w]
+                for v in range(model.worlds):
+                    if step >> v & 1 and not reached >> v & 1:
+                        reached |= 1 << v
+                        frontier.append(v)
+            assert reached == (1 << model.worlds) - 1
 
 
 def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]:
@@ -658,8 +751,8 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
     with a demand, an unwitnessed agent or an unserved agent.  With
     ``unmarked``, only the work of worlds missing from the agenda that
     should hold them, blocked worlds included, unless a blocked world
-    sleeps: its bit is in its own sleepers and in those of an ancestor
-    that blocks it now, so that either label growing wakes it."""
+    sleeps: its bit is in its own sleepers and in those of a world that
+    blocks it now, so that either label growing wakes it."""
     worlds = engine.worlds
     found: list[tuple] = []
     for r, (kind, every, negated, carries_sub, down) in enumerate(engine.propagation.steps):
@@ -694,14 +787,18 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
             bit = 1 << w.id
             if not (w.sleepers & bit and any(b.sleepers & bit for b in _blockers(engine, w))):
                 found.append(("create", w.id))
-        elif engine._blocker(w) is None:
+        elif not _blockers(engine, w):
             found.append(("create", w.id))
     return found
 
 
 def _blockers(engine: tableau._Engine, w) -> list:
-    """Every ancestor that blocks ``w`` now: each one with ``w``'s label on
-    the unbroken chain of alternatives for the agent that created ``w``."""
+    """Every world that blocks ``w`` now, one with ``w``'s label.  Under a
+    euclidean frame it is an ancestor on the unbroken chain of
+    alternatives for the agent that created ``w``; under any other frame
+    any world created before ``w``."""
+    if euclidean not in PROFILE_RULES[engine.profile].frame:
+        return [v for v in engine.worlds[: w.id] if v.label.keys() == w.label.keys()]
     found = []
     if w.parent is not None:
         agent = w.parent[0]
@@ -766,6 +863,7 @@ class TestAgendas:
             (_TRAIL_CATCH, KD45),
             (_NEGATED_CATCH, KD45),
             (_SLEEP_CATCH, KD45),
+            (_chain(3), HSTAR),
         ],
     )
     def test_scaling_rows_leave_no_work(self, checked, text, profile):
