@@ -43,9 +43,9 @@ there.  A (C.C) demand and a (C.B) belief seed their new world the same way.
 
 Blocking: world labels are subsets of the query's subformula closure, so
 only finitely many labels exist.  A world whose label equals the label of
-one of its candidate blockers creates no world; at model extraction its
-incoming edge enters the blocker instead.  Which worlds are candidates
-depends on the frame:
+one of its candidate blockers (two equal bitsets of closure ids) creates no
+world; at model extraction its incoming edge enters the blocker instead.
+Which worlds are candidates depends on the frame:
 
     - kd, hstar and hintikka: every world created before it on the branch,
       in any subtree and for any agent, and the blocker is the earliest
@@ -97,30 +97,42 @@ propagation rule: into its own entries for (C.CB) and (C.B-lift), into its
 creator's for the down rules, which send formulas down the edge from the
 creator.  Every world but the seed has exactly that one incoming edge, so
 a world records it as its parent (agent, creator, dependency set), and its
-creator records it in a bitset of children.  A scan resumes at its
-cursor instead of at the first entry; no entry before a cursor can fire
-again.  The one exception is a belief that (C.CB) passes over while its
-world has no designated witness for the belief's agent: designating the
-witness resets that world's (C.CB) cursor.  Cursors are restored with
-their world on backtracking, so rules fire in exactly the order a full
-rescan after every firing would give.
+creator records it in a bitset of children.  A world's own bitsets of
+worlds, its children and its sleepers below, are relative to its id: bit k
+stands for the world k ids after it, so each is as long as the ids it
+spans, not as the ids before it.  A scan resumes at its cursor instead of
+at the first entry; no entry before a cursor can fire again.  The one
+exception is a belief that (C.CB) passes over while its world has no
+designated witness for the belief's agent: designating the witness resets
+that world's (C.CB) cursor.  Cursors are restored with their world on
+backtracking, so rules fire in exactly the order a full rescan after every
+firing would give.
 
 Label entries are members of the query's subformula closure, and each query
-is compiled once into a read-only closure table: the complement (each
-member mapped to its negation when that is a member too: a ``Not`` node x
-maps x.sub to x, any other node g maps to ``Not(g)``, so nothing is
-interned beyond the closure), the agent names, the world bound, and each
-member's rule facts: its step-1 rule and parts, its step-2 demand with the
-``Comp`` node the trace records, its step-3 options, and the agent of each
-belief and negated belief.  One pass over the desugared query's nodes gives
-the complement and the modal facts, and one pass over the members gives the
-step-1 and step-3 facts from the one table of propositional conditions,
-``models.PROPOSITIONAL_RULES``, which ``check_model_set`` also reads: a
-condition that demands every part is a step-1 rule, one that demands one
-part a step-3 branch with one alternative per part.  Steps 1-3 and ``_add``
-read these facts instead of testing node classes, and no node is built
-while the search runs; a negation ~x clashes with x and with ~~x, so the
-clash test tries both.  The last table stays in ``_compile``, an
+is compiled once into a read-only closure table, after the normalise and
+encode step of Horrocks & Patel-Schneider (cited below).  One pass over the
+desugared query's nodes, children first, numbers each member once: a node
+g that is not a negation, then ``Not(g)`` right after it, and a ~~x after
+its ~x, so nothing is interned beyond the closure, and of two members that
+clash, x and ~x, the positive one has the lower id.  The same pass gives
+each member its clash mask, the bitset of the ids it clashes with (its
+negation and the formula it negates), and the modal facts; one pass over
+the members gives the step-1 and step-3 facts from the one table of
+propositional conditions, ``models.PROPOSITIONAL_RULES``, which
+``check_model_set`` also reads: a condition that demands every part is a
+step-1 rule, one that demands one part a step-3 branch with one
+alternative per part.  The table also holds the agent names and the world
+bound.  Every fact is keyed by id and names members by id: each member's
+step-1 rule and parts, its step-2 demand with the ``Comp`` node the trace
+records, its step-3 options, the agent of each belief and negated belief,
+and each belief's believed member.  A world's label is one int bitset of
+its members' ids beside its entries, each (member, step, dependency set),
+in insertion order.  Membership is one bit, a clash is one AND of the
+label's bits with the new member's clash mask, and blocking compares two
+ints.  Steps 1-3 and ``_add`` read these facts instead of testing node
+classes; formula nodes appear in the search only where it writes a trace
+step, and in the valuation of an extracted model, and no node is built
+while the search runs.  The last table stays in ``_compile``, an
 ``lru_cache`` of one entry keyed by the query node: a formula decided under
 several profiles, or ``decide_valid``'s ``Not(f)`` under several, is
 compiled once.  Nodes are hash-consed, so a structurally equal query is the
@@ -140,12 +152,13 @@ agenda has no belief past its cursor, only entries that a scan would pass
 over, so step 4 fires what a sweep over every (rule, world) pair in
 creation order would fire.  Step 5 walks ``todo`` the same way, reading
 per-world records of each agent's first belief, first alternative and
-witness; a world with nothing left to create leaves it.  So does a blocked world, which sleeps: step 5 sets its
-bit in the ``sleepers`` bitsets of the world itself and of its blocker.
-Along a branch labels only grow, so a sleeping world stays blocked while
-neither of the two labels grows.  The agendas miss no work, because a
-(rule, world) pair or a world gains work, and a sleeping world may lose
-its blocker, only through these events, each of which marks it:
+witness; a world with nothing left to create leaves it.  So does a
+blocked world, which sleeps: step 5 sets its bit in the ``sleepers``
+bitsets of the world itself and of its blocker.  Along a branch labels
+only grow, so a sleeping world stays blocked while neither of the two
+labels grows.  The agendas miss no work, because a (rule, world) pair or
+a world gains work, and a sleeping world may lose its blocker, only
+through these events, each of which marks it:
 
     - ``_add`` of a belief marks its world in the agendas of the rules
       that scan their own world, (C.CB) and (C.B-lift), and an agent's
@@ -184,18 +197,19 @@ only, so each runs to completion in one call.
 The search changes one branch in place and undoes it from a trail (Eén &
 Sörensson, "An extensible SAT-solver", SAT 2003).  Before its first change
 since the current alternative was applied, a world is logged on the trail
-with a mark: the lengths of its lists and records, its bitsets of children
-and sleepers, and its cursors, which is all that undoing the later changes
-needs, since along a branch those lists and records only grow.  At a choice
-point steps 1 and 2 have scanned every entry of every world, so a mark
-leaves out their cursor, and restoring a world sets it to its entry count.
-For the same reason a cursor of steps 1-3 moves only in a world already
-logged: by the entry it reaches, or by the branch alternative written into
-it.  The branch's trace is a list of steps, each a plain tuple, and a
-step's number is its position in the list; ``ProofStep`` records are built
-once, for the verdict.  ``_step`` returns a choice point as the tuple of its
-alternatives, and the choice point keeps the lengths of the trail, the
-world list and the trace, the focus and the agendas.  Trying its next
+with a mark: the lengths of its lists and records, its bitsets of label
+members, children and sleepers, and its cursors, which is all that undoing
+the later changes needs, since along a branch those lists and records only
+grow.  At a choice point steps 1 and 2 have scanned every entry of every
+world, so a mark leaves out their cursor, and restoring a world sets it to
+its entry count.  For the same reason a cursor of steps 1-3 moves only in
+a world already logged: by the entry it reaches, or by the branch
+alternative written into it.  The branch's trace is a list of steps, each
+a plain tuple, and a step's number is its position in the list;
+``ProofStep`` records are built once, for the verdict.  ``_step`` returns
+a choice point as the tuple of its alternatives, and the choice point
+keeps the lengths of the trail, the world list and the trace, the focus
+and the agendas.  Trying its next
 alternative restores the worlds logged since, cuts the world list and the
 trace back to their saved lengths, and resets the focus and the agendas;
 until then the steps of the alternative that closed are the trace past its
@@ -354,45 +368,69 @@ RULES: tuple[str, ...] = tuple(dict.fromkeys([
 class _Closure:
     """The read-only closure table of one query (see the module docstring),
     built in one pass over the desugared query's nodes, children first, and
-    one over the members of the closure.  ``saturate`` maps a member to its
-    step-1 (rule, parts), ``demand`` to its step-2 (agent, demanded formula,
-    ``Comp`` node for the trace), ``options`` to its two step-3 (formula,
-    rule) alternatives, and ``believer`` and ``doubter`` map each belief
-    and negated belief to its agent.  ``saturate`` and ``options`` hold the
-    ``PROPOSITIONAL_RULES`` of ``models``: a condition that demands every
-    part is a step-1 rule, one that demands one part a step-3 branch."""
+    one over the members of the closure.  ``nodes`` lists the members by
+    id, ``seed`` is the id of the desugared query, and ``clash`` gives each
+    id the bitset of the members it clashes with.  The facts are keyed by
+    id and name members by id: ``saturate`` maps a member to its step-1
+    (rule, parts), ``demand`` to its step-2 (agent, demanded member,
+    ``Comp`` node for the trace), ``options`` to its two step-3 (member,
+    rule) alternatives, ``believer`` maps each belief to its agent, and
+    ``sub`` to its believed member.  A negated belief is numbered right
+    after its belief, so its agent is ``believer[f - 1]``.  ``saturate``
+    and ``options`` hold the ``PROPOSITIONAL_RULES`` of ``models``: a
+    condition that demands every part is a step-1 rule, one that demands
+    one part a step-3 branch."""
 
     __slots__ = (
-        "query", "kernel", "complement", "agent_names", "world_bound",
-        "saturate", "demand", "options", "believer", "doubter",
+        "query", "kernel", "nodes", "seed", "clash", "agent_names", "world_bound",
+        "saturate", "demand", "options", "believer", "sub",
     )
 
     def __init__(self, query: Formula) -> None:
         self.query = query
         self.kernel = desugar(query)
-        self.complement = complement = {}
+        # each member -> its id, in the order of the ids
+        ids: dict[Formula, int] = {}
+        self.clash = clash = []
         self.saturate, self.demand, self.options = saturate, demand, options = {}, {}, {}
-        self.believer, self.doubter = believer, doubter = {}, {}
+        self.believer, self.sub = believer, sub = {}, {}
         for g in postorder(self.kernel):
-            if type(g) is Not:
-                complement[g.sub] = g
-                continue
-            complement[g] = n = Not(g)
-            # g's children come before it, so ``neg`` interns no new node
-            if type(g) is Bel:
-                believer[g] = doubter[n] = g.agent.name
-                demanded = neg(g.sub)
-                demand[n] = (g.agent.name, demanded, Comp(g.agent, demanded))
-        closure = complement.keys() | complement.values()
-        for f, rule, parts in propositional_conditions(closure):
-            # each part's negation is a member too
-            parts = tuple(map(neg, parts)) if rule.negated else parts
+            if type(g) is not Not:
+                # g, then ~g right after it, each clashing with the other
+                i = len(ids)
+                ids[g] = i
+                ids[Not(g)] = i + 1
+                clash.append(2 << i)
+                clash.append(1 << i)
+                if type(g) is Bel:
+                    believer[i] = g.agent.name
+                    sub[i] = ids[g.sub]
+                    # g's children come before it, so ``neg`` interns no new node
+                    demanded = neg(g.sub)
+                    demand[i + 1] = (g.agent.name, ids[demanded], Comp(g.agent, demanded))
+            elif type(g.sub) is Not:
+                # a ~~x, after its ~x; any other ~x has its id already
+                ids[g] = len(ids)
+                clash.append(1 << ids[g.sub])
+                clash[ids[g.sub]] |= 1 << ids[g]
+        self.nodes = list(ids)
+        for f, rule, parts in propositional_conditions(ids):
+            # a negated rule's parts are the negations of the formula's
+            # parts, members too: the lowest member each part clashes with,
+            # found without building the negation's node
+            parts = tuple([_lowest(clash[ids[p]]) if rule.negated else ids[p] for p in parts])
             if rule.every:
-                saturate[f] = (rule.kind, parts)
+                saturate[ids[f]] = (rule.kind, parts)
             else:
-                options[f] = tuple(zip(parts, _SIDES[rule.kind]))
+                options[ids[f]] = tuple(zip(parts, _SIDES[rule.kind]))
+        self.seed = ids[self.kernel]
         self.agent_names = sorted(set(believer.values()))
-        self.world_bound = 2 ** min(len(closure), 20)
+        self.world_bound = 2 ** min(len(ids), 20)
+
+
+def _lowest(bits: int) -> int:
+    """The lowest id in the nonempty bitset ``bits``."""
+    return (bits & -bits).bit_length() - 1
 
 
 #: The closure table of ``query``, cached for the last query compiled.
@@ -509,7 +547,7 @@ class _Closed(Exception):
 
 class _World:
     __slots__ = (
-        "id", "parent", "epoch", "label", "entries", "demands", "spawn_cursor", "cb",
+        "id", "parent", "epoch", "bits", "entries", "demands", "spawn_cursor", "cb",
         "beliefs", "alternatives", "saturated", "branched", "cursors",
         "children", "sleepers",
     )
@@ -524,18 +562,19 @@ class _World:
         # the engine's epoch when this world was made or last logged on the
         # trail
         self.epoch = epoch
-        # formula -> (step index, dependency set)
-        self.label: dict[Formula, tuple[int, int]] = {}
-        # the keys of ``label`` in insertion order, for the scan cursors
-        self.entries: list[Formula] = []
-        # (agent, formula for the fresh alternative, premise step index,
+        # the label: the bitset of its members' closure ids, and its entries
+        # (member, step index, dependency set) in insertion order, for the
+        # scan cursors
+        self.bits = 0
+        self.entries: list[tuple[int, int, int]] = []
+        # (agent, member for the fresh alternative, premise step index,
         # dependency set)
-        self.demands: list[tuple[str, Formula, int, int]] = []
+        self.demands: list[tuple[str, int, int, int]] = []
         self.spawn_cursor = 0
         # agent -> (designated witness, dependency set of the designation)
         self.cb: dict[str, tuple[int, int]] = {}
-        # agent -> first believed formula of that agent, in label order
-        self.beliefs: dict[str, Bel] = {}
+        # agent -> the entry of the first believed formula of that agent
+        self.beliefs: dict[str, tuple[int, int, int]] = {}
         # agent -> (first alternative created for that agent, dependency
         # set of its edge)
         self.alternatives: dict[str, tuple[int, int]] = {}
@@ -546,35 +585,34 @@ class _World:
         # one scan cursor per propagation rule: into this world's own
         # entries for (C.CB) and (C.B-lift), into its creator's otherwise
         self.cursors = [0] * rules
-        # bitset of the worlds this one created
+        # bitset of the worlds this one created, bit k for world id + k
         self.children = 0
         # bitset of the blocked worlds off ``todo`` that this world's label
-        # growing may wake: itself if it is one, and those it blocks
+        # growing may wake, bit k for world id + k: itself if it is one,
+        # and those it blocks
         self.sleepers = 0
 
     def mark(self) -> tuple:
         """The world and what ``restore`` needs to undo every later change.
-        Along a branch ``label``, ``entries``, ``demands``, ``cb``,
-        ``beliefs`` and ``alternatives`` only gain entries, and no dict key
-        is ever overwritten, so their lengths are enough: ``restore`` pops
-        the newest keys of the dicts, which keep insertion order.  The
-        bitsets are saved by value, and the cursors come last."""
+        Along a branch ``entries``, ``demands``, ``cb``, ``beliefs`` and
+        ``alternatives`` only gain entries, and no dict key is ever
+        overwritten, so their lengths are enough: ``restore`` pops the
+        newest keys of the dicts, which keep insertion order.  The bitsets
+        are saved by value, and the cursors come last."""
         return (
-            self, len(self.entries), len(self.demands), self.children, len(self.cb),
+            self, self.bits, len(self.entries), len(self.demands), self.children, len(self.cb),
             len(self.beliefs), len(self.alternatives), self.branched, self.spawn_cursor,
             self.sleepers, *self.cursors,
         )
 
     def restore(self, mark: tuple) -> None:
         (
-            _, entries, demands, self.children, cb, beliefs, alternatives,
+            _, self.bits, entries, demands, self.children, cb, beliefs, alternatives,
             self.branched, self.spawn_cursor, self.sleepers, *cursors,
         ) = mark
         # a mark holds the world as it was at a choice point, where steps 1
         # and 2 had scanned every entry
         self.saturated = entries
-        for f in self.entries[entries:]:
-            del self.label[f]
         del self.entries[entries:]
         del self.demands[demands:]
         for records, length in (
@@ -625,7 +663,7 @@ class _Engine:
         made, its alternatives, the index of the next one to try, the union
         of the closing sets of those tried].  ``pending`` says that the
         innermost entry is due to try its next alternative."""
-        self._add(0, self.table.kernel, "seed", (), 0)
+        self._add(0, self.table.seed, "seed", (), 0)
         stack: list[list] = []
         pending = False
         while True:
@@ -704,32 +742,27 @@ class _Engine:
         # cursor can fire again (see the module docstring).  Steps 1 and 2
         # write only the focus, so each runs to completion at once.
         w = self.worlds[self.focus]
-        label, entries = w.label, w.entries
+        entries = w.entries
         table = self.table
         # 1. non-branching propositional saturation, from the cursor of steps
         # 1 and 2 to the end of the entries, which grows as it goes
         saturate = table.saturate
         i = start = w.saturated
         while i < len(entries):
-            f = entries[i]
+            f, step, deps = entries[i]
             i += 1
             if f in saturate:
                 rule, parts = saturate[f]
-                step, deps = label[f]
                 for g in parts:
                     self._add(w.id, g, rule, (step,), deps)
-        w.saturated = end = i
+        w.saturated = i
 
         # 2. negated-modal rewrites over the same span: ~B[a] q is the
         # demand C[a] ~q
         demands = table.demand
-        i = start
-        while i < end:
-            f = entries[i]
-            i += 1
+        for f, premise, deps in entries[start:i]:
             if f in demands:
                 agent, demanded, comp = demands[f]
-                premise, deps = label[f]
                 step = self._record(w.id, comp, "C.BDef-rewrite", (premise,))
                 w.demands.append((agent, demanded, step, deps))
                 self.todo |= 1 << w.id
@@ -737,12 +770,11 @@ class _Engine:
         # 3. branching propositional rules
         options = table.options
         while w.branched < len(entries):
-            f = entries[w.branched]
+            f, premise, deps = entries[w.branched]
             w.branched += 1
             if f in options:
                 (left, left_rule), (right, right_rule) = options[f]
-                if left not in label and right not in label:
-                    premise, deps = label[f]
+                if not (w.bits >> left & 1 or w.bits >> right & 1):
                     return (
                         (left_rule, w.id, left, premise, deps),
                         (right_rule, w.id, right, premise, deps),
@@ -751,11 +783,11 @@ class _Engine:
         # 4. propagation, rule by rule in the profile's order, world by world
         # in creation order among the worlds on the rule's agenda
         worlds, agenda, steps = self.worlds, self.agenda, self.propagation.steps
+        believer = table.believer
         for r, pending in enumerate(agenda):
             if not pending:
                 continue
             kind, every, negated, carries_sub, down = steps[r]
-            agent_of = table.doubter if negated else table.believer
             while pending:
                 low = pending & -pending
                 pending ^= low
@@ -774,9 +806,10 @@ class _Engine:
                     if down:
                         dst = w.id
                 while cursors[r] < len(entries):
-                    f = entries[cursors[r]]
+                    f, step, deps = entries[cursors[r]]
                     cursors[r] += 1
-                    believing = agent_of.get(f)
+                    # a negated belief is numbered right after its belief
+                    believing = believer.get(f - negated)
                     if believing is None:
                         continue
                     if not every:
@@ -786,11 +819,10 @@ class _Engine:
                         dst, via = w.cb[believing]
                     elif believing != agent:
                         continue
-                    g = f.sub if carries_sub else f
-                    if g not in worlds[dst].label:
+                    g = table.sub[f] if carries_sub else f
+                    if not worlds[dst].bits >> g & 1:
                         # the world stays on the agenda: its scan is unfinished
                         agenda[r] = pending | low
-                        step, deps = source.label[f]
                         self._add(dst, g, kind, (step,), deps | via)
                         return ()
             # every scan reached the end of its source's entries
@@ -819,8 +851,8 @@ class _Engine:
             if blocker is not None:
                 self._touch(w)
                 self._touch(blocker)
-                w.sleepers |= low
-                blocker.sleepers |= low
+                w.sleepers |= 1
+                blocker.sleepers |= 1 << w.id - blocker.id
                 self.todo ^= low
                 continue
             if demand:
@@ -831,9 +863,8 @@ class _Engine:
                 reuse = w.alternatives.get(needy)
                 return (fresh,) if reuse is None else ((C_CB.kind, w.id, needy, *reuse), fresh)
             else:
-                first = w.beliefs[needy]
-                agent, g, rule = needy, first.sub, C_B.kind
-                premise, deps = w.label[first]
+                first, premise, deps = w.beliefs[needy]
+                agent, g, rule = needy, table.sub[first], C_B.kind
             new_id = self._spawn(w.id, agent, deps)
             # ``_spawn`` logged ``w`` on the trail before the cursor moves
             w.spawn_cursor += demand
@@ -856,39 +887,40 @@ class _Engine:
             self.trail.append(w.mark())
 
     def _add(
-        self, wid: int, f: Formula, rule: str, premises: tuple[int, ...], deps: int
+        self, wid: int, f: int, rule: str, premises: tuple[int, ...], deps: int
     ) -> None:
         w = self.worlds[wid]
-        if f in w.label:
+        if w.bits >> f & 1:
             return
         self._touch(w)
         self.focus = wid
-        w.label[f] = (self._record(wid, f, rule, premises), deps)
-        w.entries.append(f)
+        entry = (f, self._record(wid, self.table.nodes[f], rule, premises), deps)
+        w.entries.append(entry)
+        w.bits |= 1 << f
         if w.sleepers:
             # the blocked worlds resting on this label may be unblocked
-            self.todo |= w.sleepers
+            self.todo |= w.sleepers << wid
             w.sleepers = 0
         agent = self.table.believer.get(f)
         if agent is not None:
             if agent not in w.beliefs:
-                w.beliefs[agent] = f
+                w.beliefs[agent] = entry
                 self.todo |= 1 << wid
             for r in self.propagation.own:
                 self.agenda[r] |= 1 << wid
-        if w.children and (agent is not None or f in self.table.doubter):
+        # a belief or a negated belief, numbered right after its belief
+        if w.children and (agent is not None or f - 1 in self.table.believer):
             for r in self.propagation.down:
-                self.agenda[r] |= w.children
-        # a negation ~x clashes with x and with ~~x
-        if isinstance(f, Not) and f.sub in w.label:
-            positive, negative = f.sub, f
-        else:
-            positive, negative = f, self.table.complement.get(f)
-            if negative not in w.label:
-                return
-        (i, deps_i), (j, deps_j) = w.label[positive], w.label[negative]
-        self._record(wid, positive, "C.~-clash", (min(i, j), max(i, j)))
-        raise _Closed(deps_i | deps_j)
+                self.agenda[r] |= w.children << wid
+        clash = w.bits & self.table.clash[f]
+        if clash:
+            # a ~x meets x before ~~x, and the lower id of a clashing pair
+            # is its positive formula
+            other = _lowest(clash)
+            # the other entry, most often among the newest; f's is the newest
+            j, deps_j = next((s, d) for g, s, d in reversed(w.entries) if g == other)
+            self._record(wid, self.table.nodes[min(f, other)], "C.~-clash", (j, entry[1]))
+            raise _Closed(deps | deps_j)
 
     def _spawn(self, parent: int, agent: str, deps: int) -> int:
         new_id = len(self.worlds)
@@ -897,8 +929,8 @@ class _Engine:
         creator = self.worlds[parent]
         self._touch(creator)
         creator.alternatives.setdefault(agent, (new_id, deps))
+        creator.children |= 1 << new_id - parent
         bit = 1 << new_id
-        creator.children |= bit
         for r in self.propagation.down:
             agenda[r] |= bit
         self.stats.worlds_created += 1
@@ -917,7 +949,7 @@ class _Engine:
         always lies inside the same cluster.  Otherwise they are all the
         worlds created before ``w``, earliest first, in any subtree and for
         any agent, so the blocker found is itself never blocked."""
-        keys = w.label.keys()
+        bits = w.bits
         if self.chain:
             if w.parent is None:
                 return None
@@ -925,13 +957,12 @@ class _Engine:
             agent = w.parent[0]
             current = worlds[w.parent[1]]
             while current.parent is not None and current.parent[0] == agent:
-                if current.label.keys() == keys:
+                if current.bits == bits:
                     return current
                 current = worlds[current.parent[1]]
             return None
-        size = len(keys)
         for current in self.worlds[: w.id]:
-            if len(current.entries) == size and current.label.keys() == keys:
+            if current.bits == bits:
                 return current
         return None
 
@@ -975,9 +1006,9 @@ class _Engine:
 
         for agent in self.table.agent_names:
             self._complete_relation(agent, rows[agent], keep, into)
-
+        nodes = self.table.nodes
         valuation = {
-            w: frozenset(f.name for f in world.entries if type(f) is Atom)
+            w: frozenset(nodes[f].name for f, _, _ in world.entries if type(nodes[f]) is Atom)
             for w, world in enumerate(keep)
         }
         model = ModelSystem(

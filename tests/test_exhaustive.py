@@ -1,6 +1,9 @@
 """Bounded-exhaustive agreement: every small formula over one atom and one
 agent, decided by the tableau under every profile and checked against the
-oracle, against the validity verdict and along the profiles' strength.
+oracle, against the validity verdict and along the profiles' strength; the
+same for every smaller formula over two agents under kd, hstar and
+hintikka; and the separations between adjacent profiles that the one-agent
+formulas show.
 
 The small-scope hypothesis says that most defects have a small
 counterexample (Jackson, "Software Abstractions", MIT Press, 2006), and
@@ -26,6 +29,7 @@ from doxa import (
     PROFILES_BY_STRENGTH,
     decide_sat,
     decide_valid,
+    parse,
     render,
     sat_upto,
 )
@@ -34,16 +38,28 @@ from doxa.formula import Agent
 MAX_NODES = 6
 BUDGET = EnumerationBudget(max_worlds=3, atoms=("p",), agents=("a",))
 
+#: The two-agent set: every formula up to 5 nodes, under every profile but
+#: kd45, whose engine ends 36 of them with a world-bound error (the
+#: two-agent kd45 defect that ROADMAP item 4 is to mend).
+TWO_AGENTS = ("a", "b")
+TWO_AGENT_NODES = 5
+TWO_AGENT_BUDGET = EnumerationBudget(max_worlds=3, atoms=("p",), agents=TWO_AGENTS)
+TWO_AGENT_PROFILES = tuple(p for p in PROFILES_BY_STRENGTH if p is not LogicProfile.KD45)
 
-def small_formulas(max_nodes: int, atom: str = "p", agent: str = "a") -> list[Formula]:
-    """Every formula over ``atom`` with ~, &, |, B and C for ``agent`` of at
-    most ``max_nodes`` nodes, each connective and atom one node, smallest
-    first.  ``&`` and ``|`` are commutative, so of x & y and y & x only the
-    one whose left operand comes first in this order is kept."""
-    a = Agent(agent)
+
+def small_formulas(
+    max_nodes: int, atom: str = "p", agents: tuple[str, ...] = ("a",)
+) -> list[Formula]:
+    """Every formula over ``atom`` with ~, &, |, and B and C for each of
+    ``agents``, of at most ``max_nodes`` nodes, each connective and atom one
+    node, smallest first.  ``&`` and ``|`` are commutative, so of x & y and
+    y & x only the one whose left operand comes first in this order is
+    kept."""
     by_size: list[list[Formula]] = [[], [Atom(atom)]]
     for n in range(2, max_nodes + 1):
-        level = [node(a, g) for g in by_size[n - 1] for node in (Bel, Comp)]
+        level = [
+            node(Agent(a), g) for g in by_size[n - 1] for a in agents for node in (Bel, Comp)
+        ]
         level += [Not(g) for g in by_size[n - 1]]
         for left in range(1, n // 2 + 1):
             right = n - 1 - left
@@ -62,6 +78,11 @@ def _formulas() -> tuple[Formula, ...]:
 
 
 @functools.cache
+def _two_agent_formulas() -> tuple[Formula, ...]:
+    return tuple(small_formulas(TWO_AGENT_NODES, agents=TWO_AGENTS))
+
+
+@functools.cache
 def _verdict(f: Formula, profile: LogicProfile):
     return decide_sat(f, profile)
 
@@ -77,6 +98,11 @@ def test_enumeration_counts():
     assert counts[1:] == [1, 3, 11, 39, 151, 597]
     assert len(set(_formulas())) == len(_formulas())
     assert len(small_formulas(7)) == 3261
+    counts = [0] * (TWO_AGENT_NODES + 1)
+    for f in _two_agent_formulas():
+        counts[_nodes(f)] += 1
+    assert counts[1:] == [1, 5, 27, 145, 809]
+    assert len(set(_two_agent_formulas())) == len(_two_agent_formulas()) == 987
 
 
 @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH, ids=lambda p: p.value)
@@ -85,16 +111,26 @@ def test_engine_agrees_with_the_oracle(profile: LogicProfile):
     inside the budget means the oracle finds one, and the validity verdict
     of f is the negation of the satisfiability verdict of ~f."""
     for f in _formulas():
-        verdict = _verdict(f, profile)
-        if not verdict.is_sat:
-            assert sat_upto(f, BUDGET, profile) is None, (
-                f"oracle found a model of engine-unsat {render(f)}"
-            )
-        elif verdict.model.worlds <= BUDGET.max_worlds:
-            assert sat_upto(f, BUDGET, profile) is not None, (
-                f"oracle missed the engine's model of {render(f)}"
-            )
-        assert decide_valid(f, profile).valid is not decide_sat(Not(f), profile).is_sat, render(f)
+        _check_agreement(f, profile, BUDGET)
+
+
+@pytest.mark.parametrize("profile", TWO_AGENT_PROFILES, ids=lambda p: p.value)
+def test_two_agent_engine_agrees_with_the_oracle(profile: LogicProfile):
+    for f in _two_agent_formulas():
+        _check_agreement(f, profile, TWO_AGENT_BUDGET)
+
+
+def _check_agreement(f: Formula, profile: LogicProfile, budget: EnumerationBudget) -> None:
+    verdict = _verdict(f, profile)
+    if not verdict.is_sat:
+        assert sat_upto(f, budget, profile) is None, (
+            f"oracle found a model of engine-unsat {render(f)}"
+        )
+    elif verdict.model.worlds <= budget.max_worlds:
+        assert sat_upto(f, budget, profile) is not None, (
+            f"oracle missed the engine's model of {render(f)}"
+        )
+    assert decide_valid(f, profile).valid is not decide_sat(Not(f), profile).is_sat, render(f)
 
 
 def test_satisfiability_is_monotone_in_strength():
@@ -102,3 +138,27 @@ def test_satisfiability_is_monotone_in_strength():
     for f in _formulas():
         words = [_verdict(f, p).is_sat for p in PROFILES_BY_STRENGTH]
         assert words == sorted(words), render(f)
+
+
+def test_two_agent_satisfiability_is_monotone_in_strength():
+    for f in _two_agent_formulas():
+        words = [_verdict(f, p).is_sat for p in TWO_AGENT_PROFILES]
+        assert words == sorted(words), render(f)
+
+
+def test_separations_between_adjacent_profiles():
+    """For each adjacent pair of ``PROFILES_BY_STRENGTH``, the one-agent
+    formulas that the weaker profile (the larger frame class) satisfies and
+    the stronger one refutes.  The believed Moore sentence separates kd
+    from hstar; the introspection gap ``B[a] p & ~B[a] B[a] p``, which
+    separates hstar from hintikka, has 7 nodes, so no formula of this set
+    does."""
+    separations = {
+        (weaker.value, stronger.value): [
+            f for f in _formulas() if _verdict(f, weaker).is_sat and not _verdict(f, stronger).is_sat
+        ]
+        for stronger, weaker in zip(PROFILES_BY_STRENGTH, PROFILES_BY_STRENGTH[1:])
+    }
+    counts = {pair: len(found) for pair, found in separations.items()}
+    assert counts == {("kd", "hstar"): 6, ("hstar", "hintikka"): 0, ("hintikka", "kd45"): 3}
+    assert parse("B[a](p & ~B[a] p)") in separations["kd", "hstar"]

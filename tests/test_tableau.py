@@ -676,6 +676,14 @@ class TestPinnedWork:
         assert (stats.choice_points, stats.skipped) == choices
 
 
+def _label(engine: tableau._Engine, w) -> frozenset:
+    """The formulas of ``w``'s label: its entries' closure ids mapped back
+    through the closure table, once each set in ``w.bits``."""
+    ids = [f for f, _, _ in w.entries]
+    assert len(set(ids)) == len(ids) and w.bits == sum(1 << f for f in ids)
+    return frozenset(engine.table.nodes[f] for f in ids)
+
+
 def _ancestors(engine: tableau._Engine, w) -> set[int]:
     found = set()
     while w.parent is not None:
@@ -696,7 +704,7 @@ class TestAnywhereBlocking:
         blocked = [(w, b) for w, b in blocked if b is not None]
         assert blocked
         for w, b in blocked:
-            assert b.id < w.id and b.label.keys() == w.label.keys()
+            assert b.id < w.id and _label(engine, b) == _label(engine, w)
             assert engine._blocker(b) is None
         assert any(b.id not in _ancestors(engine, w) for w, b in blocked)
 
@@ -754,13 +762,16 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
     sleeps: its bit is in its own sleepers and in those of a world that
     blocks it now, so that either label growing wakes it."""
     worlds = engine.worlds
+    nodes = engine.table.nodes
+    ids = {g: i for i, g in enumerate(nodes)}
     found: list[tuple] = []
     for r, (kind, every, negated, carries_sub, down) in enumerate(engine.propagation.steps):
         for w in worlds:
             if every and w.parent is None or unmarked and engine.agenda[r] >> w.id & 1:
                 continue
             source = worlds[w.parent[1]] if down else w
-            for f in source.entries[w.cursors[r]:]:
+            for i, _, _ in source.entries[w.cursors[r]:]:
+                f = nodes[i]
                 belief = (f.sub if isinstance(f, Not) else None) if negated else f
                 if not isinstance(belief, Bel):
                     continue
@@ -772,7 +783,7 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
                     continue
                 else:
                     dst = w.id if down else w.parent[1]
-                if (f.sub if carries_sub else f) not in worlds[dst].label:
+                if not worlds[dst].bits >> ids[f.sub if carries_sub else f] & 1:
                     found.append((kind, w.id, f))
     witnesses = engine.propagation.cb is not None
     for w in worlds:
@@ -784,8 +795,9 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
         if not (demand or unwitnessed or unserved):
             continue
         if unmarked:
-            bit = 1 << w.id
-            if not (w.sleepers & bit and any(b.sleepers & bit for b in _blockers(engine, w))):
+            # a world's sleepers are relative to its id, bit k for world id + k
+            blockers = _blockers(engine, w)
+            if not (w.sleepers & 1 and any(b.sleepers >> w.id - b.id & 1 for b in blockers)):
                 found.append(("create", w.id))
         elif not _blockers(engine, w):
             found.append(("create", w.id))
@@ -793,18 +805,18 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
 
 
 def _blockers(engine: tableau._Engine, w) -> list:
-    """Every world that blocks ``w`` now, one with ``w``'s label.  Under a
-    euclidean frame it is an ancestor on the unbroken chain of
+    """Every world that blocks ``w`` now, one with ``w``'s label bits.
+    Under a euclidean frame it is an ancestor on the unbroken chain of
     alternatives for the agent that created ``w``; under any other frame
     any world created before ``w``."""
     if euclidean not in PROFILE_RULES[engine.profile].frame:
-        return [v for v in engine.worlds[: w.id] if v.label.keys() == w.label.keys()]
+        return [v for v in engine.worlds[: w.id] if v.bits == w.bits]
     found = []
     if w.parent is not None:
         agent = w.parent[0]
         current = engine.worlds[w.parent[1]]
         while current.parent is not None and current.parent[0] == agent:
-            if current.label.keys() == w.label.keys():
+            if current.bits == w.bits:
                 found.append(current)
             current = engine.worlds[current.parent[1]]
     return found
@@ -1055,8 +1067,20 @@ class TestClosureTable:
         for q in _table_inputs():
             closure = subformula_closure(desugar(q))
             table = tableau._Closure(q)
+            nodes = table.nodes
             assert table.query is q and table.kernel is desugar(q)
-            assert table.complement == {g: Not(g) for g in closure if Not(g) in closure}
+            # each member numbered once, the query's own node at ``seed``
+            assert len(set(nodes)) == len(nodes) and set(nodes) == closure
+            assert nodes[table.seed] is table.kernel
+            ids = {g: i for i, g in enumerate(nodes)}
+            for i, g in enumerate(nodes):
+                # a member clashes with its negation and its negated form,
+                # and of each pair the positive one has the lower id
+                negation, negated = ids.get(Not(g)), ids.get(g.sub) if type(g) is Not else None
+                assert negation is None or negation > i
+                assert negated is None or negated < i
+                pair = {negation, negated} - {None}
+                assert table.clash[i] == sum(1 << j for j in pair)
             assert table.world_bound == 2 ** min(len(closure), 20)
             assert table.agent_names == sorted({g.agent.name for g in closure if type(g) is Bel})
             saturate, demand, options, believer, doubter = {}, {}, {}, {}, {}
@@ -1082,11 +1106,25 @@ class TestClosureTable:
                 elif isinstance(x, Bel):
                     doubter[f] = x.agent.name
                     demand[f] = (x.agent.name, neg(x.sub), Comp(x.agent, neg(x.sub)))
-            assert table.saturate == saturate
-            assert table.demand == demand
-            assert table.options == options
-            assert table.believer == believer
-            assert table.doubter == doubter
+            # the facts keyed and naming members by id, mapped back
+            assert {
+                nodes[i]: (rule, tuple(nodes[j] for j in parts))
+                for i, (rule, parts) in table.saturate.items()
+            } == saturate
+            assert {
+                nodes[i]: (agent, nodes[j], comp) for i, (agent, j, comp) in table.demand.items()
+            } == demand
+            assert {
+                nodes[i]: tuple((nodes[j], rule) for j, rule in sides)
+                for i, sides in table.options.items()
+            } == options
+            assert {nodes[i]: agent for i, agent in table.believer.items()} == believer
+            # a negated belief is numbered right after its belief, which is
+            # how the engine finds its agent
+            assert {nodes[i + 1]: agent for i, agent in table.believer.items()} == doubter
+            assert {nodes[i]: nodes[j] for i, j in table.sub.items()} == {
+                f: f.sub for f in believer
+            }
 
     def test_cache_keeps_queries_apart(self, monkeypatch):
         rng = random.Random(20261020)
