@@ -18,6 +18,11 @@ the same class and fields, so structurally equal formulas are one object.
 the tree.  The table of live nodes holds them weakly, so a formula nothing
 else refers to is freed.  Nodes are immutable, since every holder of a node
 shares it.
+
+So a node's ``postorder`` walk and its ``desugar`` kernel are functions of
+the node alone: each is derived once, on first use, and kept in a slot of
+the node.  Neither refers back to its node, so no reference cycle forms,
+and both are freed with the node.
 """
 
 from __future__ import annotations
@@ -108,14 +113,21 @@ _NODES: dict[tuple, _Ref] = {}
 _DEAD: list[_Ref] = []
 
 
+#: The ``_kernel`` of a node that is its own kernel: storing the node
+#: itself would make a reference cycle.
+_IS_KERNEL = object()
+
+
 class Formula:
     """Base class for formula nodes.  Rendering goes through ``render``.
 
     Each node class names its fields in ``__match_args__``, and calling it
-    with those fields, positionally, returns the canonical node.
+    with those fields, positionally, returns the canonical node.  The two
+    slots ``_walk`` and ``_kernel`` keep what ``postorder`` and ``desugar``
+    derived, None until then; each is written once, after a whole walk.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_walk", "_kernel")
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -141,6 +153,8 @@ class Formula:
             node = object.__new__(cls)
             for name, value in zip(names, fields):
                 object.__setattr__(node, name, value)
+            object.__setattr__(node, "_walk", None)
+            object.__setattr__(node, "_kernel", None)
             ref = _Ref(node, _DEAD.append)
             ref.key = key
             _NODES[key] = ref
@@ -260,7 +274,13 @@ def postorder(f: Formula) -> list[Formula]:
     recursion limit, and lists each shared node of the hash-consed DAG once;
     ``f`` itself comes last.  Every fold over a formula is a loop over this
     list, reading each child's value from a dict filled earlier in the loop.
+
+    The walk is made once per node and kept, without ``f``, in ``f._walk``;
+    each call returns a new list.
     """
+    walk = getattr(f, "_walk", None)
+    if walk is not None:
+        return [*walk, f]
     order = []
     seen = set()
     stack = [f]
@@ -281,6 +301,7 @@ def postorder(f: Formula) -> list[Formula]:
                 stack += (g, _EMIT, g.right, g.left)
             else:
                 raise TypeError(f"not a formula: {g!r}")
+    object.__setattr__(f, "_walk", tuple(order[:-1]))
     return order
 
 
@@ -339,8 +360,12 @@ def desugar(f: Formula) -> Formula:
         C[a] p    becomes  ~B[a] ~p
 
     The result is idempotent: desugaring a kernel formula returns it as is.
-    A node whose children come back unchanged is kept, not rebuilt.
+    A node whose children come back unchanged is kept, not rebuilt.  The
+    kernel is derived once per node and kept in ``f._kernel``.
     """
+    kernel = getattr(f, "_kernel", None)
+    if kernel is not None:
+        return f if kernel is _IS_KERNEL else kernel
     out: dict[Formula, Formula] = {}
     for g in postorder(f):
         t = type(g)
@@ -362,7 +387,13 @@ def desugar(f: Formula) -> Formula:
             else:
                 k = t(left, right)
         out[g] = k
-    return out[f]
+    # a kernel holds no sugar, so it is its own kernel, and holds f only if
+    # it is f
+    if k._kernel is None:
+        object.__setattr__(k, "_kernel", _IS_KERNEL)
+    if k is not f:
+        object.__setattr__(f, "_kernel", k)
+    return k
 
 
 def neg(f: Formula) -> Formula:
@@ -390,8 +421,10 @@ def atoms(f: Formula) -> frozenset[str]:
 def subformula_closure(f: Formula) -> frozenset[Formula]:
     """Subformulas of a kernel formula together with their single negations.
 
-    The closure bounds every label a tableau world can ever carry, which is
-    what makes ancestor blocking a termination argument.  Negations collapse
+    The closure bounds every label a tableau world can ever carry, so a
+    branch holds finitely many distinct labels; that is what makes blocking
+    a termination argument (anywhere blocking under kd, hstar and
+    hintikka, ancestor blocking under kd45).  Negations collapse
     (``neg(Not(g))`` is ``g``), so the closure has at most twice as many
     members as ``f`` has subformula nodes.
 

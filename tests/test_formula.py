@@ -208,6 +208,11 @@ class TestInterning:
         with pytest.raises(AttributeError):
             P.name = "q"
         assert f.sub is P and f.agent == A and P.name == "p"
+        # nor the slots that keep the walk and the kernel
+        with pytest.raises(AttributeError):
+            f._walk = ()
+        with pytest.raises(AttributeError):
+            f._kernel = P
 
     def test_wrong_field_count_is_rejected(self):
         with pytest.raises(TypeError):
@@ -228,6 +233,104 @@ class TestInterning:
         assert len(formula._NODES) == before + 1
         assert _fresh_chain("interning_probe", 200) is _fresh_chain("interning_probe", 200)
         assert g is Atom("interning_probe_end") and start is Atom("interning_probe_start")
+
+
+def _reference_walk(f):
+    """Each distinct node of ``f`` once, children first, by recursion."""
+    order, seen = [], set()
+
+    def visit(g):
+        if g not in seen:
+            seen.add(g)
+            for name in g.__match_args__:
+                value = getattr(g, name)
+                if isinstance(value, formula.Formula):
+                    visit(value)
+            order.append(g)
+
+    visit(f)
+    return order
+
+
+def _sugared_chain(name: str, length: int):
+    """A chain of ``length`` nodes alternating Comp and Not over a fresh
+    atom, so its kernel is other nodes than its own."""
+    f = Atom(name)
+    for i in range(length - 1):
+        f = Comp(A, f) if i % 2 else Not(f)
+    return f
+
+
+class TestMemo:
+    """``postorder`` and ``desugar`` derive a node's walk and kernel once
+    and keep them on the node."""
+
+    @given(formulas_st)
+    @settings(max_examples=50)
+    def test_walk_is_the_postorder_and_a_new_list_each_call(self, f):
+        first = formula.postorder(f)
+        assert first == _reference_walk(f)
+        first.append(P)
+        first[0] = Q
+        second = formula.postorder(f)
+        assert second == _reference_walk(f) and second is not first
+        assert formula.postorder(f) is not second
+
+    def test_second_desugar_does_not_walk(self, monkeypatch):
+        f = Bel(A, Implies(Atom("memo_probe_p"), Comp(B, Atom("memo_probe_q"))))
+        kernel = desugar(f)
+        atom = Atom("memo_probe_r")
+        assert desugar(atom) is atom
+
+        def no_walk(g):
+            raise AssertionError("walked again")
+
+        monkeypatch.setattr(formula, "postorder", no_walk)
+        assert desugar(f) is kernel
+        assert desugar(kernel) is kernel
+        assert desugar(desugar(f)) is desugar(f)
+        assert desugar(atom) is atom
+
+    def test_nothing_is_kept_from_a_failed_walk(self):
+        bad = Not("x")  # type: ignore[arg-type]
+        above = And(P, bad)
+        for _ in range(2):
+            for g in (bad, above):
+                with pytest.raises(TypeError):
+                    formula.postorder(g)
+                with pytest.raises(TypeError):
+                    desugar(g)
+                assert g._walk is None and g._kernel is None
+
+    def test_memoised_nodes_leave_the_table(self):
+        # the walk and the kernel refer only to other nodes, never back, so
+        # refcounting alone frees a memoised node: no collector runs here
+        gc.collect()
+        gc.disable()
+        try:
+            start = Atom("memo_probe_start")  # a miss empties the queue of dead nodes
+            before = len(formula._NODES)
+            f = _sugared_chain("memo_probe", 200)
+            kernel = desugar(f)
+            assert kernel is not f and formula.postorder(f)[-1] is f
+            formula.postorder(kernel)
+            subformula_closure(kernel)
+            assert len(formula._NODES) > before + 200
+            del f, kernel
+            g = Atom("memo_probe_end")
+            assert len(formula._NODES) == before + 1
+            assert g is Atom("memo_probe_end") and start is Atom("memo_probe_start")
+        finally:
+            gc.enable()
+
+    def test_copies_of_a_memoised_node_are_the_node(self):
+        f = Comp(A, Implies(P, Bel(B, Q)))
+        kernel = desugar(f)
+        walk = formula.postorder(f)
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g is f and desugar(g) is kernel and formula.postorder(g) == walk
+        for g in (copy.deepcopy(kernel), pickle.loads(pickle.dumps(kernel))):
+            assert g is kernel and desugar(g) is kernel
 
 
 class TestNameValidation:

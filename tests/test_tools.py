@@ -1,8 +1,10 @@
 """The query sets of ``tools/digest.py`` are the sets it names: the tier-1
-random suite, and the random-mix pool and hard rows of the benchmark."""
+random suite, and the random-mix pool, hard rows and oracle pool of the
+benchmark."""
 
 from __future__ import annotations
 
+import collections
 import importlib.util
 import random
 import sys
@@ -32,3 +34,14 @@ def test_digest_sets_are_the_ones_it_names(random_suite, monkeypatch):
     pool = digest.random_mix()
     random.Random(7).shuffle(pool)
     assert pool == mix.pool
+
+
+def test_digest_oracle_set_is_the_pool(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = _load(monkeypatch, "digest", ROOT / "tools" / "digest.py")
+    queries = digest.oracle_pool()
+    assert len(queries) == 816
+    # 200 one-agent rows under all four profiles, 8 two-agent rows under two
+    per_profile = collections.Counter(profile.value for _, profile, _ in queries)
+    assert per_profile == {"kd45": 208, "hintikka": 208, "hstar": 200, "kd": 200}
+    assert {len(budget.agents) for _, _, budget in queries} == {1, 2}

@@ -2,9 +2,9 @@
 
     python3 tools/digest.py
 
-decides three fixed sets of queries with this checkout's ``doxa`` and
-prints one sha256 per set, over each query's verdict JSON and
-``repr(stats)``:
+runs four fixed sets of queries with this checkout's ``doxa`` and prints
+one sha256 per set.  The first three are decides, digested by each query's
+verdict JSON and ``repr(stats)``:
 
 - ``random-mix``: the benchmark's pool of 800 formulas (``bench/gen.py``
   at its fixed pool seed), each under all four profiles in its own mode;
@@ -12,12 +12,17 @@ prints one sha256 per set, over each query's verdict JSON and
 - ``suite``: the tier-1 random suite of 500 formulas (``tests/conftest.py``,
   seed 20240917) under all four profiles, in both modes.
 
-A decide that runs past ``LIMIT`` (2 s) is digested as a timeout and
-listed by name under its set, and an ``InternalVerificationError`` is
-digested by its message, so equal digests mean equal verdicts, stats and
-errors, and a query whose time limit decided the outcome shows by name.
-Run it in two checkouts and compare the output.  Standard library plus
-``doxa`` and the benchmark's formula generator only.
+The fourth, ``oracle``, holds the 816 ``sat_upto`` queries of the
+benchmark's oracle pool (``bench/oracle_pool.json``): each row under each
+profile its part lists, within that part's budget, digested by the
+``model_to_json_dict`` JSON of the model found, or ``none``.
+
+A query that runs past ``LIMIT`` (2 s) is digested as a timeout and listed
+by name under its set, and an ``InternalVerificationError`` is digested by
+its message, so equal digests mean equal answers, stats and errors, and a
+query whose time limit decided the outcome shows by name.  Run it in two
+checkouts and compare the output.  Standard library plus ``doxa`` and the
+benchmark's formula generator and oracle pool only.
 """
 
 from __future__ import annotations
@@ -32,7 +37,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from doxa import PROFILES_BY_STRENGTH, InternalVerificationError, LogicProfile, parse  # noqa: E402
+from doxa import (  # noqa: E402
+    PROFILES_BY_STRENGTH,
+    EnumerationBudget,
+    InternalVerificationError,
+    LogicProfile,
+    model_to_json_dict,
+    parse,
+    sat_upto,
+)
 from doxa.formula import Agent, And, Atom, Bel, Comp, Iff, Implies, Not, Or  # noqa: E402
 from doxa.tableau import decide, verdict_to_json_dict  # noqa: E402
 from gen import POOL_SEED, multiagent_text, tier1_text  # noqa: E402
@@ -111,6 +124,23 @@ def suite() -> list:
     return [_random_formula(rng, 4) for _ in range(500)]
 
 
+def oracle_pool() -> list[tuple[str, LogicProfile, EnumerationBudget]]:
+    """The (text, profile, budget) queries of the benchmark's oracle pool,
+    in the file's order: each row under each profile of its part."""
+    pinned = json.loads((ROOT / "bench" / "oracle_pool.json").read_text("utf-8"))
+    queries = []
+    for part in ("one_agent", "two_agent"):
+        spec = pinned[part]
+        budget = EnumerationBudget(
+            max_worlds=spec["max_worlds"], atoms=tuple(spec["atoms"]),
+            agents=tuple(spec["agents"]),
+        )
+        queries += [
+            (row["text"], LogicProfile(p), budget) for row in spec["rows"] for p in spec["profiles"]
+        ]
+    return queries
+
+
 class _Timeout(Exception):
     pass
 
@@ -119,45 +149,60 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
-def outcome(f, profile, mode: str) -> str | None:
-    """The verdict JSON and ``repr(stats)`` of one decide, the message of
-    its internal error, or None past ``LIMIT`` seconds."""
+def decided(f, profile, mode: str) -> str:
+    """The verdict JSON and ``repr(stats)`` of one decide."""
+    verdict = decide(f, profile, mode)
+    return json.dumps(verdict_to_json_dict(verdict), sort_keys=True) + repr(verdict.stats)
+
+
+def found(f, profile, budget) -> str:
+    """The JSON of the model ``sat_upto`` finds, or ``none``."""
+    model = sat_upto(f, budget, profile)
+    return "none" if model is None else json.dumps(model_to_json_dict(model), sort_keys=True)
+
+
+def outcome(query, f, profile, arg) -> str | None:
+    """``query(f, profile, arg)``, the message of its internal error, or
+    None past ``LIMIT`` seconds."""
     signal.setitimer(signal.ITIMER_REAL, LIMIT)
     try:
-        verdict = decide(f, profile, mode)
+        return query(f, profile, arg)
     except _Timeout:
         return None
     except InternalVerificationError as err:
         return f"error: {err}"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-    return json.dumps(verdict_to_json_dict(verdict), sort_keys=True) + repr(verdict.stats)
 
 
 def main() -> None:
     signal.signal(signal.SIGALRM, _alarm)
     sets = {
         "random-mix": [
-            (f"pool[{i}] {p.value} {mode}", f, p, mode)
+            (f"pool[{i}] {p.value} {mode}", decided, f, p, mode)
             for i, (f, mode) in enumerate((parse(text), mode) for text, mode in random_mix())
             for p in PROFILES_BY_STRENGTH
         ],
         "hard-rows": [
-            (f"{name} {text}", parse(text), LogicProfile(name), "sat")
+            (f"{name} {text}", decided, parse(text), LogicProfile(name), "sat")
             for text, name in hard_rows()
         ],
         "suite": [
-            (f"suite[{i}] {p.value} {mode}", f, p, mode)
+            (f"suite[{i}] {p.value} {mode}", decided, f, p, mode)
             for i, f in enumerate(suite())
             for mode in ("sat", "valid")
             for p in PROFILES_BY_STRENGTH
+        ],
+        "oracle": [
+            (f"oracle[{i}] {p.value} {text}", found, parse(text), p, budget)
+            for i, (text, p, budget) in enumerate(oracle_pool())
         ],
     }
     for name, queries in sets.items():
         digest = hashlib.sha256()
         timeouts = []
-        for label, f, profile, mode in queries:
-            text = outcome(f, profile, mode)
+        for label, *query in queries:
+            text = outcome(*query)
             if text is None:
                 timeouts.append(label)
                 text = "timeout"
