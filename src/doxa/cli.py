@@ -351,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
     except (InternalVerificationError, RecursionError) as err:
         print(f"error: internal engine error: {err}", file=sys.stderr)
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
     return 2
 
 

@@ -77,9 +77,25 @@ class TestDecide:
             main(["decide", "p", "--profile", "s5"])
         assert exc.value.code == 2
 
-    def test_no_ansi_codes_when_disabled(self, capsys):
+    def test_no_ansi_codes_when_disabled(self, capsys, monkeypatch):
+        # DOXA_COLOR=0, set for every test here, wins even on a terminal
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
         _, out, _ = run_cli(capsys, "decide", "p")
         assert "\x1b[" not in out
+
+    @pytest.mark.parametrize(
+        "text, colored",
+        [
+            ("p", "\x1b[32mSAT\x1b[0m  p  [hstar]"),
+            ("p & ~p", "\x1b[31mUNSAT\x1b[0m  p & ~p  [hstar]"),
+        ],
+        ids=["sat-green", "unsat-red"],
+    )
+    def test_verdict_word_is_colored_on_a_terminal(self, capsys, monkeypatch, text, colored):
+        monkeypatch.delenv("DOXA_COLOR")
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        _, out, _ = run_cli(capsys, "decide", text)
+        assert out.startswith(colored + "\n")
 
     def test_deeply_nested_negations_print_their_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "decide", "~" * 500 + "p")
@@ -509,6 +525,16 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert err.startswith("error: budget of 4 worlds and 7 atoms") and err.count("\n") == 1
+
+    def test_running_out_of_memory_is_not_a_verdict(self, capsys, monkeypatch):
+        # as numpy raises it for an array of a 5-world kd budget over two atoms
+        def fail(f, budget, profile):
+            raise MemoryError("Unable to allocate 5.33 GiB for an array")
+
+        monkeypatch.setattr("doxa.oracle.sat_upto", fail)
+        code, out, err = run_cli(capsys, "oracle", "p")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 5.33 GiB for an array\n"
 
     def test_disagreement_with_the_reference_is_an_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr("doxa.oracle.evaluate", lambda m, w, f: False)

@@ -538,26 +538,36 @@ def test_cached_oracle_tables_are_read_only():
 
 
 class TestEngineAgreement:
-    """The tableau against the oracle over two atoms, two agents and models
-    of up to three worlds.  Every other seeded formula is conjoined with
-    ``C[b] q & C[a] ~q``, which takes two worlds, so the budget leaves room
-    for one more.  kd45 is left out: some 2-agent formulas of this generator
-    overrun the engine's world bound under kd45, formula 186 only after
-    about five minutes."""
+    """The tableau against the oracle over models of up to three worlds, in
+    two shapes: two atoms and two agents, and one atom and three agents.
+    Every other seeded formula is conjoined with a pair of ``C`` formulas
+    that takes two worlds, so the budget leaves room for one more.  kd45 is
+    left out: some 2-agent formulas of this generator overrun the engine's
+    world bound under kd45, formula 186 only after about five minutes, and a
+    third agent only gives the bound more to overrun."""
 
-    BUDGET = EnumerationBudget(max_worlds=3, atoms=("p", "q"), agents=("a", "b"))
+    @staticmethod
+    def _agree(profile, count: int, atom_names, agent_names, conjunct: str) -> None:
+        budget = EnumerationBudget(max_worlds=3, atoms=atom_names, agents=agent_names)
+        rng = random.Random(20240917)
+        for i in range(count):
+            f = random_formula(rng, depth=4, atom_names=atom_names, agent_names=agent_names)
+            if i % 2:
+                f = And(f, parse(conjunct))
+            verdict = decide_sat(f, profile)
+            if sat_upto(f, budget, profile) is not None:
+                assert verdict.is_sat, f"oracle found a model of engine-unsat {render(f)}"
+            elif verdict.is_sat:
+                assert verdict.model.worlds > budget.max_worlds, (
+                    f"oracle missed the engine's model of {render(f)}"
+                )
 
     @pytest.mark.parametrize("profile", [KD, HSTAR, LogicProfile.HINTIKKA])
     def test_oracle_and_engine_agree(self, profile):
-        rng = random.Random(20240917)
-        for i in range(400):
-            f = random_formula(rng, depth=4, atom_names=("p", "q"), agent_names=("a", "b"))
-            if i % 2:
-                f = And(f, parse("C[b] q & C[a] ~q"))
-            verdict = decide_sat(f, profile)
-            if sat_upto(f, self.BUDGET, profile) is not None:
-                assert verdict.is_sat, f"oracle found a model of engine-unsat {render(f)}"
-            elif verdict.is_sat:
-                assert verdict.model.worlds > self.BUDGET.max_worlds, (
-                    f"oracle missed the engine's model of {render(f)}"
-                )
+        self._agree(profile, 400, ("p", "q"), ("a", "b"), "C[b] q & C[a] ~q")
+
+    @pytest.mark.parametrize("profile", [KD, HSTAR, LogicProfile.HINTIKKA])
+    def test_three_agents_agree(self, profile):
+        # under kd a miss scans every 3-agent frame, up to 0.3 s, so this
+        # shape sends only 70 formulas, 8 of them oracle misses
+        self._agree(profile, 70, ("p",), ("a", "b", "c"), "C[c] p & C[b] ~p")

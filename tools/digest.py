@@ -6,8 +6,9 @@ runs four fixed sets of queries with this checkout's ``doxa`` and prints
 one sha256 per set.  The first three are decides, digested by each query's
 verdict JSON and ``repr(stats)``:
 
-- ``random-mix``: the benchmark's pool of 800 formulas (``bench/gen.py``
-  at its fixed pool seed), each under all four profiles in its own mode;
+- ``random-mix``: the benchmark's random-mix pool of 800 formulas, in the
+  order that workload sends them at ``--seed 1``, each under all four
+  profiles in its own mode;
 - ``hard-rows``: the 26 rows of the benchmark's hard-families workload;
 - ``suite``: the tier-1 random suite of 500 formulas (``tests/conftest.py``,
   seed 20240917) under all four profiles, in both modes.
@@ -21,8 +22,11 @@ A query that runs past ``LIMIT`` (2 s) is digested as a timeout and listed
 by name under its set, and an ``InternalVerificationError`` is digested by
 its message, so equal digests mean equal answers, stats and errors, and a
 query whose time limit decided the outcome shows by name.  Run it in two
-checkouts and compare the output.  Standard library plus ``doxa`` and the
-benchmark's formula generator and oracle pool only.
+checkouts and compare the output.
+
+The queries come from ``bench/`` as the benchmark defines them: the
+random-mix pool and ``HARD_ROWS`` from ``workloads.py``, the tier-1
+generator from ``gen.py``, and the time limit from ``harness.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import signal
 import sys
 from pathlib import Path
 
@@ -46,82 +49,20 @@ from doxa import (  # noqa: E402
     parse,
     sat_upto,
 )
-from doxa.formula import Agent, And, Atom, Bel, Comp, Iff, Implies, Not, Or  # noqa: E402
 from doxa.tableau import decide, verdict_to_json_dict  # noqa: E402
-from gen import POOL_SEED, multiagent_text, tier1_text  # noqa: E402
+from gen import tier1_text  # noqa: E402
+from harness import QueryTimeout, install_time_limit, time_limit  # noqa: E402
+from workloads import HARD_ROWS, RandomMix  # noqa: E402
 
 #: Seconds a decide may run before it is digested as a timeout; fixed, so
 #: two checkouts list the same queries as timeouts when their engines agree.
 LIMIT = 2.0
 
 
-def random_mix() -> list[tuple[str, str]]:
-    """The (text, mode) pairs of the random-mix pool, drawn as
-    ``RandomMix.setup`` in ``bench/workloads.py`` draws them: blocks of 7
-    one-agent and 3 two-agent texts, 2 of each block in valid mode."""
-    rng = random.Random(POOL_SEED)
-    pool = []
-    for _ in range(80):
-        texts = [tier1_text(rng) for _ in range(7)] + [multiagent_text(rng) for _ in range(3)]
-        modes = ["valid"] * 2 + ["sat"] * 8
-        rng.shuffle(modes)
-        block = list(zip(texts, modes))
-        rng.shuffle(block)
-        pool += block
-    return pool
-
-
-def _compat(n: int) -> str:
-    return " & ".join(f"C[a] p{i}" for i in range(n)) + " & B[a] q"
-
-
-def _nest(n: int) -> str:
-    return "B[a] " * n + "p & " + "C[a] " * n + "~p"
-
-
-def _prop(n: int) -> str:
-    pairs = [f"(x{i} | y{i}) & (~x{i} | ~y{i})" for i in range(n)]
-    return " & ".join(pairs) + " & (x0 <-> y0)"
-
-
-def hard_rows() -> list[tuple[str, str]]:
-    """The (text, profile name) pairs of the hard-families workload."""
-    return [
-        *((_compat(n), "kd45") for n in (2, 3, 4)),
-        *((_compat(n), p) for p in ("hstar", "hintikka") for n in (4, 8, 12)),
-        *((_nest(n), p.value) for p in PROFILES_BY_STRENGTH for n in (4, 6, 8)),
-        *((_prop(n), "kd") for n in (6, 8, 10)),
-        ("B[a]((q | p) & B[a] q | (C[a] q | C[a] q) <-> ~B[a] B[a] q)", "hintikka"),
-        ("C[b] B[a] B[a] C[a] q", "kd45"),
-    ]
-
-
-_KINDS = ("atom", "not", "and", "or", "implies", "iff", "bel", "comp")
-_WEIGHTS = (2, 3, 3, 3, 2, 1, 4, 3)
-_BINARY = {"and": And, "or": Or, "implies": Implies, "iff": Iff}
-
-
-def _random_formula(rng: random.Random, depth: int):
-    """``random_formula`` of ``tests/conftest.py`` over atom p and agent a."""
-    if depth <= 0:
-        return Atom(rng.choice(("p",)))
-    kind = rng.choices(_KINDS, weights=_WEIGHTS, k=1)[0]
-    if kind == "atom":
-        return Atom(rng.choice(("p",)))
-    if kind == "not":
-        return Not(_random_formula(rng, depth - 1))
-    if kind in ("bel", "comp"):
-        node = Bel if kind == "bel" else Comp
-        return node(Agent(rng.choice(("a",))), _random_formula(rng, depth - 1))
-    left = _random_formula(rng, depth - 1)
-    right = _random_formula(rng, depth - 1)
-    return _BINARY[kind](left, right)
-
-
 def suite() -> list:
     """The tier-1 random suite: 500 seeded formulas over p and a, depth 4."""
     rng = random.Random(20240917)
-    return [_random_formula(rng, 4) for _ in range(500)]
+    return [parse(tier1_text(rng)) for _ in range(500)]
 
 
 def oracle_pool() -> list[tuple[str, LogicProfile, EnumerationBudget]]:
@@ -141,14 +82,6 @@ def oracle_pool() -> list[tuple[str, LogicProfile, EnumerationBudget]]:
     return queries
 
 
-class _Timeout(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _Timeout
-
-
 def decided(f, profile, mode: str) -> str:
     """The verdict JSON and ``repr(stats)`` of one decide."""
     verdict = decide(f, profile, mode)
@@ -164,28 +97,28 @@ def found(f, profile, budget) -> str:
 def outcome(query, f, profile, arg) -> str | None:
     """``query(f, profile, arg)``, the message of its internal error, or
     None past ``LIMIT`` seconds."""
-    signal.setitimer(signal.ITIMER_REAL, LIMIT)
     try:
-        return query(f, profile, arg)
-    except _Timeout:
+        with time_limit(LIMIT):
+            return query(f, profile, arg)
+    except QueryTimeout:
         return None
     except InternalVerificationError as err:
         return f"error: {err}"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def main() -> None:
-    signal.signal(signal.SIGALRM, _alarm)
+    install_time_limit()
+    mix = RandomMix()
+    mix.setup(1, None, None)  # the pool in the order the workload sends at --seed 1
     sets = {
         "random-mix": [
             (f"pool[{i}] {p.value} {mode}", decided, f, p, mode)
-            for i, (f, mode) in enumerate((parse(text), mode) for text, mode in random_mix())
+            for i, (f, mode) in enumerate((parse(text), mode) for text, mode in mix.pool)
             for p in PROFILES_BY_STRENGTH
         ],
         "hard-rows": [
-            (f"{name} {text}", decided, parse(text), LogicProfile(name), "sat")
-            for text, name in hard_rows()
+            (f"{row.profile.value} {row.text}", decided, parse(row.text), row.profile, "sat")
+            for row in HARD_ROWS
         ],
         "suite": [
             (f"suite[{i}] {p.value} {mode}", decided, f, p, mode)

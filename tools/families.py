@@ -17,33 +17,23 @@ model and the best of RUNS in-process wall times in milliseconds (default
 A row that takes longer than ``--limit`` seconds (default 5) on its first
 run is reported as over the limit, and the family's larger sizes under
 that profile are skipped.  It imports ``doxa`` from this checkout's
-``src``.  Standard library only.
+``src``, and from ``bench/`` the benchmark's own ``compat``, ``nest`` and
+``prop`` (``workloads.py``) and its time limit (``harness.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from doxa import LogicProfile, decide_sat, parse  # noqa: E402
-
-
-def compat(n: int) -> str:
-    return " & ".join(f"C[a] p{i}" for i in range(n)) + " & B[a] q"
-
-
-def nest(n: int) -> str:
-    return "B[a] " * n + "p & " + "C[a] " * n + "~p"
-
-
-def prop(n: int) -> str:
-    pairs = [f"(x{i} | y{i}) & (~x{i} | ~y{i})" for i in range(n)]
-    return " & ".join(pairs) + " & (x0 <-> y0)"
+from harness import QueryTimeout, install_time_limit, time_limit  # noqa: E402
+from workloads import _compat as compat, _nest as nest, _prop as prop  # noqa: E402
 
 
 def chain(k: int) -> str:
@@ -59,28 +49,17 @@ FAMILIES = {
 }
 
 
-class _Limit(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _Limit
-
-
 def best_of(text: str, profile: LogicProfile, runs: int, limit: float):
     """The verdict of the first run and the best wall time of ``runs``, in
     seconds; None when the first run takes longer than ``limit``."""
     f = parse(text)
-    signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, limit)
     try:
-        start = time.perf_counter()
-        verdict = decide_sat(f, profile)
-        best = time.perf_counter() - start
-    except _Limit:
+        with time_limit(limit):
+            start = time.perf_counter()
+            verdict = decide_sat(f, profile)
+            best = time.perf_counter() - start
+    except QueryTimeout:
         return None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
     for _ in range(runs - 1):
         start = time.perf_counter()
         decide_sat(f, profile)
@@ -95,6 +74,7 @@ def main() -> None:
     parser.add_argument("--profile", action="append", choices=[p.value for p in LogicProfile])
     parser.add_argument("--limit", type=float, default=5.0)
     args = parser.parse_args()
+    install_time_limit()
     print(f"{'family':<8} {'n':>3} {'profile':<9} {'verdict':<6} {'rules':>7} "
           f"{'worlds':>7} {'model':>6} {'ms':>9}")
     for name in args.family or FAMILIES:
