@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import importlib
 
-#: The module that defines each public name.  ``__getattr__`` (PEP 562)
-#: imports it on the name's first use, so that ``import doxa`` loads no
-#: submodule and a process loads only the modules it runs.
+#: The module that defines each public name, and the one list of those
+#: names: ``__all__`` is derived from it.  ``__getattr__`` (PEP 562)
+#: imports the module on the name's first use, so that ``import doxa``
+#: loads no submodule and a process loads only the modules it runs.
 _MODULE_OF = {
     name: module
     for module, names in {
@@ -49,65 +50,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Agent",
-    "And",
-    "Atom",
-    "Bel",
-    "Comp",
-    "CorpusEntry",
-    "CorpusResult",
-    "CorpusRow",
-    "EnumerationBudget",
-    "Formula",
-    "Iff",
-    "Implies",
-    "InternalVerificationError",
-    "LabeledModelSystem",
-    "LogicProfile",
-    "MAX_BUDGET_WORLDS",
-    "ModelSystem",
-    "Not",
-    "Or",
-    "PROFILES_BY_STRENGTH",
-    "REFERENCE_COUNTS",
-    "ParseError",
-    "ProofStep",
-    "RULES",
-    "SatVerdict",
-    "SourceSpan",
-    "TableauStats",
-    "UnsatVerdict",
-    "ValidityVerdict",
-    "Violation",
-    "agents",
-    "atoms",
-    "check_frame",
-    "check_model_set",
-    "decide",
-    "decide_sat",
-    "decide_valid",
-    "desugar",
-    "enumerate_models",
-    "evaluate",
-    "format_parse_error",
-    "labeled_from_json_dict",
-    "labeled_to_json_dict",
-    "load_corpus",
-    "modal_depth",
-    "model_from_json_dict",
-    "model_to_json_dict",
-    "neg",
-    "node_count",
-    "parse",
-    "render",
-    "render_trace",
-    "run_corpus",
-    "run_entry",
-    "sat_upto",
-    "subformula_closure",
-    "subformulas",
-    "trace_to_json_dict",
-    "verdict_to_json_dict",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]

@@ -17,7 +17,6 @@ from .models import LogicProfile, _read_text, _unique_keys
 from .parser import ParseError, parse
 from .tableau import decide
 
-_REQUIRED_KEYS = {"id", "formula", "profile", "mode", "expected", "source"}
 _MODES = {"sat": ("sat", "unsat"), "valid": ("valid", "invalid")}
 
 
@@ -28,6 +27,9 @@ class CorpusEntry(NamedTuple):
     mode: str
     expected: str
     source: str
+
+
+_REQUIRED_KEYS = set(CorpusEntry._fields)
 
 
 class CorpusRow(NamedTuple):

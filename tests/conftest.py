@@ -3,16 +3,20 @@
 Provides a seeded random-formula generator, a session-wide random suite
 with cached decision verdicts per profile, and a registry that the
 acceptance tests report into so the run ends with one summary line per
-acceptance criterion.
+acceptance criterion, and reads the public names of the package's lazy
+import table from its source.
 """
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import doxa
 from doxa import LogicProfile, PROFILES_BY_STRENGTH, decide_sat
 from doxa.formula import (
     Agent,
@@ -26,6 +30,30 @@ from doxa.formula import (
     Not,
     Or,
 )
+
+# ----------------------------------------------------------------------
+# public names
+
+
+def public_name_words() -> list[str]:
+    """The words of the name strings in ``_MODULE_OF``, read from the
+    source of ``doxa/__init__.py``: each public name once per listing, and
+    none of the module keys."""
+    tree = ast.parse(Path(doxa.__file__).read_text(encoding="utf-8"))
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_MODULE_OF" for t in node.targets)
+    ]
+    return [
+        word
+        for listing in ast.walk(table)
+        if isinstance(listing, ast.Dict)
+        for names in listing.values
+        for word in names.value.split()
+    ]
+
 
 # ----------------------------------------------------------------------
 # acceptance-criteria registry

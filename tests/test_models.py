@@ -88,6 +88,11 @@ class TestConstruction:
         assert m == ModelSystem(worlds=2, designated=0, valuation=m.valuation, rows=m.rows)
         assert m.alternatives == {"a": frozenset({(0, 1), (1, 1)})}
 
+    def test_agent_keys_are_stored_by_name(self):
+        rows = ModelSystem(worlds=1, designated=0, rows={A: (1,)})
+        pairs = ModelSystem.from_pairs(worlds=1, designated=0, alternatives={A: {(0, 0)}})
+        assert rows.rows == pairs.rows == {"a": (1,)}
+
     def test_collections_are_normalised(self):
         m = ModelSystem.from_pairs(
             worlds=1, designated=0, valuation={0: ["p", "p"]}, alternatives={"a": [(0, 0)]}

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import public_name_words
 
 import doxa
 from doxa import models
@@ -35,20 +36,15 @@ def test_every_import_is_used(path):
 
 
 def _references() -> set[str]:
-    """Every name read, attribute read and ``__all__`` string in the package."""
-    found: set[str] = set()
+    """Every name read and attribute read in the package, and every public
+    name the package exports through ``_MODULE_OF``."""
+    found = set(public_name_words())
     for path in Path(doxa.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 found.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 found.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                found |= {
-                    c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
-                }
     return found
 
 
@@ -57,9 +53,10 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each top-level class and constant, and of
-    each top-level function and method that is not a dunder: the interpreter
-    calls a dunder, as it calls a module's ``__getattr__`` (PEP 562)."""
+    """(qualified name, name) of each top-level class, and of each top-level
+    constant, function and method that is not a dunder: the interpreter
+    reads a dunder, as it calls a module's ``__getattr__`` (PEP 562) and
+    reads its ``__all__``."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) or (
             isinstance(node, ast.FunctionDef) and not _is_dunder(node.name)
@@ -68,7 +65,7 @@ def _definitions(tree: ast.Module):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
-                if isinstance(t, ast.Name) and t.id != "__all__":
+                if isinstance(t, ast.Name) and not _is_dunder(t.id):
                     yield t.id, t.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
