@@ -398,18 +398,16 @@ PROPOSITIONAL_RULES: dict[tuple[type, ...], PropositionalRule] = {
 
 
 def propositional_conditions(
-    formulas: Iterable[Formula],
-) -> Iterator[tuple[Formula, PropositionalRule, tuple[Formula, ...]]]:
-    """Each of ``formulas`` that a propositional condition is on, in order,
-    with the condition and the parts it speaks of."""
-    for f in formulas:
-        if type(f) is Not:
-            shape, core = (Not, type(f.sub)), f.sub
-        else:
-            shape, core = (type(f),), f
-        rule = PROPOSITIONAL_RULES.get(shape)
+    members: Iterable[tuple[object, Formula, bool]],
+) -> Iterator[tuple[object, PropositionalRule, tuple[Formula, ...]]]:
+    """Each of ``members`` that a propositional condition is on, in order,
+    with the condition and the parts it speaks of.  A member comes as
+    (key, positive node, whether it is negated), so that a negation need
+    not be built to be looked up, and is named by its key."""
+    for key, core, negated in members:
+        rule = PROPOSITIONAL_RULES.get((Not, type(core)) if negated else (type(core),))
         if rule is not None:
-            yield f, rule, (core.sub,) if type(core) is Not else (core.left, core.right)
+            yield key, rule, (core.sub,) if type(core) is Not else (core.left, core.right)
 
 
 class ModalRule(NamedTuple):
@@ -514,7 +512,8 @@ def check_model_set(lm: LabeledModelSystem, profile: LogicProfile) -> list[Viola
         ):
             message = f"both {render(positive)} and its negation labeled at {w}"
             violations.append(Violation("C.~", (w,), positive, message))
-        for f, rule, parts in propositional_conditions(lm.label(w)):
+        members = ((f, f.sub, True) if type(f) is Not else (f, f, False) for f in lm.label(w))
+        for f, rule, parts in propositional_conditions(members):
             held = [_holds(label, g, rule.negated) for g in parts]
             if rule.every:
                 for side, part_held in zip(("left", "right"), held):

@@ -112,31 +112,35 @@ Label entries are members of the query's subformula closure, and each query
 is compiled once into a read-only closure table, after the normalise and
 encode step of Horrocks & Patel-Schneider (cited below).  One pass over the
 desugared query's nodes, children first, numbers each member once: a node
-g that is not a negation, then ``Not(g)`` right after it, and a ~~x after
-its ~x, so nothing is interned beyond the closure, and of two members that
-clash, x and ~x, the positive one has the lower id.  The same pass gives
-each member its clash mask, the bitset of the ids it clashes with (its
-negation and the formula it negates), and the modal facts; one pass over
-the members gives the step-1 and step-3 facts from the one table of
-propositional conditions, ``models.PROPOSITIONAL_RULES``, which
-``check_model_set`` also reads: a condition that demands every part is a
-step-1 rule, one that demands one part a step-3 branch with one
-alternative per part.  The table also holds the agent names and the world
-bound.  Every fact is keyed by id and names members by id: each member's
-step-1 rule and parts, its step-2 demand with the ``Comp`` node the trace
-records, its step-3 options, the agent of each belief and negated belief,
+g that is not a negation, then ~g right after it, and a ~~x after its ~x,
+so of two members that clash, x and ~x, the positive one has the lower id.
+The id of ~g is arithmetic, and no node is interned: the table keeps the
+kernel's own nodes by id, and a negation the kernel lacks has an id but no
+node.  The same pass gives each member its clash mask, the bitset of the
+ids it clashes with (its negation and the formula it negates), the modal
+facts, and the step-1 and step-3 facts from the one table of propositional
+conditions, ``models.PROPOSITIONAL_RULES``, which ``check_model_set`` also
+reads, looked up with the member's positive node and whether it is
+negated: a condition that demands every part is a step-1 rule, one that
+demands one part a step-3 branch with one alternative per part.  The table
+also holds the agent names and the world bound.  Every fact is keyed by id
+and names members by id: each member's step-1 rule and parts, its step-2
+demand, its step-3 options, the agent of each belief and negated belief,
 and each belief's believed member.  A world's label is one int bitset of
 its members' ids beside its entries, each (member, step, dependency set),
 in insertion order.  Membership is one bit, a clash is one AND of the
 label's bits with the new member's clash mask, and blocking compares two
 ints.  Steps 1-3 and ``_add`` read these facts instead of testing node
-classes; formula nodes appear in the search only where it writes a trace
-step, and in the valuation of an extracted model, and no node is built
-while the search runs.  The last table stays in ``_compile``, an
-``lru_cache`` of one entry keyed by the query node: a formula decided under
-several profiles, or ``decide_valid``'s ``Not(f)`` under several, is
-compiled once.  Nodes are hash-consed, so a structurally equal query is the
-same node, and the key is exact; the cache holds that one query's nodes and
+classes.  A trace step names its formula by id as well, a (C.BDef-rewrite)
+step by ``~f`` for the id f of its negated belief, and an extracted model's
+valuation reads the atoms among the kernel's nodes.  So no node is built
+while the search runs, nor for a model: nodes are built for the trace
+steps of an unsatisfiable verdict only, each distinct one once, when the
+verdict is made.  The last table stays in ``_compile``, an ``lru_cache``
+of one entry keyed by the query node: a formula decided under several
+profiles, or ``decide_valid``'s ``Not(f)`` under several, is compiled
+once.  Nodes are hash-consed, so a structurally equal query is the same
+node, and the key is exact; the cache holds that one query's nodes and
 table alive, and no other query's.
 
 Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
@@ -284,7 +288,6 @@ from .formula import (
     Not,
     Record,
     desugar,
-    neg,
     postorder,
     render,
 )
@@ -367,65 +370,78 @@ RULES: tuple[str, ...] = tuple(dict.fromkeys([
 
 class _Closure:
     """The read-only closure table of one query (see the module docstring),
-    built in one pass over the desugared query's nodes, children first, and
-    one over the members of the closure.  ``nodes`` lists the members by
-    id, ``seed`` is the id of the desugared query, and ``clash`` gives each
-    id the bitset of the members it clashes with.  The facts are keyed by
-    id and name members by id: ``saturate`` maps a member to its step-1
-    (rule, parts), ``demand`` to its step-2 (agent, demanded member,
-    ``Comp`` node for the trace), ``options`` to its two step-3 (member,
-    rule) alternatives, ``believer`` maps each belief to its agent, and
-    ``sub`` to its believed member.  A negated belief is numbered right
-    after its belief, so its agent is ``believer[f - 1]``.  ``saturate``
-    and ``options`` hold the ``PROPOSITIONAL_RULES`` of ``models``: a
-    condition that demands every part is a step-1 rule, one that demands
-    one part a step-3 branch."""
+    built in one pass over the desugared query's nodes, children first.
+    ``seed`` is the id of the desugared query, and ``clash`` gives each id
+    the bitset of the members it clashes with.  ``kernel_nodes`` holds the
+    node of each member that the kernel holds, and None for a negation it
+    lacks, which ``member`` builds on request.  The facts are keyed by id
+    and name members by id: ``saturate`` maps a member to its step-1
+    (rule, parts), ``demand`` to its step-2 (agent, demanded member),
+    ``options`` to its two step-3 (member, rule) alternatives,
+    ``believer`` maps each belief to its agent, and ``sub`` to its
+    believed member.  A negated belief is numbered right after its belief,
+    so its agent is ``believer[f - 1]``.  ``saturate`` and ``options`` hold
+    the ``PROPOSITIONAL_RULES`` of ``models``, looked up for each member as
+    its positive node and whether it is negated: a condition that demands
+    every part is a step-1 rule, one that demands one part a step-3
+    branch."""
 
     __slots__ = (
-        "query", "kernel", "nodes", "seed", "clash", "agent_names", "world_bound",
+        "query", "kernel", "kernel_nodes", "seed", "clash", "agent_names", "world_bound",
         "saturate", "demand", "options", "believer", "sub",
     )
 
     def __init__(self, query: Formula) -> None:
         self.query = query
         self.kernel = desugar(query)
-        # each member -> its id, in the order of the ids
-        ids: dict[Formula, int] = {}
+        ids: dict[Formula, int] = {}  # each kernel node -> its id
+        self.kernel_nodes = nodes = []
         self.clash = clash = []
+        members = []  # (id, positive node, negated) of each member
         self.saturate, self.demand, self.options = saturate, demand, options = {}, {}, {}
         self.believer, self.sub = believer, sub = {}, {}
         for g in postorder(self.kernel):
             if type(g) is not Not:
                 # g, then ~g right after it, each clashing with the other
-                i = len(ids)
-                ids[g] = i
-                ids[Not(g)] = i + 1
-                clash.append(2 << i)
-                clash.append(1 << i)
+                i = ids[g] = len(nodes)
+                nodes += (g, None)
+                clash += (2 << i, 1 << i)
+                members += ((i, g, False), (i + 1, g, True))
                 if type(g) is Bel:
                     believer[i] = g.agent.name
                     sub[i] = ids[g.sub]
-                    # g's children come before it, so ``neg`` interns no new node
-                    demanded = neg(g.sub)
-                    demand[i + 1] = (g.agent.name, ids[demanded], Comp(g.agent, demanded))
-            elif type(g.sub) is Not:
-                # a ~~x, after its ~x; any other ~x has its id already
-                ids[g] = len(ids)
+                    demand[i + 1] = (g.agent.name, _lowest(clash[sub[i]]))
+            elif type(g.sub) is not Not:
+                # a ~x, numbered with its x
+                i = ids[g] = ids[g.sub] + 1
+                nodes[i] = g
+            else:
+                # a ~~x, after its ~x
+                i = ids[g] = len(nodes)
+                nodes.append(g)
                 clash.append(1 << ids[g.sub])
-                clash[ids[g.sub]] |= 1 << ids[g]
-        self.nodes = list(ids)
-        for f, rule, parts in propositional_conditions(ids):
+                clash[ids[g.sub]] |= 1 << i
+                members.append((i, g.sub, True))
+        for f, rule, parts in propositional_conditions(members):
             # a negated rule's parts are the negations of the formula's
-            # parts, members too: the lowest member each part clashes with,
-            # found without building the negation's node
+            # parts, members too: the lowest member each part clashes with
             parts = tuple([_lowest(clash[ids[p]]) if rule.negated else ids[p] for p in parts])
             if rule.every:
-                saturate[ids[f]] = (rule.kind, parts)
+                saturate[f] = (rule.kind, parts)
             else:
-                options[ids[f]] = tuple(zip(parts, _SIDES[rule.kind]))
+                options[f] = tuple(zip(parts, _SIDES[rule.kind]))
         self.seed = ids[self.kernel]
         self.agent_names = sorted(set(believer.values()))
-        self.world_bound = 2 ** min(len(ids), 20)
+        self.world_bound = 2 ** min(len(nodes), 20)
+
+    def member(self, f: int) -> Formula:
+        """The node of the trace id ``f``: member f, or for ``~f`` of a
+        negated belief f the ``Comp`` node of its (C.BDef-rewrite) demand.
+        A node the kernel lacks is built here, and not kept."""
+        demanded = f < 0
+        i = self.demand[~f][1] if demanded else f
+        g = self.kernel_nodes[i] or Not(self.kernel_nodes[i - 1])
+        return Comp(self.kernel_nodes[~f - 1].agent, g) if demanded else g
 
 
 def _lowest(bits: int) -> int:
@@ -527,11 +543,14 @@ class ValidityVerdict(Record):
 #: the (counter)model when there is one, otherwise the refutation trace.
 Verdict = SatVerdict | UnsatVerdict | ValidityVerdict
 
-def _steps(trace: list[tuple]) -> tuple[ProofStep, ...]:
-    """The ``ProofStep`` records of a branch's trace of (world id, formula,
-    rule, premises) steps, numbered by position from 1."""
+def _steps(trace: list[tuple], table: _Closure) -> tuple[ProofStep, ...]:
+    """The ``ProofStep`` records of a branch's trace of (world id, trace
+    id, rule, premises) steps, numbered by position from 1.  The node of
+    each distinct trace id is built once, here, so the table stays
+    read-only."""
+    nodes = {f: table.member(f) for f in {step[1] for step in trace}}
     return tuple(
-        ProofStep(i, f"w{wid}", f, rule, premises)
+        ProofStep(i, f"w{wid}", nodes[f], rule, premises)
         for i, (wid, f, rule, premises) in enumerate(trace, 1)
     )
 
@@ -762,8 +781,9 @@ class _Engine:
         demands = table.demand
         for f, premise, deps in entries[start:i]:
             if f in demands:
-                agent, demanded, comp = demands[f]
-                step = self._record(w.id, comp, "C.BDef-rewrite", (premise,))
+                agent, demanded = demands[f]
+                # the trace id ~f stands for the demand C[a] ~q
+                step = self._record(w.id, ~f, "C.BDef-rewrite", (premise,))
                 w.demands.append((agent, demanded, step, deps))
                 self.todo |= 1 << w.id
 
@@ -875,7 +895,7 @@ class _Engine:
     # ------------------------------------------------------------------
     # primitive actions
 
-    def _record(self, wid: int, f: Formula, rule: str, premises: tuple[int, ...]) -> int:
+    def _record(self, wid: int, f: int, rule: str, premises: tuple[int, ...]) -> int:
         self.trace.append((wid, f, rule, premises))
         self.stats.rules_fired += 1
         return len(self.trace)
@@ -894,7 +914,7 @@ class _Engine:
             return
         self._touch(w)
         self.focus = wid
-        entry = (f, self._record(wid, self.table.nodes[f], rule, premises), deps)
+        entry = (f, self._record(wid, f, rule, premises), deps)
         w.entries.append(entry)
         w.bits |= 1 << f
         if w.sleepers:
@@ -919,7 +939,7 @@ class _Engine:
             other = _lowest(clash)
             # the other entry, most often among the newest; f's is the newest
             j, deps_j = next((s, d) for g, s, d in reversed(w.entries) if g == other)
-            self._record(wid, self.table.nodes[min(f, other)], "C.~-clash", (j, entry[1]))
+            self._record(wid, min(f, other), "C.~-clash", (j, entry[1]))
             raise _Closed(deps | deps_j)
 
     def _spawn(self, parent: int, agent: str, deps: int) -> int:
@@ -1006,7 +1026,7 @@ class _Engine:
 
         for agent in self.table.agent_names:
             self._complete_relation(agent, rows[agent], keep, into)
-        nodes = self.table.nodes
+        nodes = self.table.kernel_nodes
         valuation = {
             w: frozenset(nodes[f].name for f, _, _ in world.entries if type(nodes[f]) is Atom)
             for w, world in enumerate(keep)
@@ -1107,7 +1127,7 @@ def decide_sat(f: Formula, profile: LogicProfile) -> SatVerdict | UnsatVerdict:
     engine = _Engine(f, profile)
     model = engine.run()
     if model is None:
-        return UnsatVerdict(trace=_steps(engine.trace), stats=engine.stats)
+        return UnsatVerdict(trace=_steps(engine.trace, engine.table), stats=engine.stats)
     return SatVerdict(model=model, stats=engine.stats)
 
 

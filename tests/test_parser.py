@@ -24,7 +24,8 @@ from doxa.formula import (
     subformulas,
 )
 from doxa.models import LabeledModelSystem, ModelSystem
-from doxa.parser import ParseError, SourceSpan, _Token, _tokenize, format_parse_error, parse
+from doxa.parser import ParseError, SourceSpan, _span, _tokenize, format_parse_error, parse
+from test_exhaustive import small_formulas
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 A, B = Agent("a"), Agent("b")
@@ -187,46 +188,61 @@ class TestRoundTrip:
         text = render(f)
         assert render(parse(text)) == text
 
+    def test_every_small_two_agent_formula_round_trips(self):
+        # every nesting of ~, B, C, & and | over two agents up to 6 nodes
+        formulas = small_formulas(6, agents=("a", "b"))
+        assert len(formulas) == 5592
+        for f in formulas:
+            assert parse(render(f)) is f
+
 
 _PUNCTUATION = ("<->", "->", "|", "&", "~", "(", ")", "[", "]")
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 _WS_RE = re.compile(r"\s*")
 
 
-def _reference_tokenize(text: str) -> list[_Token]:
-    """The tokenizer that ``_tokenize`` replaced, kept as its reference: it
-    tries the modal letters, each punctuation string and an identifier in
-    turn at each position."""
-    tokens: list[_Token] = []
+def _reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """An independent tokenizer, kept as the reference: it tries the modal
+    letters, each punctuation string and an identifier in turn at each
+    position.  Each token is (symbol, identifier, start, end), one of the
+    two texts empty; the end of input is empty in both."""
+    tokens: list[tuple[str, str, int, int]] = []
     pos = _WS_RE.match(text).end()
     while pos < len(text):
         ch = text[pos]
         if ch in ("B", "C"):
-            tokens.append(_Token("modal", ch, pos, pos + 1))
+            tokens.append((ch, "", pos, pos + 1))
             pos += 1
         else:
             for punct in _PUNCTUATION:
                 if text.startswith(punct, pos):
-                    tokens.append(_Token(punct, punct, pos, pos + len(punct)))
+                    tokens.append((punct, "", pos, pos + len(punct)))
                     pos += len(punct)
                     break
             else:
                 m = _IDENT_RE.match(text, pos)
                 if m:
-                    tokens.append(_Token("ident", m.group(), pos, m.end()))
+                    tokens.append(("", m.group(), pos, m.end()))
                     pos = m.end()
                 else:
                     raise ParseError(
                         f"unknown token {text[pos]!r}", SourceSpan(pos, pos + 1)
                     )
         pos = _WS_RE.match(text, pos).end()
-    tokens.append(_Token("eof", "", len(text), len(text)))
+    tokens.append(("", "", len(text), len(text)))
     return tokens
+
+
+def _tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """The parser's tokens of ``text`` in the reference's form: its symbol
+    and identifier tuples, with each token's span."""
+    symbols, idents = _tokenize(text)
+    return [(symbol, idents[i], *_span(text, i)) for i, symbol in enumerate(symbols)]
 
 
 def _tokens_or_error(tokenize, text: str):
     try:
-        return [(t.kind, t.text, t.start, t.end) for t in tokenize(text)]
+        return tokenize(text)
     except ParseError as err:
         return err.message, err.span
 
@@ -241,15 +257,15 @@ class TestTokenizer:
     @given(st.text(alphabet=st.sampled_from(_ALPHABET), max_size=40))
     @settings(max_examples=1000)
     def test_formula_alphabet_matches_reference(self, text):
-        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+        assert _tokens_or_error(_tokens, text) == _tokens_or_error(_reference_tokenize, text)
 
     @given(st.text(max_size=20))
     @settings(max_examples=300)
     def test_any_text_matches_reference(self, text):
-        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+        assert _tokens_or_error(_tokens, text) == _tokens_or_error(_reference_tokenize, text)
 
     @given(formulas_st)
     @settings(max_examples=100)
     def test_rendered_formulas_match_reference(self, f):
         text = render(f)
-        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+        assert _tokens_or_error(_tokens, text) == _tokens_or_error(_reference_tokenize, text)

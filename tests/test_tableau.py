@@ -33,7 +33,7 @@ from doxa import (
     sat_upto,
     verdict_to_json_dict,
 )
-from doxa import cli, tableau
+from doxa import cli, formula, tableau
 from doxa.formula import (
     And,
     Atom,
@@ -681,7 +681,7 @@ def _label(engine: tableau._Engine, w) -> frozenset:
     through the closure table, once each set in ``w.bits``."""
     ids = [f for f, _, _ in w.entries]
     assert len(set(ids)) == len(ids) and w.bits == sum(1 << f for f in ids)
-    return frozenset(engine.table.nodes[f] for f in ids)
+    return frozenset(engine.table.member(f) for f in ids)
 
 
 def _ancestors(engine: tableau._Engine, w) -> set[int]:
@@ -762,7 +762,7 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
     sleeps: its bit is in its own sleepers and in those of a world that
     blocks it now, so that either label growing wakes it."""
     worlds = engine.worlds
-    nodes = engine.table.nodes
+    nodes = [engine.table.member(i) for i in range(len(engine.table.clash))]
     ids = {g: i for i, g in enumerate(nodes)}
     found: list[tuple] = []
     for r, (kind, every, negated, carries_sub, down) in enumerate(engine.propagation.steps):
@@ -1067,7 +1067,8 @@ class TestClosureTable:
         for q in _table_inputs():
             closure = subformula_closure(desugar(q))
             table = tableau._Closure(q)
-            nodes = table.nodes
+            # every member by id, through the table's accessor
+            nodes = [table.member(i) for i in range(len(table.clash))]
             assert table.query is q and table.kernel is desugar(q)
             # each member numbered once, the query's own node at ``seed``
             assert len(set(nodes)) == len(nodes) and set(nodes) == closure
@@ -1112,7 +1113,8 @@ class TestClosureTable:
                 for i, (rule, parts) in table.saturate.items()
             } == saturate
             assert {
-                nodes[i]: (agent, nodes[j], comp) for i, (agent, j, comp) in table.demand.items()
+                nodes[i]: (agent, nodes[j], table.member(~i))
+                for i, (agent, j) in table.demand.items()
             } == demand
             assert {
                 nodes[i]: tuple((nodes[j], rule) for j, rule in sides)
@@ -1203,8 +1205,21 @@ class TestClosureTable:
             finally:
                 monkeypatch.undo()
             assert built == [], (text, profile)
-        # the count sees a build: compiling a query interns its negations
+        # the count sees a build: parsing and desugaring build the query's nodes
         monkeypatch.setattr(Formula, "__new__", staticmethod(counted))
-        tableau._Closure(parse(_HINTIKKA_FUZZ))
+        desugar(parse(_HINTIKKA_FUZZ))
         monkeypatch.undo()
         assert Not in built
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_a_sat_verdict_builds_no_node(self, profile):
+        # atoms of the profile's own, so that the query is compiled afresh
+        # and none of its negations is interned before the decide
+        p, q = f"p_{profile.value}", f"q_{profile.value}"
+        f = parse(f"B[a]({p} | C[a] ~{q}) & ~({p} & B[a] {q}) & C[a] B[a] {p}")
+        desugar(f)
+        before = set(formula._NODES)
+        assert decide_sat(f, profile).is_sat
+        # neither a negation of a member nor the Comp of a (C.BDef-rewrite)
+        # demand, nor any other node
+        assert set(formula._NODES) - before == set()
