@@ -111,37 +111,37 @@ firing would give.
 Label entries are members of the query's subformula closure, and each query
 is compiled once into a read-only closure table, after the normalise and
 encode step of Horrocks & Patel-Schneider (cited below).  One pass over the
-desugared query's nodes, children first, numbers each member once: a node
-g that is not a negation, then ~g right after it, and a ~~x after its ~x,
-so of two members that clash, x and ~x, the positive one has the lower id.
-The id of ~g is arithmetic, and no node is interned: the table keeps the
-kernel's own nodes by id, and a negation the kernel lacks has an id but no
-node.  The same pass gives each member its clash mask, the bitset of the
-ids it clashes with (its negation and the formula it negates), the modal
-facts, and the step-1 and step-3 facts from the one table of propositional
-conditions, ``models.PROPOSITIONAL_RULES``, which ``check_model_set`` also
-reads, looked up with the member's positive node and whether it is
-negated: a condition that demands every part is a step-1 rule, one that
-demands one part a step-3 branch with one alternative per part.  The table
-also holds the agent names and the world bound.  Every fact is keyed by id
-and names members by id: each member's step-1 rule and parts, its step-2
-demand, its step-3 options, the agent of each belief and negated belief,
-and each belief's believed member.  A world's label is one int bitset of
-its members' ids beside its entries, each (member, step, dependency set),
-in insertion order.  Membership is one bit, a clash is one AND of the
-label's bits with the new member's clash mask, and blocking compares two
-ints.  Steps 1-3 and ``_add`` read these facts instead of testing node
-classes.  A trace step names its formula by id as well, a (C.BDef-rewrite)
-step by ``~f`` for the id f of its negated belief, and an extracted model's
-valuation reads the atoms among the kernel's nodes.  So no node is built
-while the search runs, nor for a model: nodes are built for the trace
-steps of an unsatisfiable verdict only, each distinct one once, when the
-verdict is made.  The last table stays in ``_compile``, an ``lru_cache``
-of one entry keyed by the query node: a formula decided under several
-profiles, or ``decide_valid``'s ``Not(f)`` under several, is compiled
-once.  Nodes are hash-consed, so a structurally equal query is the same
-node, and the key is exact; the cache holds that one query's nodes and
-table alive, and no other query's.
+desugared query's nodes, children first, numbers each member once: a node g
+that is not a negation, then ~g right after it, and a ~~x after its ~x, so
+of two members that clash, x and ~x, the positive one has the lower id.
+The id of ~g is arithmetic, and no node is interned: the table lists each
+member by id as its positive node and whether it is negated.  The same pass
+gives each member its clash mask, the bitset of the ids it clashes with
+(its negation and the formula it negates), the modal facts, and the step-1
+and step-3 facts from the one table of propositional conditions,
+``models.PROPOSITIONAL_RULES``, which ``check_model_set`` also reads,
+looked up with the member's positive node and whether it is negated: a
+condition that demands every part is a step-1 rule, one that demands one
+part a step-3 branch with one alternative per part.  The table also holds
+the agent names and the world bound.  Every fact is keyed by id and names
+members by id: each member's step-1 rule and parts, its step-2 demand, its
+step-3 options, the agent of each belief and negated belief, and each
+belief's believed member.  A world's label is one int bitset of its
+members' ids beside its entries, each (member, step, dependency set), in
+insertion order.  Membership is one bit, a clash is one AND of the label's
+bits with the new member's clash mask, and blocking compares two ints.
+Steps 1-3 and ``_add`` read these facts instead of testing node classes.  A
+trace step names its formula by id as well, a (C.BDef-rewrite) step by
+``~f`` for the id f of its negated belief, and an extracted model's
+valuation reads the table's atoms by id.  So no node is built while the
+search runs, nor for a model: nodes are built for the trace steps of an
+unsatisfiable verdict only, each distinct one once, when the verdict is
+made.  The last table stays in ``_compile``, an ``lru_cache`` of one entry
+keyed by the query node: a formula decided under several profiles, or
+``decide_valid``'s ``Not(f)`` under several, is compiled once.  Nodes are
+hash-consed, so a structurally equal query is the same node, and the key is
+exact; the cache holds that one query's nodes and table alive, and no other
+query's.
 
 Agendas, after the ToDo list of Tsarkov & Horrocks ("FaCT++ description
 logic reasoner: system description", IJCAR 2006): steps 4 and 5 visit
@@ -372,10 +372,10 @@ class _Closure:
     """The read-only closure table of one query (see the module docstring),
     built in one pass over the desugared query's nodes, children first.
     ``seed`` is the id of the desugared query, and ``clash`` gives each id
-    the bitset of the members it clashes with.  ``kernel_nodes`` holds the
-    node of each member that the kernel holds, and None for a negation it
-    lacks, which ``member`` builds on request.  The facts are keyed by id
-    and name members by id: ``saturate`` maps a member to its step-1
+    the bitset of the members it clashes with.  ``members`` lists each
+    member by id as (id, positive node, whether it is negated), from which
+    ``member`` builds a node on request, and ``atoms`` maps the id of each
+    atom to its name.  The facts are keyed by id and name members by id: ``saturate`` maps a member to its step-1
     (rule, parts), ``demand`` to its step-2 (agent, demanded member),
     ``options`` to its two step-3 (member, rule) alternatives,
     ``believer`` maps each belief to its agent, and ``sub`` to its
@@ -387,7 +387,7 @@ class _Closure:
     branch."""
 
     __slots__ = (
-        "query", "kernel", "kernel_nodes", "seed", "clash", "agent_names", "world_bound",
+        "query", "kernel", "members", "atoms", "seed", "clash", "agent_names", "world_bound",
         "saturate", "demand", "options", "believer", "sub",
     )
 
@@ -395,33 +395,33 @@ class _Closure:
         self.query = query
         self.kernel = desugar(query)
         ids: dict[Formula, int] = {}  # each kernel node -> its id
-        self.kernel_nodes = nodes = []
+        self.members = members = []
         self.clash = clash = []
-        members = []  # (id, positive node, negated) of each member
         self.saturate, self.demand, self.options = saturate, demand, options = {}, {}, {}
         self.believer, self.sub = believer, sub = {}, {}
         for g in postorder(self.kernel):
             if type(g) is not Not:
                 # g, then ~g right after it, each clashing with the other
-                i = ids[g] = len(nodes)
-                nodes += (g, None)
-                clash += (2 << i, 1 << i)
-                members += ((i, g, False), (i + 1, g, True))
+                i = len(members)
+                ids[g] = i
+                members.append((i, g, False))
+                members.append((i + 1, g, True))
+                clash.append(2 << i)
+                clash.append(1 << i)
                 if type(g) is Bel:
                     believer[i] = g.agent.name
                     sub[i] = ids[g.sub]
                     demand[i + 1] = (g.agent.name, _lowest(clash[sub[i]]))
             elif type(g.sub) is not Not:
                 # a ~x, numbered with its x
-                i = ids[g] = ids[g.sub] + 1
-                nodes[i] = g
+                ids[g] = ids[g.sub] + 1
             else:
                 # a ~~x, after its ~x
-                i = ids[g] = len(nodes)
-                nodes.append(g)
+                i = len(members)
+                ids[g] = i
+                members.append((i, g.sub, True))
                 clash.append(1 << ids[g.sub])
                 clash[ids[g.sub]] |= 1 << i
-                members.append((i, g.sub, True))
         for f, rule, parts in propositional_conditions(members):
             # a negated rule's parts are the negations of the formula's
             # parts, members too: the lowest member each part clashes with
@@ -430,18 +430,18 @@ class _Closure:
                 saturate[f] = (rule.kind, parts)
             else:
                 options[f] = tuple(zip(parts, _SIDES[rule.kind]))
+        self.atoms = {i: g.name for i, g, negated in members if type(g) is Atom and not negated}
         self.seed = ids[self.kernel]
         self.agent_names = sorted(set(believer.values()))
-        self.world_bound = 2 ** min(len(nodes), 20)
+        self.world_bound = 2 ** min(len(members), 20)
 
     def member(self, f: int) -> Formula:
         """The node of the trace id ``f``: member f, or for ``~f`` of a
         negated belief f the ``Comp`` node of its (C.BDef-rewrite) demand.
-        A node the kernel lacks is built here, and not kept."""
-        demanded = f < 0
-        i = self.demand[~f][1] if demanded else f
-        g = self.kernel_nodes[i] or Not(self.kernel_nodes[i - 1])
-        return Comp(self.kernel_nodes[~f - 1].agent, g) if demanded else g
+        A node that the kernel lacks is built here."""
+        _, core, negated = self.members[self.demand[~f][1] if f < 0 else f]
+        g = Not(core) if negated else core
+        return Comp(self.members[~f][1].agent, g) if f < 0 else g
 
 
 def _lowest(bits: int) -> int:
@@ -1026,9 +1026,9 @@ class _Engine:
 
         for agent in self.table.agent_names:
             self._complete_relation(agent, rows[agent], keep, into)
-        nodes = self.table.kernel_nodes
+        atoms = self.table.atoms
         valuation = {
-            w: frozenset(nodes[f].name for f, _, _ in world.entries if type(nodes[f]) is Atom)
+            w: frozenset(atoms[f] for f, _, _ in world.entries if f in atoms)
             for w, world in enumerate(keep)
         }
         model = ModelSystem(

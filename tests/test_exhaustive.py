@@ -117,43 +117,60 @@ def test_enumeration_counts():
 
 @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH, ids=lambda p: p.value)
 def test_engine_agrees_with_the_oracle(profile: LogicProfile):
-    """An oracle hit means the engine says SAT, an engine SAT with a model
-    inside the budget means the oracle finds one, and the validity verdict
-    of f is the negation of the satisfiability verdict of ~f."""
     for f in _formulas():
-        _check_agreement(f, profile, BUDGET)
+        problem = agreement_problem(f, profile, BUDGET)
+        assert problem is None, f"{render(f)}: {problem}"
 
 
 @pytest.mark.parametrize("profile", TWO_AGENT_PROFILES, ids=lambda p: p.value)
 def test_two_agent_engine_agrees_with_the_oracle(profile: LogicProfile):
     for f in _two_agent_formulas():
-        _check_agreement(f, profile, TWO_AGENT_BUDGET)
+        problem = agreement_problem(f, profile, TWO_AGENT_BUDGET)
+        assert problem is None, f"{render(f)}: {problem}"
 
 
-def _check_agreement(f: Formula, profile: LogicProfile, budget: EnumerationBudget) -> None:
+def agreement_problem(
+    f: Formula, profile: LogicProfile, budget: EnumerationBudget
+) -> str | None:
+    """How the engine's verdict on ``f`` under ``profile`` disagrees with
+    the oracle within ``budget`` or with the validity verdict, or None.  An
+    oracle hit means the engine says SAT, an engine SAT with a model inside
+    the budget means the oracle finds one, and the validity verdict of f is
+    the negation of the satisfiability verdict of ~f."""
     verdict = _verdict(f, profile)
-    if not verdict.is_sat:
-        assert sat_upto(f, budget, profile) is None, (
-            f"oracle found a model of engine-unsat {render(f)}"
-        )
-    elif verdict.model.worlds <= budget.max_worlds:
-        assert sat_upto(f, budget, profile) is not None, (
-            f"oracle missed the engine's model of {render(f)}"
-        )
-    assert decide_valid(f, profile).valid is not decide_sat(Not(f), profile).is_sat, render(f)
+    if not verdict.is_sat and sat_upto(f, budget, profile) is not None:
+        return "the oracle found a model of an engine UNSAT"
+    if (
+        verdict.is_sat
+        and verdict.model.worlds <= budget.max_worlds
+        and sat_upto(f, budget, profile) is None
+    ):
+        return "the oracle missed the engine's model"
+    if decide_valid(f, profile).valid is decide_sat(Not(f), profile).is_sat:
+        return "validity is not the negation of the satisfiability of ~f"
+    return None
+
+
+def monotone_problem(
+    f: Formula, profiles: tuple[LogicProfile, ...] = PROFILES_BY_STRENGTH
+) -> str | None:
+    """How satisfiability of ``f`` falls along ``profiles``, strongest
+    first, or None: a model in a smaller frame class is a model in every
+    larger one."""
+    words = [_verdict(f, p).is_sat for p in profiles]
+    return None if words == sorted(words) else f"sat by profile {words}"
 
 
 def test_satisfiability_is_monotone_in_strength():
-    # a model in a smaller frame class is a model in every larger one
     for f in _formulas():
-        words = [_verdict(f, p).is_sat for p in PROFILES_BY_STRENGTH]
-        assert words == sorted(words), render(f)
+        problem = monotone_problem(f)
+        assert problem is None, f"{render(f)}: {problem}"
 
 
 def test_two_agent_satisfiability_is_monotone_in_strength():
     for f in _two_agent_formulas():
-        words = [_verdict(f, p).is_sat for p in TWO_AGENT_PROFILES]
-        assert words == sorted(words), render(f)
+        problem = monotone_problem(f, TWO_AGENT_PROFILES)
+        assert problem is None, f"{render(f)}: {problem}"
 
 
 def test_separations_between_adjacent_profiles():

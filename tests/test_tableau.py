@@ -1055,6 +1055,19 @@ def _outcome(f, profile: LogicProfile, mode: str) -> tuple[str, str]:
     return json.dumps(verdict_to_json_dict(verdict), sort_keys=True), repr(verdict.stats)
 
 
+def table_members_problem(table: tableau._Closure) -> str | None:
+    """What is wrong with the members of the closure table ``table``, read
+    through its accessor by id, or None: each member of the subformula
+    closure of the desugared query is numbered once, and the desugared query
+    is at ``seed``."""
+    nodes = [table.member(i) for i in range(len(table.clash))]
+    if len(set(nodes)) != len(nodes) or set(nodes) != subformula_closure(table.kernel):
+        return "the members are not the subformula closure, each once"
+    if nodes[table.seed] is not table.kernel:
+        return "the seed is not the desugared query"
+    return None
+
+
 class TestClosureTable:
     """Each query is compiled once into a read-only closure table that the
     engines of every profile share."""
@@ -1067,12 +1080,10 @@ class TestClosureTable:
         for q in _table_inputs():
             closure = subformula_closure(desugar(q))
             table = tableau._Closure(q)
+            assert table.query is q and table.kernel is desugar(q)
+            assert table_members_problem(table) is None
             # every member by id, through the table's accessor
             nodes = [table.member(i) for i in range(len(table.clash))]
-            assert table.query is q and table.kernel is desugar(q)
-            # each member numbered once, the query's own node at ``seed``
-            assert len(set(nodes)) == len(nodes) and set(nodes) == closure
-            assert nodes[table.seed] is table.kernel
             ids = {g: i for i, g in enumerate(nodes)}
             for i, g in enumerate(nodes):
                 # a member clashes with its negation and its negated form,

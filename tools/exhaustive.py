@@ -5,22 +5,23 @@
 extends the bounded-exhaustive checks of ``tests/test_exhaustive.py``,
 which run the oracle up to 6 nodes, to the 3,261 one-agent formulas of up
 to 7 nodes, the size of the introspection gap, under all four profiles: a
-set too slow for tier-1.  Each of the 13,044 decides is checked the way
-that file checks one:
+set too slow for tier-1.  Each formula is checked with the checks of
+the tier-1 tests, imported from them, so that each is written once:
 
-- ``oracle``: an oracle hit within 3 worlds means the engine says SAT, and
-  an engine model of at most 3 worlds means the oracle finds one;
-- ``valid``: the validity verdict of f is the negation of the
-  satisfiability verdict of ~f;
-- ``monotone``: satisfiability does not fall along the profiles' strength;
-- ``compile``: the query's closure table numbers each member of its
-  subformula closure once, the query at ``seed``, read through the table's
-  accessor.
+- ``agreement``, per profile (``test_exhaustive.agreement_problem``): an
+  oracle hit within 3 worlds means the engine says SAT, an engine model of
+  at most 3 worlds means the oracle finds one, and the validity verdict of
+  f is the negation of the satisfiability verdict of ~f;
+- ``monotone`` (``test_exhaustive.monotone_problem``): satisfiability does
+  not fall along the profiles' strength;
+- ``compile`` (``test_tableau.table_members_problem``): the query's closure
+  table numbers each member of its subformula closure once, the desugared
+  query at ``seed``, read through the table's accessor.
 
 It prints each disagreement, then how many checks of each kind ran and
-how many disagreed, and the wall time.  The formulas and the budget come from
-``tests/test_exhaustive.py``; ``doxa`` is imported from this checkout's
-``src``.
+how many disagreed, and the wall time.  The formulas and the budget come
+from ``tests/test_exhaustive.py``; ``doxa`` is imported from this
+checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -32,36 +33,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from doxa import (  # noqa: E402
-    Not,
-    PROFILES_BY_STRENGTH,
-    decide_sat,
-    decide_valid,
-    desugar,
-    render,
-    sat_upto,
-    subformula_closure,
-)
+from doxa import PROFILES_BY_STRENGTH, render  # noqa: E402
 from doxa.tableau import _Closure  # noqa: E402
-from test_exhaustive import BUDGET, GAP_NODES, small_formulas  # noqa: E402
-
-
-def compile_problem(f) -> str | None:
-    """What is wrong with the closure table of ``f``, or None."""
-    table = _Closure(f)
-    members = [table.member(i) for i in range(len(table.clash))]
-    closure = subformula_closure(desugar(f))
-    if len(set(members)) != len(members) or set(members) != closure:
-        return "members are not the subformula closure, each once"
-    if members[table.seed] is not table.kernel:
-        return "the seed is not the desugared query"
-    return None
+from test_exhaustive import (  # noqa: E402
+    BUDGET,
+    GAP_NODES,
+    agreement_problem,
+    monotone_problem,
+    small_formulas,
+)
+from test_tableau import table_members_problem  # noqa: E402
 
 
 def main() -> None:
     start = time.perf_counter()
     formulas = small_formulas(GAP_NODES)
-    checked = dict.fromkeys(("oracle", "valid", "monotone", "compile"), 0)
+    checked = dict.fromkeys(("agreement", "monotone", "compile"), 0)
     problems = dict.fromkeys(checked, 0)
 
     def check(name: str, problem: str | None, f, profile=None) -> None:
@@ -71,25 +58,13 @@ def main() -> None:
             print(f"{name:<9} {profile.value if profile else '-':<9} {render(f)}: {problem}")
 
     for f in formulas:
-        check("compile", compile_problem(f), f)
-        words = []
+        check("compile", table_members_problem(_Closure(f)), f)
         for profile in PROFILES_BY_STRENGTH:
-            verdict = decide_sat(f, profile)
-            words.append(verdict.is_sat)
-            hit = sat_upto(f, BUDGET, profile) is not None
-            problem = None
-            if verdict.is_sat and verdict.model.worlds <= BUDGET.max_worlds and not hit:
-                problem = "the oracle missed the engine's model"
-            elif hit and not verdict.is_sat:
-                problem = "the oracle found a model of an engine UNSAT"
-            check("oracle", problem, f, profile)
-            valid = decide_valid(f, profile).valid is not decide_sat(Not(f), profile).is_sat
-            check("valid", None if valid else "validity is not the negation of ~f's sat", f, profile)
-        # PROFILES_BY_STRENGTH runs from the strongest profile to the weakest
-        check("monotone", None if words == sorted(words) else f"sat by profile {words}", f)
+            check("agreement", agreement_problem(f, profile, BUDGET), f, profile)
+        check("monotone", monotone_problem(f), f)
     seconds = time.perf_counter() - start
     print(f"{len(formulas)} one-agent formulas of up to {GAP_NODES} nodes, "
-          f"{checked['oracle']} decides; oracle within {BUDGET.max_worlds} worlds")
+          f"{checked['agreement']} decides; oracle within {BUDGET.max_worlds} worlds")
     for name, count in checked.items():
         print(f"{name:<9} {count:>6} checked {problems[name]:>4} disagreements")
     print(f"wall time {seconds:.1f} s")

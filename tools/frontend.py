@@ -1,12 +1,12 @@
 """Time of the front end: parse, desugar and the closure compile.
 
-    python3 tools/frontend.py [-k RUNS]
+    python3 tools/frontend.py
 
 runs the benchmark's random-mix pool of 800 formulas, in the order that
 workload sends them at ``--seed 1`` (``workloads.RandomMix``, as in
 ``tools/digest.py``), through ``parse``, ``desugar`` and the tableau's
 closure compile (``tableau._Closure``, not its one-entry cache), and prints
-the best of RUNS passes (default 20) of each phase, in milliseconds, with
+the best of ``RUNS`` (20) passes of each phase, in milliseconds, with
 parse plus compile.  One pass handles each formula in turn and drops it
 before the next, so that, as in the benchmark, each formula's nodes are
 freed before the next formula is parsed.  It imports ``doxa`` from this
@@ -15,7 +15,6 @@ checkout's ``src``; run it in two checkouts and compare the output.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -28,6 +27,10 @@ from doxa.tableau import _Closure  # noqa: E402
 from workloads import RandomMix  # noqa: E402
 
 PHASES = ("parse", "desugar", "compile")
+
+#: Passes over the pool, of which the fastest is printed per phase; fixed,
+#: so that two checkouts' outputs are the best of the same number of passes.
+RUNS = 20
 
 
 def one_pass(texts: list[str]) -> list[float]:
@@ -50,14 +53,11 @@ def one_pass(texts: list[str]) -> list[float]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", "--runs", type=int, default=20)
-    args = parser.parse_args()
     mix = RandomMix()
     mix.setup(1, None, None)  # the pool in the order the workload sends at --seed 1
     texts = [text for text, _ in mix.pool]
-    best = [min(phase) for phase in zip(*(one_pass(texts) for _ in range(args.runs)))]
-    print(f"{len(texts)} formulas, best of {args.runs} passes")
+    best = [min(phase) for phase in zip(*(one_pass(texts) for _ in range(RUNS)))]
+    print(f"{len(texts)} formulas, best of {RUNS} passes")
     for name, seconds in zip(PHASES, best):
         print(f"{name:<16} {seconds * 1000:>7.2f} ms")
     print(f"{'parse + compile':<16} {(best[0] + best[2]) * 1000:>7.2f} ms")
