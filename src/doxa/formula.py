@@ -31,8 +31,10 @@ import re
 import weakref
 
 #: An agent or atom name: a lowercase identifier, the one form the parser
-#: reads as a name.
-NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+#: reads as a name.  The parser's tokenizer reads names with the pattern,
+#: and ``NAME_RE`` matches a whole name.
+NAME_PATTERN = "[a-z][a-z0-9_]*"
+NAME_RE = re.compile(NAME_PATTERN + r"\Z")
 
 
 class Record:

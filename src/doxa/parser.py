@@ -38,13 +38,14 @@ import re
 from itertools import islice
 from typing import NamedTuple
 
-from .formula import INFIX, Agent, Atom, Bel, Comp, Formula, Not
+from .formula import INFIX, NAME_PATTERN, Agent, Atom, Bel, Comp, Formula, Not
 
 #: One token per match, after any whitespace, in three groups: a symbol
 #: (punctuation, "<->" before "->", or a modal letter), an identifier, or
 #: any other character, which is an error.  At the end of the text the
-#: match is empty in all three: the end-of-input token.
-_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[|&~()\[\]BC])|([a-z][a-z0-9_]*)|(.)|\Z)", re.DOTALL)
+#: match is empty in all three: the end-of-input token.  An identifier is
+#: a name as ``formula.NAME_RE`` checks it.
+_TOKEN_RE = re.compile(rf"\s*(?:(<->|->|[|&~()\[\]BC])|({NAME_PATTERN})|(.)|\Z)", re.DOTALL)
 
 
 class SourceSpan(NamedTuple):

@@ -75,15 +75,18 @@ moment; under kd45 (C.B-lift) changes labels above.  Every profile checks
 the world count against a bound derived from the closure, and exceeding it
 is an internal error, never a verdict.
 
-Extraction keeps the worlds that the seed reaches through the edges, once
-every edge into a blocked world enters its blocker, and numbers them in
-world order.  Under kd, hintikka and kd45 these are the worlds whose every
-ancestor is unblocked.  Under hstar a blocker's own creator may have been
-blocked after it created, and the blocker is then reached only through the
-redirected edge.  The result is a finite, possibly cyclic model.
-Extraction then completes each relation, one successor row per world, to
-the profile's frame class: each frame condition adds its own completion
-(the a3-witness fixpoint, Warshall's transitive closure, or euclidean
+Extraction asks ``_blocker`` once per world for the id of the world that
+the world's incoming edge enters, its blocker or the world itself, and
+keeps the answers as one redirect list.  It keeps the worlds that the seed
+reaches through the redirected edges and numbers them in world order, all
+before it writes an edge.  Under kd, hintikka and kd45 these are the worlds
+whose every ancestor is unblocked.  Under hstar a blocker's own creator may
+have been blocked after it created, and the blocker is then reached only
+through the redirected edge.  The result is a finite, possibly cyclic
+model.  Extraction then completes each relation, one successor row per
+world, to the profile's frame class: each frame condition adds its own
+completion (the a3-witness fixpoint, which reads each designated witness
+through the redirect list, Warshall's transitive closure, or euclidean
 belief clusters), then seriality loops fill empty rows, and it finally
 re-verifies the model with ``check_frame`` and ``evaluate``; a failed
 re-verification is an internal error, never a verdict.
@@ -868,11 +871,11 @@ class _Engine:
                 self.todo ^= low
                 continue
             blocker = self._blocker(w)
-            if blocker is not None:
+            if blocker != w.id:
                 self._touch(w)
-                self._touch(blocker)
+                self._touch(worlds[blocker])
                 w.sleepers |= 1
-                blocker.sleepers |= 1 << w.id - blocker.id
+                worlds[blocker].sleepers |= 1 << w.id - blocker
                 self.todo ^= low
                 continue
             if demand:
@@ -960,72 +963,59 @@ class _Engine:
             )
         return new_id
 
-    def _blocker(self, w: _World) -> _World | None:
-        """The first of ``w``'s candidate blockers whose label equals
-        ``w``'s, or None.  With ``chain`` (a euclidean frame) the candidates
-        are the strict ancestors on the unbroken chain of alternatives for
-        the agent that created ``w``, nearest first: only an ancestor that
-        was itself created for that agent can block, so a redirect target
-        always lies inside the same cluster.  Otherwise they are all the
-        worlds created before ``w``, earliest first, in any subtree and for
-        any agent, so the blocker found is itself never blocked."""
+    def _blocker(self, w: _World) -> int:
+        """The id of the first of ``w``'s candidate blockers whose label
+        equals ``w``'s, or ``w.id`` when none does and ``w`` is not
+        blocked.  With ``chain`` (a euclidean frame) the candidates are the
+        strict ancestors on the unbroken chain of alternatives for the agent
+        that created ``w``, nearest first: only an ancestor that was itself
+        created for that agent can block, so a redirect target always lies
+        inside the same cluster.  Otherwise they are all the worlds created
+        before ``w``, earliest first, in any subtree and for any agent, so
+        the blocker found is itself never blocked."""
         bits = w.bits
-        if self.chain:
-            if w.parent is None:
-                return None
-            worlds = self.worlds
-            agent = w.parent[0]
-            current = worlds[w.parent[1]]
+        worlds = self.worlds
+        if not self.chain:
+            # the earliest world with the label, ``w`` itself when no
+            # earlier one has it
+            for v in worlds:
+                if v.bits == bits:
+                    return v.id
+        elif w.parent is not None:
+            agent, creator, _ = w.parent
+            current = worlds[creator]
             while current.parent is not None and current.parent[0] == agent:
                 if current.bits == bits:
-                    return current
+                    return current.id
                 current = worlds[current.parent[1]]
-            return None
-        for current in self.worlds[: w.id]:
-            if current.bits == bits:
-                return current
-        return None
+        return w.id
 
     # ------------------------------------------------------------------
     # model extraction
 
     def _extract(self) -> ModelSystem:
-        """The model of the open branch.  The edge into a blocked world
-        enters its blocker instead, and the model keeps the worlds that the
-        seed reaches through the edges, numbered in world order.  No kept
+        """The model of the open branch.  ``target`` redirects the edge into
+        each world to the world's blocker, or to the world itself when it is
+        not blocked, and the model keeps the worlds that the seed reaches
+        through the redirected edges, numbered in world order.  No kept
         world is blocked: a blocker is the earliest world with its label,
         or, with ``chain``, an ancestor of the blocked world, and with
         ``chain`` every ancestor of a kept world is kept and so not
         blocked.  Each relation is then completed to the profile's frame
         class, and the model re-verified."""
         worlds = self.worlds
-        target = list(range(len(worlds)))  # the world each world's edge enters
-        blocked = 0
-        for w in worlds:
-            blocker = self._blocker(w)
-            if blocker is not None:
-                blocked += 1
-                target[w.id] = blocker.id
-        self.stats.blocks_applied += blocked
-        # the seed reaches every world when none is blocked
-        reached = _reached(worlds, target) if blocked else (1 << len(worlds)) - 1
-        # creators and blockers precede their worlds, so each is numbered
-        # before an edge names it
-        keep: list[_World] = []
-        index: dict[int, int] = {}  # kept world -> model world
-        into: dict[int, int] = {}  # world with a kept creator -> model world its edge enters
-        rows: dict[str, list[int]] = {a: [0] * reached.bit_count() for a in self.table.agent_names}
-        for w in worlds:
-            if reached >> w.id & 1:
-                index[w.id] = len(keep)
-                keep.append(w)
-            if w.parent is not None and reached >> w.parent[1] & 1:
-                agent, creator, _ = w.parent
-                into[w.id] = v = index[target[w.id]]
-                rows[agent][index[creator]] |= 1 << v
-
+        target = [self._blocker(w) for w in worlds]
+        self.stats.blocks_applied += sum(t != i for i, t in enumerate(target))
+        reached = _reached(worlds, target)
+        keep = [w for w in worlds if reached >> w.id & 1]
+        index = {w.id: v for v, w in enumerate(keep)}  # kept world -> model world
+        rows: dict[str, list[int]] = {a: [0] * len(keep) for a in self.table.agent_names}
+        for w in worlds[1:]:
+            agent, creator, _ = w.parent
+            if creator in index:
+                rows[agent][index[creator]] |= 1 << index[target[w.id]]
         for agent in self.table.agent_names:
-            self._complete_relation(agent, rows[agent], keep, into)
+            self._complete_relation(agent, rows[agent], keep, index, target)
         atoms = self.table.atoms
         valuation = {
             w: frozenset(atoms[f] for f, _, _ in world.entries if f in atoms)
@@ -1049,24 +1039,27 @@ class _Engine:
         return model
 
     def _complete_relation(
-        self, agent: str, rows: list[int], keep: list[_World], into: dict[int, int]
+        self, agent: str, rows: list[int], keep: list[_World], index: dict[int, int],
+        target: list[int],
     ) -> None:
-        """Grow the raw tableau relation for one agent, as successor rows,
-        into the profile's frame class without disturbing any labeled
-        formula's truth.  Each frame condition of the profile's table row
+        """Grow the raw tableau relation for one agent, as successor rows
+        of the kept worlds ``keep``, into the profile's frame class without
+        disturbing any labeled formula's truth.  ``index`` numbers each kept
+        world in the model, and ``target`` redirects each world's edge as
+        in ``_extract``.  Each frame condition of the profile's table row
         adds its own completion, in the row's order; every world then still
         without an alternative is its own."""
         if a3_witness in self.frame:
             # A world with no beliefs of this agent is its own witness; a
             # believing world inherits the successors of its designated
-            # witness so that the witness's successor set nests inside its
-            # own.
+            # witness, which it created, through the witness's redirected
+            # edge, so that the witness's successor set nests inside its own.
             witness: dict[int, int] = {}
             for w, world in enumerate(keep):
                 if agent not in world.beliefs:
                     rows[w] |= 1 << w
                 elif agent in world.cb:
-                    witness[w] = into[world.cb[agent][0]]
+                    witness[w] = index[target[world.cb[agent][0]]]
                 else:
                     raise InternalVerificationError(
                         f"believing world {w} saturated without a witness"

@@ -700,12 +700,12 @@ class TestAnywhereBlocking:
     def test_a_blocker_off_the_ancestor_chain(self):
         engine = tableau._Engine(parse(_chain(3)), HSTAR)
         assert engine.run() is not None
-        blocked = [(w, engine._blocker(w)) for w in engine.worlds]
-        blocked = [(w, b) for w, b in blocked if b is not None]
+        blocked = [(w, engine.worlds[engine._blocker(w)]) for w in engine.worlds]
+        blocked = [(w, b) for w, b in blocked if b is not w]
         assert blocked
         for w, b in blocked:
             assert b.id < w.id and _label(engine, b) == _label(engine, w)
-            assert engine._blocker(b) is None
+            assert engine._blocker(b) == b.id
         assert any(b.id not in _ancestors(engine, w) for w, b in blocked)
 
     def test_a_blocker_reached_only_through_a_redirected_edge(self):
@@ -727,12 +727,51 @@ class TestAnywhereBlocking:
             if engine.run() is None:
                 continue
             for w in engine.worlds:
-                b = engine._blocker(w)
-                if b is not None:
+                b = engine.worlds[engine._blocker(w)]
+                if b is not w:
                     found += 1
                     assert b.id in _ancestors(engine, w)
                     assert b.parent is not None and b.parent[0] == w.parent[0]
         assert found
+
+    @pytest.mark.parametrize(
+        ("text", "work", "sleeps"),
+        [
+            ("C[a] p & C[b] p", (7, 2, 1), False),
+            ("C[a] C[a] p & C[b] C[a] p", (10, 3, 1), True),
+        ],
+    )
+    def test_kd_blocks(self, text, work, sleeps):
+        """kd blocks too: the b-alternative has the label of the earlier
+        a-alternative, so extraction redirects its edge, and in the second
+        formula it sleeps in step 5 instead of creating a fourth world."""
+        engine = tableau._Engine(parse(text), KD)
+        assert engine.run() is not None
+        assert _work(engine) == work
+        assert [engine._blocker(w) for w in engine.worlds][:3] == [0, 1, 1]
+        assert bool(engine.worlds[2].sleepers & 1) is sleeps
+
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
+    def test_redirect_targets_follow_the_labels(self, random_suite, profile):
+        """Each world's redirect target is the first world that ``_blockers``
+        finds from the labels alone, or the world itself, and
+        ``blocks_applied`` counts the redirected worlds."""
+        formulas = list(random_suite) + [
+            f for i, f in enumerate(_two_agent_formulas())
+            # kd45 runs formula 52 to the world bound, and 186 for minutes
+            if profile is not KD45 or i not in (52, 186)
+        ]
+        redirected = 0
+        for f in formulas:
+            engine = tableau._Engine(f, profile)
+            if engine.run() is None:
+                continue
+            target = [(_blockers(engine, w) or [w])[0].id for w in engine.worlds]
+            assert [engine._blocker(w) for w in engine.worlds] == target
+            blocks = sum(t != i for i, t in enumerate(target))
+            assert engine.stats.blocks_applied == blocks
+            redirected += blocks
+        assert redirected
 
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_model_worlds_are_reachable_from_world_0(self, suite_verdicts, profile):

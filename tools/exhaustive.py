@@ -19,9 +19,10 @@ the tier-1 tests, imported from them, so that each is written once:
   query at ``seed``, read through the table's accessor.
 
 It prints each disagreement, then how many checks of each kind ran and
-how many disagreed, and the wall time.  The formulas and the budget come
-from ``tests/test_exhaustive.py``; ``doxa`` is imported from this
-checkout's ``src``.
+how many disagreed, and the wall time, and exits 1 when any check
+disagreed, 0 otherwise.  The formulas and the budget come from
+``tests/test_exhaustive.py``; ``doxa`` is imported from this checkout's
+``src``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from test_exhaustive import (  # noqa: E402
 from test_tableau import table_members_problem  # noqa: E402
 
 
-def main() -> None:
+def main() -> int:
     start = time.perf_counter()
     formulas = small_formulas(GAP_NODES)
     checked = dict.fromkeys(("agreement", "monotone", "compile"), 0)
@@ -68,7 +69,8 @@ def main() -> None:
     for name, count in checked.items():
         print(f"{name:<9} {count:>6} checked {problems[name]:>4} disagreements")
     print(f"wall time {seconds:.1f} s")
+    return 1 if any(problems.values()) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

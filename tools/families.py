@@ -1,12 +1,13 @@
 """Work and time of the tableau on the scaling families.
 
-    python3 tools/families.py [-k RUNS] [--family NAME ...] [--profile NAME ...]
+    python3 tools/families.py [--family NAME ...] [--profile NAME ...]
 
 decides each family row at several sizes under the given profiles (default:
 every family and profile that the family lists) and prints, per row, the
 verdict, the rules fired, the worlds created, the worlds of the returned
-model and the best of RUNS in-process wall times in milliseconds (default
-5).  The families are:
+model and the best of ``RUNS`` (5) in-process wall times in milliseconds,
+so that two checkouts always print the best of the same number of runs.
+The families are:
 
 - ``compat``: ``C[a] p0 & ... & C[a] p{n-1} & B[a] q`` (SAT);
 - ``nest``: ``B[a]^n p & C[a]^n ~p`` (UNSAT);
@@ -14,9 +15,9 @@ model and the best of RUNS in-process wall times in milliseconds (default
   (UNSAT);
 - ``chain``: ``(B[a] C[a])^k C[a] p`` (SAT).
 
-A row that takes longer than ``--limit`` seconds (default 5) on its first
-run is reported as over the limit, and the family's larger sizes under
-that profile are skipped.  It imports ``doxa`` from this checkout's
+A row that takes longer than ``LIMIT`` (5 s) on its first run is reported
+as over the limit, and the family's larger sizes under that profile are
+skipped.  It imports ``doxa`` from this checkout's
 ``src``, and from ``bench/`` the benchmark's own ``compat``, ``nest`` and
 ``prop`` (``workloads.py``) and its time limit (``harness.py``).
 """
@@ -48,19 +49,26 @@ FAMILIES = {
     "chain": (chain, (1, 2, 3, 4, 5, 6, 7, 8), ("kd", "hstar", "hintikka")),
 }
 
+#: The runs of each row, of which the best time is printed.
+RUNS = 5
 
-def best_of(text: str, profile: LogicProfile, runs: int, limit: float):
-    """The verdict of the first run and the best wall time of ``runs``, in
-    seconds; None when the first run takes longer than ``limit``."""
+#: Seconds that a row's first run may take before the family's larger
+#: sizes under that profile are skipped.
+LIMIT = 5.0
+
+
+def best_of(text: str, profile: LogicProfile):
+    """The verdict of the first run and the best wall time of ``RUNS``, in
+    seconds; None when the first run takes longer than ``LIMIT``."""
     f = parse(text)
     try:
-        with time_limit(limit):
+        with time_limit(LIMIT):
             start = time.perf_counter()
             verdict = decide_sat(f, profile)
             best = time.perf_counter() - start
     except QueryTimeout:
         return None
-    for _ in range(runs - 1):
+    for _ in range(RUNS - 1):
         start = time.perf_counter()
         decide_sat(f, profile)
         best = min(best, time.perf_counter() - start)
@@ -69,10 +77,8 @@ def best_of(text: str, profile: LogicProfile, runs: int, limit: float):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", "--runs", type=int, default=5)
     parser.add_argument("--family", action="append", choices=sorted(FAMILIES))
     parser.add_argument("--profile", action="append", choices=[p.value for p in LogicProfile])
-    parser.add_argument("--limit", type=float, default=5.0)
     args = parser.parse_args()
     install_time_limit()
     print(f"{'family':<8} {'n':>3} {'profile':<9} {'verdict':<6} {'rules':>7} "
@@ -84,9 +90,9 @@ def main() -> None:
                 continue
             profile = LogicProfile(profile_name)
             for n in sizes:
-                result = best_of(formula(n), profile, args.runs, args.limit)
+                result = best_of(formula(n), profile)
                 if result is None:
-                    print(f"{name:<8} {n:>3} {profile_name:<9} over the {args.limit:g} s limit")
+                    print(f"{name:<8} {n:>3} {profile_name:<9} over the {LIMIT:g} s limit")
                     break
                 verdict, seconds = result
                 stats = verdict.stats

@@ -1,12 +1,13 @@
 """Median start-up imports of one ``python -m doxa`` command.
 
-    python3 tools/importtime.py [-k RUNS] decide "B[a] p & ~B[a] B[a] p"
+    python3 tools/importtime.py decide "B[a] p & ~B[a] B[a] p"
 
-runs ``python -X importtime -m doxa <args>`` RUNS times (default 9)
-against this checkout's ``src`` and prints, for each module that loads
-beyond a bare ``python -c pass``, its median self and cumulative time in
+runs ``python -X importtime -m doxa <args>`` ``RUNS`` times (9) against
+this checkout's ``src`` and prints, for each module that loads beyond a
+bare ``python -c pass``, its median self and cumulative time in
 microseconds, in import order and indented as ``-X importtime`` nests
-them.  Each round runs the bare interpreter, the command on the checkout
+them; two checkouts thus always print medians of the same number of
+runs.  Each round runs the bare interpreter, the command on the checkout
 as it is, and the command on a byte-compiled temporary copy of
 ``src/doxa``, so that all three meet the same host speed.
 
@@ -35,6 +36,9 @@ SOURCE = Path(__file__).resolve().parents[1] / "src"
 #: One line of ``-X importtime``: self and cumulative microseconds, then the
 #: module name, indented two spaces per level of nesting.
 _LINE = re.compile(r"import time:\s+(\d+) \|\s+(\d+) \| ( *)(\S+)")
+
+#: The rounds of runs, of which each module's median times are printed.
+RUNS = 9
 
 
 def imports(argv: list[str], path: Path | None) -> dict[str, tuple[int, int, int]]:
@@ -82,11 +86,10 @@ def share(table: dict[str, tuple[int, float, float]]) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", "--runs", type=int, default=9, help="runs of each (default: 9)")
     parser.add_argument("args", nargs=argparse.REMAINDER, help="arguments of python -m doxa")
     options = parser.parse_args()
-    if options.runs < 1 or not options.args:
-        parser.error("need at least one run and a doxa subcommand")
+    if not options.args:
+        parser.error("need a doxa subcommand")
     argv = ["-m", "doxa", *options.args]
     bare: set[str] = set()
     as_is, compiled = [], []
@@ -97,7 +100,7 @@ def main() -> None:
         )
         if not compileall.compile_dir(copy / "doxa", quiet=1):
             raise SystemExit("byte-compiling the copy of src/doxa failed")
-        for _ in range(options.runs):
+        for _ in range(RUNS):
             bare |= imports(["-c", "pass"], None).keys()
             as_is.append(imports(argv, SOURCE))
             compiled.append(imports(argv, copy))
