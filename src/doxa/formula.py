@@ -17,7 +17,12 @@ the same class and fields, so structurally equal formulas are one object.
 ``==`` and ``hash`` are therefore the identity defaults, and neither walks
 the tree.  The table of live nodes holds them weakly, so a formula nothing
 else refers to is freed.  Nodes are immutable, since every holder of a node
-shares it.
+shares it.  A node's key in the table is its class and its fields, except
+that a modal node's key holds its agent's name in place of the ``Agent``:
+a string keeps its hash, where an ``Agent`` computes its own in Python.  A
+node that the table lacks is built with its fields written through the
+``__set__`` of each slot, which each node class looks up once, when it is
+defined.
 
 So a node's ``postorder`` walk and its ``desugar`` kernel are functions of
 the node alone: each is derived once, on first use, and kept in a slot of
@@ -105,7 +110,8 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# The live node of each (class, *fields) key.  A dying node's reference is
+# The live node of each (class, *fields) key, a modal node's with its
+# agent's name in place of the agent.  A dying node's reference is
 # queued on ``_DEAD`` by ``list.append``, a C function: a weakref callback
 # written in Python would run signal handlers too, and lose the exception
 # of any it interrupted, such as a time limit's or KeyboardInterrupt.  The
@@ -124,13 +130,17 @@ class Formula:
     """Base class for formula nodes.  Rendering goes through ``render``.
 
     Each node class names its fields in ``__match_args__``, and calling it
-    with those fields, positionally, returns the canonical node.  The two
-    slots ``_walk`` and ``_kernel`` keep what ``postorder`` and ``desugar``
-    derived, None until then; each is written once, after a whole walk.
+    with those fields, positionally, returns the canonical node.  A new
+    node's fields are set through ``_setters``, the ``__set__`` of each
+    field's slot, which ``__init_subclass__`` gives the class once; the two
+    slots ``_walk`` and ``_kernel`` are set the same way.  They keep what
+    ``postorder`` and ``desugar`` derived, None until then; each is written
+    once, after a whole walk.
     """
 
     __slots__ = ("__weakref__", "_walk", "_kernel")
     __match_args__: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __new__(cls, *fields):
         while _DEAD:
@@ -143,24 +153,34 @@ class Formula:
             # the key holds the node's children: dropping it queues those
             # that die with it, so one construction frees a whole subtree
             del dead, key_of_dead
-        key = (cls, *fields)
+        if (cls is Bel or cls is Comp) and len(fields) == 2:
+            # the agent's name hashes without running ``Agent.__hash__``
+            key = (cls, fields[0].name, fields[1])
+        else:
+            key = (cls, *fields)
         ref = _NODES.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            names = cls.__match_args__
-            if len(fields) != len(names):
+            setters = cls._setters
+            if len(fields) != len(setters):
+                names = cls.__match_args__
                 raise TypeError(f"{cls.__name__} takes the fields {names}, got {len(fields)}")
             if cls is Atom and not NAME_RE.match(fields[0]):
                 raise ValueError(f"invalid atom name: {fields[0]!r}")
             node = object.__new__(cls)
-            for name, value in zip(names, fields):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_walk", None)
-            object.__setattr__(node, "_kernel", None)
+            _set_walk(node, None)
+            _set_kernel(node, None)
+            if fields:  # one or two; none only for the base class
+                setters[0](node, fields[0])
+                if len(fields) == 2:
+                    setters[1](node, fields[1])
             ref = _Ref(node, _DEAD.append)
             ref.key = key
             _NODES[key] = ref
         return node
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"formula nodes are immutable: cannot assign {name!r}")
@@ -209,6 +229,11 @@ class Formula:
 
     def __str__(self) -> str:
         return render(self)
+
+
+# the ``__set__`` of the two slots that every node has
+_set_walk = Formula._walk.__set__
+_set_kernel = Formula._kernel.__set__
 
 
 def _rebuild(nodes: list[tuple]) -> Formula:
@@ -303,7 +328,7 @@ def postorder(f: Formula) -> list[Formula]:
                 stack += (g, _EMIT, g.right, g.left)
             else:
                 raise TypeError(f"not a formula: {g!r}")
-    object.__setattr__(f, "_walk", tuple(order[:-1]))
+    _set_walk(f, tuple(order[:-1]))
     return order
 
 
@@ -313,6 +338,15 @@ def render(f: Formula) -> str:
     "&" and "|" associate to the left, "->" and "<->" to the right, so a
     right-nested Or such as ``Or(p, Or(q, r))`` renders as ``p | (q | r)``
     while the left-nested tree renders flat.
+    """
+    return _render(f, {})
+
+
+def _render(f: Formula, texts: dict[Formula, str]) -> str:
+    """The printer of ``render``, which writes each node below ``f`` that
+    ``texts`` holds from its text there, in parentheses where the node's
+    place needs them, instead of walking it again; ``render`` shares no
+    text.
 
     The printer keeps a stack of pieces still to write: a string, or a node
     with the weakest binding strength it may show bare in its place.  Its
@@ -330,6 +364,11 @@ def render(f: Formula) -> str:
             t = type(g)
             if t is Atom:
                 out.append(g.name)
+                break
+            known = texts.get(g)
+            if known is not None:
+                # the text of g alone, which shows it bare
+                out += ("(", known, ")") if t in INFIX and INFIX[t][1] < need else (known,)
                 break
             if t is Not:
                 out.append("~")
@@ -392,9 +431,9 @@ def desugar(f: Formula) -> Formula:
     # a kernel holds no sugar, so it is its own kernel, and holds f only if
     # it is f
     if k._kernel is None:
-        object.__setattr__(k, "_kernel", _IS_KERNEL)
+        _set_kernel(k, _IS_KERNEL)
     if k is not f:
-        object.__setattr__(f, "_kernel", k)
+        _set_kernel(f, k)
     return k
 
 

@@ -397,17 +397,32 @@ PROPOSITIONAL_RULES: dict[tuple[type, ...], PropositionalRule] = {
 }
 
 
+#: ``PROPOSITIONAL_RULES`` as two tables, of unnegated and of negated
+#: formulas, each keyed by the class of the positive node.
+_RULES_BY_SIGN = tuple(
+    {
+        shape[-1]: rule
+        for shape, rule in PROPOSITIONAL_RULES.items()
+        if (len(shape) == 2) is negated
+    }
+    for negated in (False, True)
+)
+
+
 def propositional_conditions(
     members: Iterable[tuple[object, Formula, bool]],
 ) -> Iterator[tuple[object, PropositionalRule, tuple[Formula, ...]]]:
     """Each of ``members`` that a propositional condition is on, in order,
     with the condition and the parts it speaks of.  A member comes as
     (key, positive node, whether it is negated), so that a negation need
-    not be built to be looked up, and is named by its key."""
+    not be built to be looked up, and is named by its key.  Its condition
+    is one lookup of the positive node's class in the table of its sign,
+    derived once from ``PROPOSITIONAL_RULES``."""
     for key, core, negated in members:
-        rule = PROPOSITIONAL_RULES.get((Not, type(core)) if negated else (type(core),))
+        t = type(core)
+        rule = _RULES_BY_SIGN[negated].get(t)
         if rule is not None:
-            yield key, rule, (core.sub,) if type(core) is Not else (core.left, core.right)
+            yield key, rule, (core.sub,) if t is Not else (core.left, core.right)
 
 
 class ModalRule(NamedTuple):

@@ -75,9 +75,11 @@ moment; under kd45 (C.B-lift) changes labels above.  Every profile checks
 the world count against a bound derived from the closure, and exceeding it
 is an internal error, never a verdict.
 
-Extraction asks ``_blocker`` once per world for the id of the world that
-the world's incoming edge enters, its blocker or the world itself, and
-keeps the answers as one redirect list.  It keeps the worlds that the seed
+Extraction finds for each world the id of the world that the world's
+incoming edge enters, its blocker or the world itself, and keeps the
+answers as one redirect list: under kd, hstar and hintikka in one pass that
+maps each label to the first world with it, under kd45 by asking
+``_blocker`` once per world.  It keeps the worlds that the seed
 reaches through the redirected edges and numbers them in world order, all
 before it writes an edge.  Under kd, hintikka and kd45 these are the worlds
 whose every ancestor is unblocked.  Under hstar a blocker's own creator may
@@ -139,7 +141,9 @@ trace step names its formula by id as well, a (C.BDef-rewrite) step by
 valuation reads the table's atoms by id.  So no node is built while the
 search runs, nor for a model: nodes are built for the trace steps of an
 unsatisfiable verdict only, each distinct one once, when the verdict is
-made.  The last table stays in ``_compile``, an ``lru_cache`` of one entry
+made, as is each distinct world's name.  The trace's text and JSON print
+each distinct formula once, and write a formula's part that was printed
+before from its text.  The last table stays in ``_compile``, an ``lru_cache`` of one entry
 keyed by the query node: a formula decided under several profiles, or
 ``decide_valid``'s ``Not(f)`` under several, is compiled once.  Nodes are
 hash-consed, so a structurally equal query is the same node, and the key is
@@ -291,8 +295,8 @@ from .formula import (
     Not,
     Record,
     desugar,
+    _render,
     postorder,
-    render,
 )
 from .models import (
     C_B,
@@ -549,13 +553,16 @@ Verdict = SatVerdict | UnsatVerdict | ValidityVerdict
 def _steps(trace: list[tuple], table: _Closure) -> tuple[ProofStep, ...]:
     """The ``ProofStep`` records of a branch's trace of (world id, trace
     id, rule, premises) steps, numbered by position from 1.  The node of
-    each distinct trace id is built once, here, so the table stays
-    read-only."""
+    each distinct trace id, and the name of each distinct world, is built
+    once, here, so the table stays read-only.  Each record is made by
+    ``tuple.__new__``, as the record's own ``__new__`` would make it."""
     nodes = {f: table.member(f) for f in {step[1] for step in trace}}
-    return tuple(
-        ProofStep(i, f"w{wid}", nodes[f], rule, premises)
+    names = {wid: f"w{wid}" for wid in {step[0] for step in trace}}
+    new = tuple.__new__
+    return tuple([
+        new(ProofStep, (i, names[wid], nodes[f], rule, premises))
         for i, (wid, f, rule, premises) in enumerate(trace, 1)
-    )
+    ])
 
 
 class _Closed(Exception):
@@ -996,15 +1003,21 @@ class _Engine:
     def _extract(self) -> ModelSystem:
         """The model of the open branch.  ``target`` redirects the edge into
         each world to the world's blocker, or to the world itself when it is
-        not blocked, and the model keeps the worlds that the seed reaches
-        through the redirected edges, numbered in world order.  No kept
-        world is blocked: a blocker is the earliest world with its label,
-        or, with ``chain``, an ancestor of the blocked world, and with
-        ``chain`` every ancestor of a kept world is kept and so not
+        not blocked; without ``chain`` that is the first world with the
+        world's label, which one pass over the worlds finds for them all,
+        as ``_blocker`` would for each.  The model keeps the worlds that the
+        seed reaches through the redirected edges, numbered in world order.
+        No kept world is blocked: a blocker is the earliest world with its
+        label, or, with ``chain``, an ancestor of the blocked world, and
+        with ``chain`` every ancestor of a kept world is kept and so not
         blocked.  Each relation is then completed to the profile's frame
         class, and the model re-verified."""
         worlds = self.worlds
-        target = [self._blocker(w) for w in worlds]
+        if self.chain:
+            target = [self._blocker(w) for w in worlds]
+        else:
+            first: dict[int, int] = {}  # each label -> the first world with it
+            target = [first.setdefault(w.bits, w.id) for w in worlds]
         self.stats.blocks_applied += sum(t != i for i, t in enumerate(target))
         reached = _reached(worlds, target)
         keep = [w for w in worlds if reached >> w.id & 1]
@@ -1145,13 +1158,16 @@ def decide(f: Formula, profile: LogicProfile, mode: str) -> Verdict:
 
 
 def _rendered(trace: tuple[ProofStep, ...] | list[ProofStep]) -> list[str]:
-    """The text of each step's formula; a trace repeats few distinct
-    formulas many times, so each is rendered once."""
+    """The text of each step's formula.  A trace repeats few distinct
+    formulas many times, and most of them are parts of others, so each is
+    printed once, by one printer that writes a part printed before from its
+    text.  The distinct formulas go from the latest first step to the
+    earliest: a formula's parts mostly enter a trace after it.  The texts
+    are those of ``render``."""
     texts: dict[Formula, str] = {}
-    return [
-        texts[f] if f in texts else texts.setdefault(f, render(f))
-        for f in (step.formula for step in trace)
-    ]
+    for f in reversed(dict.fromkeys([step.formula for step in trace])):
+        texts[f] = _render(f, texts)
+    return [texts[step.formula] for step in trace]
 
 
 def trace_to_json_dict(trace: tuple[ProofStep, ...] | list[ProofStep]) -> list[dict]:

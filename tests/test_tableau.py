@@ -13,6 +13,7 @@ import weakref
 
 import pytest
 from conftest import random_formula
+from hypothesis import given, settings, strategies as st
 
 import doxa
 from doxa import (
@@ -47,6 +48,7 @@ from doxa.formula import (
     desugar,
     neg,
     postorder,
+    render,
     subformula_closure,
 )
 from doxa.models import PROFILE_RULES, euclidean
@@ -332,6 +334,39 @@ class TestRenderTrace:
             "(9) p ∈ w2   From (8) by (C.&)\n"
             "(10) p ∈ w2   From (7), (9) by (C.~-clash)"
         )
+
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            # a shared p | q under "&", on either side, and under "~"
+            ("(p | q) & r", "r & (p | q)", "~(p | q)", "p | q"),
+            # a shared p -> q on the left of "->", and bare on its right
+            ("(p -> q) -> r", "r -> p -> q", "p -> q"),
+            # a shared B[a](p | q), and the p | q inside it
+            ("B[a](p | q) & r", "~B[a](p | q)", "B[b] B[a](p | q)", "B[a](p | q)", "p | q"),
+        ],
+    )
+    def test_shared_parts_print_as_alone(self, texts):
+        # each part comes after the formulas that hold it, so it is printed
+        # first and written into them from its text
+        formulas = [parse(text) for text in texts]
+        steps = [tableau.ProofStep(i, "w0", f, "seed") for i, f in enumerate(formulas, 1)]
+        assert tableau._rendered(steps) == list(texts) == [render(f) for f in formulas]
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_shared_rendering_never_changes_a_byte(self, random_suite, rnd):
+        """Any list of formulas, with repeats and in any order, prints as
+        ``render`` prints each alone: a few suite formulas, their desugared
+        subformulas and those subformulas' negations."""
+        pool = []
+        for f in rnd.sample(random_suite, rnd.randint(1, 4)):
+            parts = postorder(desugar(f))
+            pool += [f, *parts, *(Not(g) for g in parts), *(neg(g) for g in parts)]
+        formulas = rnd.choices(pool, k=rnd.randint(1, 2 * len(pool)))
+        steps = [tableau.ProofStep(i, "w0", f, "seed") for i, f in enumerate(formulas, 1)]
+        assert tableau._rendered(steps) == [render(f) for f in formulas]
 
 
 class TestVerdictJson:
@@ -652,6 +687,109 @@ class TestPinnedWork:
         assert verdict.is_sat is expect_sat
         assert _work(verdict) == work
         assert _model_digest(verdict) == model
+
+    @pytest.mark.parametrize(
+        ("text", "profile", "text_digest", "json_digest"),
+        [
+            pytest.param(
+                _nest(4), KD45,
+                "1647c7dc725668211d1e8c5ad1dc8913546423461e58adf54bd9469f75228b6c",
+                "4aafc6704eb0b14707d27662d7d9d5387f64c392b341b903d94f4fa977617b09",
+                id="kd45-nest-4",
+            ),
+            pytest.param(
+                _nest(6), KD45,
+                "a6360f073079811b58a7ce3c765703aa61731904a8978a0e7ef7d62d46465f9c",
+                "ef369f9529d5eea1dcda9c3a75e98b0e33f39bafbb80bd0b611ea517ae143b87",
+                id="kd45-nest-6",
+            ),
+            pytest.param(
+                _nest(8), KD45,
+                "d7eb9810494ea8b45289508e4386f2951902fd2bbd4d8ebec2b6a978d7a792e8",
+                "a4c0e1e7e6df3ded7af8d285739e59adc016cf4b9a3de41ac1755bc258567190",
+                id="kd45-nest-8",
+            ),
+            pytest.param(
+                _nest(4), HINTIKKA,
+                "c6cc60718027e168417607c7567865e2d5a66f7207636e8bd48cc8224dc31331",
+                "0f427fb857c923696aeca900c855ea3dfa6c5442346c00d08b5b4e4869b5acd3",
+                id="hintikka-nest-4",
+            ),
+            pytest.param(
+                _nest(6), HINTIKKA,
+                "203891c655635ad3938fa5a4dc57b31152fb986b033e57849d85ade5d7b13959",
+                "5545297171d0079f73249840e6f4499bfd69cf292085ee51ee860559bc932c4a",
+                id="hintikka-nest-6",
+            ),
+            pytest.param(
+                _nest(8), HINTIKKA,
+                "29e8b9f97120a35f946a0ff617098e55ba9b526e50e9b990f9951612410bf450",
+                "507c01b4fd6b5501eb6d4b21d399107e70813020ffbd4abe3a6d6feee8f0536b",
+                id="hintikka-nest-8",
+            ),
+            pytest.param(
+                _nest(4), HSTAR,
+                "02d6cd90fee4b554f4b8cdb6e884d3c0f8c6c5b69298cd0d8521cd9a84d9cfe3",
+                "350ad8530793430de1143b1bcb109036a5ee045b1c257bee3474d1d566bc08b6",
+                id="hstar-nest-4",
+            ),
+            pytest.param(
+                _nest(6), HSTAR,
+                "72a3fe54f44457eed1f791fd6e5b8d32f1678bfcb9575d86fba268d86bb4cc31",
+                "8b710e2876f762b960872580dcd55676d674d4363891e255ad7c2b4e533b3160",
+                id="hstar-nest-6",
+            ),
+            pytest.param(
+                _nest(8), HSTAR,
+                "d82fea2b3e9d9eae4255d8908226a07291abf7f554ea42ae0470ccc5ced704f4",
+                "f72c4de22823da86d7cc795de5d8ef22319b70f97773f2b786801fe3941f3fa1",
+                id="hstar-nest-8",
+            ),
+            pytest.param(
+                _nest(4), KD,
+                "ef8b6b754746090a27b01e9cedfcbaeb2b9bf9c04c9d8672dc3d1470eff849ab",
+                "5563d0bbd182e98a5469772ccf85911af437e2f75138ef73c06fd20df6d86b76",
+                id="kd-nest-4",
+            ),
+            pytest.param(
+                _nest(6), KD,
+                "2f915b7b9547d6403e7e5e056fbe1dfb88376b762a302bb2b9789b79e084aad5",
+                "9fef9785d66eaf39b353533fc36c58b5bb8bf8c8424c239abd961ea1949fc5c4",
+                id="kd-nest-6",
+            ),
+            pytest.param(
+                _nest(8), KD,
+                "c9fba5f2d3b276ba8678138cf83b444d560eb977ae89e6b569c974a776b13113",
+                "435f40b49233200b009719b4a41d7e5b44b3a145e36a739e56e33691ed149cad",
+                id="kd-nest-8",
+            ),
+            pytest.param(
+                _prop(6), KD,
+                "489c2bb92b294e1f9afa5c684c1b6c91268c6f26b25a260b0ac4d5a0a8665236",
+                "1b2107e382f033276dd94e4a6a1952a8473be0688c84bb0f5db765a88349575b",
+                id="kd-prop-6",
+            ),
+            pytest.param(
+                _prop(8), KD,
+                "da2335635c57e161ecd5ae430ba3b822aa36e58b05ca830f9e2cbbaf06aeecfb",
+                "085baf2b68236f160950da8e69b3e2fb663844513606b0d17e08a337d8c99baf",
+                id="kd-prop-8",
+            ),
+            pytest.param(
+                _prop(10), KD,
+                "4a564f123b31daa58601a08603a42d15eb9a37417ec23e7cf2525ddf9e7f12f1",
+                "6b44e18b698680990841d82e1212656f478c3e3ff7b394a75ca48ce79f553872",
+                id="kd-prop-10",
+            ),
+        ],
+    )
+    def test_refutation_evidence(self, text, profile, text_digest, json_digest):
+        """The sha256 of each unsatisfiable hard row's trace text and of its
+        JSON, as the benchmark dumps it."""
+        trace = decide_sat(parse(text), profile).trace
+        dumped = json.dumps(tableau.trace_to_json_dict(trace), sort_keys=True)
+        assert hashlib.sha256(render_trace(trace).encode()).hexdigest() == text_digest
+        assert hashlib.sha256(dumped.encode()).hexdigest() == json_digest
 
     def test_propositional_work_grows_linearly(self):
         # the clash needs only x0 and y0, so each further pair of

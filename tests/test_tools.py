@@ -1,6 +1,6 @@
-"""The scripts of ``tools/`` load, and the query sets of
-``tools/digest.py`` are the sets it names: the tier-1 random suite, and the
-oracle pool of the benchmark."""
+"""The scripts of ``tools/`` load, the query sets of ``tools/digest.py``
+are the sets it names (the tier-1 random suite, and the oracle pool of the
+benchmark), and ``tools/frontend.py`` runs the private names it imports."""
 
 from __future__ import annotations
 
@@ -54,3 +54,14 @@ def test_digest_oracle_set_is_the_pool(load):
     per_profile = collections.Counter(profile.value for _, profile, _ in queries)
     assert per_profile == {"kd45": 208, "hintikka": 208, "hstar": 200, "kd": 200}
     assert {len(budget.agents) for _, _, budget in queries} == {1, 2}
+
+
+def test_frontend_pass_times_every_phase(load):
+    # the tool calls tableau._Closure, _Engine and _steps, so a rename
+    # fails here, not only when the tool runs; pool[12] is refuted under kd
+    frontend = load(ROOT / "tools" / "frontend.py")
+    mix = frontend.RandomMix()
+    mix.setup(1, None, None)
+    totals = frontend.one_pass([text for text, _ in mix.pool[:16]])
+    assert len(totals) == len(frontend.PHASES) == 4
+    assert all(seconds > 0 for seconds in totals)

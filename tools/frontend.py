@@ -1,4 +1,5 @@
-"""Time of the front end: parse, desugar and the closure compile.
+"""Time of the fixed work per formula: parse, desugar, the closure compile
+and the refutation evidence.
 
     python3 tools/frontend.py
 
@@ -9,8 +10,11 @@ closure compile (``tableau._Closure``, not its one-entry cache), and prints
 the best of ``RUNS`` (20) passes of each phase, in milliseconds, with
 parse plus compile.  One pass handles each formula in turn and drops it
 before the next, so that, as in the benchmark, each formula's nodes are
-freed before the next formula is parsed.  It imports ``doxa`` from this
-checkout's ``src``; run it in two checkouts and compare the output.
+freed before the next formula is parsed.  The pass then decides every
+formula under kd, untimed, and times the evidence of each refutation: its
+``ProofStep`` records (``tableau._steps``) and their JSON form
+(``trace_to_json_dict``).  It imports ``doxa`` from this checkout's
+``src``; run it in two checkouts and compare the output.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from doxa import desugar, parse  # noqa: E402
-from doxa.tableau import _Closure  # noqa: E402
+from doxa import LogicProfile, desugar, parse, trace_to_json_dict  # noqa: E402
+from doxa.tableau import _Closure, _Engine, _steps  # noqa: E402
 from workloads import RandomMix  # noqa: E402
 
-PHASES = ("parse", "desugar", "compile")
+PHASES = ("parse", "desugar", "compile", "evidence")
 
 #: Passes over the pool, of which the fastest is printed per phase; fixed,
 #: so that two checkouts' outputs are the best of the same number of passes.
@@ -49,6 +53,13 @@ def one_pass(texts: list[str]) -> list[float]:
         totals[1] += desugared - parsed
         totals[2] += compiled - desugared
         del f
+    # the refutations under kd, searched before the clock starts
+    engines = [_Engine(parse(text), LogicProfile.KD) for text in texts]
+    engines = [engine for engine in engines if engine.run() is None]
+    start = clock()
+    for engine in engines:
+        trace_to_json_dict(_steps(engine.trace, engine.table))
+    totals[3] = clock() - start
     return totals
 
 
