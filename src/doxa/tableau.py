@@ -143,9 +143,10 @@ search runs, nor for a model: nodes are built for the trace steps of an
 unsatisfiable verdict only, each distinct one once, when the verdict is
 made, as is each distinct world's name.  The trace's text and JSON print
 each distinct formula once, and write a formula's part that was printed
-before from its text.  The last table stays in ``_compile``, an ``lru_cache`` of one entry
-keyed by the query node: a formula decided under several profiles, or
-``decide_valid``'s ``Not(f)`` under several, is compiled once.  Nodes are
+before from its text.  The last table stays in ``_compile``, an
+``lru_cache`` of one entry keyed by the query node: a formula decided
+under several profiles, or ``decide_valid``'s ``Not(f)`` under several, is
+compiled once.  Nodes are
 hash-consed, so a structurally equal query is the same node, and the key is
 exact; the cache holds that one query's nodes and table alive, and no other
 query's.
