@@ -90,16 +90,6 @@ class Agent(Record):
             raise ValueError(f"invalid agent name: {name!r}")
         self._set(name=name)
 
-    # an agent is in the hash-consing key of every modal node, so these two
-    # skip the generic field tuple
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Agent:
-            return NotImplemented
-        return other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
     def __str__(self) -> str:
         return self.name
 

@@ -42,44 +42,57 @@ hstar (C.CB) serves every agent that (C.B) would, and (C.B) never fires
 there.  A (C.C) demand and a (C.B) belief seed their new world the same way.
 
 Blocking: world labels are subsets of the query's subformula closure, so
-only finitely many labels exist.  A world whose label equals the label of
-one of its candidate blockers (two equal bitsets of closure ids) creates no
-world; at model extraction its incoming edge enters the blocker instead.
-Which worlds are candidates depends on the frame:
+only finitely many labels exist.  A world whose label is contained in the
+label of one of its candidate blockers (every bit of its bitset of closure
+ids is set in the blocker's) creates no world; at model extraction its
+incoming edge enters the blocker instead.  This is subset blocking, the
+rule for tableaux without inverse roles (Horrocks & Sattler, "A
+description logic with transitive and inverse roles and role
+hierarchies", J. Logic Computat. 9(3), 1999; Baader & Sattler, "An
+overview of tableau algorithms for description logics", Studia Logica 69,
+2001): the blocker holds every formula of the blocked label, so it
+satisfies whatever the blocked world would have to.  Which worlds are
+candidates depends on the frame:
 
     - kd, hstar and hintikka: every world created before it on the branch,
       in any subtree and for any agent, and the blocker is the earliest
-      one with the label (anywhere blocking, after Motik, Shearer &
-      Horrocks, "Hypertableau reasoning for description logics", JAIR 36,
-      2009).  No rule of these profiles sends a formula from a world back
-      to its creator, so what a world's expansion adds below it depends on
-      its label alone, and the blocker's expansion stands in for the
-      blocked world's.  The earliest world with a label has no earlier one
-      with that label, so no blocker is itself blocked;
+      one whose label contains it (anywhere blocking, after Motik, Shearer
+      & Horrocks, "Hypertableau reasoning for description logics", JAIR
+      36, 2009).  No rule of these profiles sends a formula from a world
+      back to its creator, so what a world's expansion adds below it
+      depends on its label alone, and the blocker's expansion stands in
+      for the blocked world's.  Under hstar a blocked world may be a
+      designated witness: the belief formulas that (C.CB) sent it are in
+      its blocker, so they hold at the blocker's successors, which the
+      witness's creator inherits through the redirected edge.  A label
+      that contains the earliest containing label contains the blocked
+      one too, so no blocker is itself blocked;
     - kd45: only a strict ancestor on the unbroken chain of alternatives
       for the agent that created the world, itself created for that agent,
       nearest first.  (C.B-lift) sends beliefs from a world back to its
       creator, so a world's label is never final, and only a blocker in the
-      same belief cluster keeps the cluster's beliefs in agreement.
+      same belief cluster keeps the cluster's beliefs in agreement: the
+      blocker shares the beliefs of the cluster, the blocked world's
+      among them, and a blocked world still runs steps 1-4, its lifts
+      included, so what it believes reaches the rest of the cluster.
 
 Termination.  Under kd and hintikka a label grows only by its own world's
 rules and by what the world's creator sends down, and step 5 creates only
 when steps 1-4 have nothing left anywhere, so when a world creates, every
 label on the branch is final until backtracking.  A world that creates
-therefore stays unblocked, no two worlds that create share a label, and
-each creates at most one world per demand and per agent: a branch is
-finite.  Under hstar a (C.CB) reuse sends its creator's beliefs into an
-existing alternative, which may have created already if its creator slept
+therefore stays unblocked, no world that creates has a label contained
+in an earlier creating world's, so no two of them share a label, and each
+creates at most one world per demand and per agent: a branch is finite.
+Under hstar a (C.CB) reuse sends its creator's beliefs into an existing
+alternative, which may have created already if its creator slept
 meanwhile, so there the count holds only for the worlds unblocked at each
 moment; under kd45 (C.B-lift) changes labels above.  Every profile checks
 the world count against a bound derived from the closure, and exceeding it
 is an internal error, never a verdict.
 
-Extraction finds for each world the id of the world that the world's
-incoming edge enters, its blocker or the world itself, and keeps the
-answers as one redirect list: under kd, hstar and hintikka in one pass that
-maps each label to the first world with it, under kd45 by asking
-``_blocker`` once per world.  It keeps the worlds that the seed
+Extraction asks ``_blocker`` once per world for the id of the world that
+the world's incoming edge enters, its blocker or the world itself, and
+keeps the answers as one redirect list.  It keeps the worlds that the seed
 reaches through the redirected edges and numbers them in world order, all
 before it writes an edge.  Under kd, hintikka and kd45 these are the worlds
 whose every ancestor is unblocked.  Under hstar a blocker's own creator may
@@ -102,16 +115,15 @@ propagation rule: into its own entries for (C.CB) and (C.B-lift), into its
 creator's for the down rules, which send formulas down the edge from the
 creator.  Every world but the seed has exactly that one incoming edge, so
 a world records it as its parent (agent, creator, dependency set), and its
-creator records it in a bitset of children.  A world's own bitsets of
-worlds, its children and its sleepers below, are relative to its id: bit k
-stands for the world k ids after it, so each is as long as the ids it
-spans, not as the ids before it.  A scan resumes at its cursor instead of
-at the first entry; no entry before a cursor can fire again.  The one
-exception is a belief that (C.CB) passes over while its world has no
-designated witness for the belief's agent: designating the witness resets
-that world's (C.CB) cursor.  Cursors are restored with their world on
-backtracking, so rules fire in exactly the order a full rescan after every
-firing would give.
+creator records it in a bitset of children.  That bitset is relative to
+the creator's id: bit k stands for the world k ids after it, so it is as
+long as the ids it spans, not as the ids before it.  A scan resumes at its
+cursor instead of at the first entry; no entry before a cursor can fire
+again.  The one exception is a belief that (C.CB) passes over while its
+world has no designated witness for the belief's agent: designating the
+witness resets that world's (C.CB) cursor.  Cursors are restored with
+their world on backtracking, so rules fire in exactly the order a full
+rescan after every firing would give.
 
 Label entries are members of the query's subformula closure, and each query
 is compiled once into a read-only closure table, after the normalise and
@@ -134,7 +146,8 @@ step-3 options, the agent of each belief and negated belief, and each
 belief's believed member.  A world's label is one int bitset of its
 members' ids beside its entries, each (member, step, dependency set), in
 insertion order.  Membership is one bit, a clash is one AND of the label's
-bits with the new member's clash mask, and blocking compares two ints.
+bits with the new member's clash mask, and blocking tests two ints, one
+label's bits against the complement of the other's.
 Steps 1-3 and ``_add`` read these facts instead of testing node classes.  A
 trace step names its formula by id as well, a (C.BDef-rewrite) step by
 ``~f`` for the id f of its negated belief, and an extracted model's
@@ -165,12 +178,12 @@ over, so step 4 fires what a sweep over every (rule, world) pair in
 creation order would fire.  Step 5 walks ``todo`` the same way, reading
 per-world records of each agent's first belief, first alternative and
 witness; a world with nothing left to create leaves it.  So does a
-blocked world, which sleeps: step 5 sets its bit in the ``sleepers``
-bitsets of the world itself and of its blocker.  Along a branch labels
-only grow, so a sleeping world stays blocked while neither of the two
-labels grows.  The agendas miss no work, because a (rule, world) pair or
-a world gains work, and a sleeping world may lose its blocker, only
-through these events, each of which marks it:
+blocked world, which sleeps: step 5 sets its ``asleep`` flag.  A blocker's
+label contains the blocked world's, and along a branch labels only grow,
+so a sleeping world stays blocked until its own label grows.  The agendas
+miss no work, because a (rule, world) pair or a world gains work, and a
+sleeping world may be unblocked, only through these events, each of which
+marks it:
 
     - ``_add`` of a belief marks its world in the agendas of the rules
       that scan their own world, (C.CB) and (C.B-lift), and an agent's
@@ -185,15 +198,15 @@ through these events, each of which marks it:
     - a (C.BDef-rewrite) demand marks its world to do, and a (C.CB)
       designation, which resets its world's (C.CB) cursor, marks the world
       for (C.CB);
-    - ``_add`` to a world with sleepers wakes them: it marks them to do
-      and clears the world's sleepers.
+    - ``_add`` to a sleeping world wakes it: it marks the world to do and
+      clears its flag.
 
 A bit is cleared only when the scan has reached the end, or when the world
 has nothing left to create or sleeps, so work found afterwards comes from
 one of the events above.  Backtracking is the one other change, and a
 choice point saves the agendas with the rest of its state: they covered
 every pair with work at the choice point, and trying its next alternative
-returns every world, its sleepers included, to its state there.
+returns every world, its flag included, to its state there.
 
 Steps 1-3 scan one world only, the focus: the world that ``_add`` wrote
 last.  Steps 1-3 read and write only the world they scan.  Every other
@@ -210,26 +223,26 @@ The search changes one branch in place and undoes it from a trail (Eén &
 Sörensson, "An extensible SAT-solver", SAT 2003).  Before its first change
 since the current alternative was applied, a world is logged on the trail
 with a mark: the lengths of its lists and records, its bitsets of label
-members, children and sleepers, and its cursors, which is all that undoing
-the later changes needs, since along a branch those lists and records only
-grow.  At a choice point steps 1 and 2 have scanned every entry of every
-world, so a mark leaves out their cursor, and restoring a world sets it to
-its entry count.  For the same reason a cursor of steps 1-3 moves only in
-a world already logged: by the entry it reaches, or by the branch
-alternative written into it.  The branch's trace is a list of steps, each
-a plain tuple, and a step's number is its position in the list;
-``ProofStep`` records are built once, for the verdict.  ``_step`` returns
-a choice point as the tuple of its alternatives, and the choice point
-keeps the lengths of the trail, the world list and the trace, the focus
-and the agendas.  Trying its next
-alternative restores the worlds logged since, cuts the world list and the
-trace back to their saved lengths, and resets the focus and the agendas;
-until then the steps of the alternative that closed are the trace past its
-saved length.  The open choice points sit on an explicit stack instead of
-the call stack, so the search depth is bounded by memory only, and memory
-grows with the work done on the branch, not with its depth times its label
-size.  Once every branch has closed, ``run`` returns None, and the trace is
-the branch that closed last.
+members and children, its sleep flag, and its cursors, which is all that
+undoing the later changes needs, since along a branch those lists and
+records only grow.  At a choice point steps 1 and 2 have scanned every
+entry of every world, so a mark leaves out their cursor, and restoring a
+world sets it to its entry count.  For the same reason a cursor of steps
+1-3 moves only in a world already logged: by the entry it reaches, or by
+the branch alternative written into it.  The branch's trace is a list of
+steps, each a plain tuple, and a step's number is its position in the
+list; ``ProofStep`` records are built once, for the verdict.  ``_step``
+returns a choice point as the tuple of its alternatives, and the choice
+point keeps the lengths of the trail, the world list and the trace, the
+focus and the agendas.  Trying its next alternative restores the worlds
+logged since, cuts the world list and the trace back to their saved
+lengths, and resets the focus and the agendas; until then the steps of the
+alternative that closed are the trace past its saved length.  The open
+choice points sit on an explicit stack instead of the call stack, so the
+search depth is bounded by memory only, and memory grows with the work
+done on the branch, not with its depth times its label size.  Once every
+branch has closed, ``run`` returns None, and the trace is the branch that
+closed last.
 
 Dependency-directed backjumping (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", J. Logic Comput. 9(3), 1999): a choice
@@ -261,8 +274,9 @@ that derived the clash fire in each of them again, so each skipped
 alternative would have closed.  Three decisions read an absence, and each
 still closes the skipped alternatives:
 
-    - blocking: a blocked world's label equals its blocker's, so whatever
-      closes below one closes below the other, wherever the blocker sits;
+    - blocking: a blocked world's label is contained in its blocker's, so
+      whatever would close below the blocked world closes below the
+      blocker, wherever the blocker sits;
     - (C.B) fires only while its world has no alternative for the agent,
       and (C.B*) sends every believed formula into any alternative, so an
       alternative made otherwise receives all that the (C.B) witness would;
@@ -579,7 +593,7 @@ class _World:
     __slots__ = (
         "id", "parent", "epoch", "bits", "entries", "demands", "spawn_cursor", "cb",
         "beliefs", "alternatives", "saturated", "branched", "cursors",
-        "children", "sleepers",
+        "children", "asleep",
     )
 
     def __init__(
@@ -617,10 +631,9 @@ class _World:
         self.cursors = [0] * rules
         # bitset of the worlds this one created, bit k for world id + k
         self.children = 0
-        # bitset of the blocked worlds off ``todo`` that this world's label
-        # growing may wake, bit k for world id + k: itself if it is one,
-        # and those it blocks
-        self.sleepers = 0
+        # whether this world is blocked and off ``todo``, until its own
+        # label grows
+        self.asleep = False
 
     def mark(self) -> tuple:
         """The world and what ``restore`` needs to undo every later change.
@@ -628,17 +641,17 @@ class _World:
         ``alternatives`` only gain entries, and no dict key is ever
         overwritten, so their lengths are enough: ``restore`` pops the
         newest keys of the dicts, which keep insertion order.  The bitsets
-        are saved by value, and the cursors come last."""
+        and the sleep flag are saved by value, and the cursors come last."""
         return (
             self, self.bits, len(self.entries), len(self.demands), self.children, len(self.cb),
             len(self.beliefs), len(self.alternatives), self.branched, self.spawn_cursor,
-            self.sleepers, *self.cursors,
+            self.asleep, *self.cursors,
         )
 
     def restore(self, mark: tuple) -> None:
         (
             _, self.bits, entries, demands, self.children, cb, beliefs, alternatives,
-            self.branched, self.spawn_cursor, self.sleepers, *cursors,
+            self.branched, self.spawn_cursor, self.asleep, *cursors,
         ) = mark
         # a mark holds the world as it was at a choice point, where steps 1
         # and 2 had scanned every entry
@@ -862,7 +875,7 @@ class _Engine:
         # 5. world creation, world by world in creation order among the
         # worlds to do; only a world with something left to create is tested
         # for blocking, and a blocked world sleeps off ``todo`` until its
-        # label or its blocker's grows
+        # own label grows
         witnesses = self.propagation.cb is not None
         pending = self.todo
         while pending:
@@ -878,12 +891,9 @@ class _Engine:
             if not demand and needy is None:
                 self.todo ^= low
                 continue
-            blocker = self._blocker(w)
-            if blocker != w.id:
+            if self._blocker(w) != w.id:
                 self._touch(w)
-                self._touch(worlds[blocker])
-                w.sleepers |= 1
-                worlds[blocker].sleepers |= 1 << w.id - blocker
+                w.asleep = True
                 self.todo ^= low
                 continue
             if demand:
@@ -928,10 +938,10 @@ class _Engine:
         entry = (f, self._record(wid, f, rule, premises), deps)
         w.entries.append(entry)
         w.bits |= 1 << f
-        if w.sleepers:
-            # the blocked worlds resting on this label may be unblocked
-            self.todo |= w.sleepers << wid
-            w.sleepers = 0
+        if w.asleep:
+            # a blocked world is unblocked only by its own label growing
+            self.todo |= 1 << wid
+            w.asleep = False
         agent = self.table.believer.get(f)
         if agent is not None:
             if agent not in w.beliefs:
@@ -973,27 +983,28 @@ class _Engine:
 
     def _blocker(self, w: _World) -> int:
         """The id of the first of ``w``'s candidate blockers whose label
-        equals ``w``'s, or ``w.id`` when none does and ``w`` is not
+        contains ``w``'s, or ``w.id`` when none does and ``w`` is not
         blocked.  With ``chain`` (a euclidean frame) the candidates are the
         strict ancestors on the unbroken chain of alternatives for the agent
         that created ``w``, nearest first: only an ancestor that was itself
         created for that agent can block, so a redirect target always lies
         inside the same cluster.  Otherwise they are all the worlds created
-        before ``w``, earliest first, in any subtree and for any agent, so
+        before ``w``, earliest first, in any subtree and for any agent; a
+        world whose label contains the blocker's contains ``w``'s too, so
         the blocker found is itself never blocked."""
         bits = w.bits
         worlds = self.worlds
         if not self.chain:
-            # the earliest world with the label, ``w`` itself when no
-            # earlier one has it
+            # the earliest world whose label contains ``w``'s, ``w`` itself
+            # when no earlier one does
             for v in worlds:
-                if v.bits == bits:
+                if not bits & ~v.bits:
                     return v.id
         elif w.parent is not None:
             agent, creator, _ = w.parent
             current = worlds[creator]
             while current.parent is not None and current.parent[0] == agent:
-                if current.bits == bits:
+                if not bits & ~current.bits:
                     return current.id
                 current = worlds[current.parent[1]]
         return w.id
@@ -1003,22 +1014,16 @@ class _Engine:
 
     def _extract(self) -> ModelSystem:
         """The model of the open branch.  ``target`` redirects the edge into
-        each world to the world's blocker, or to the world itself when it is
-        not blocked; without ``chain`` that is the first world with the
-        world's label, which one pass over the worlds finds for them all,
-        as ``_blocker`` would for each.  The model keeps the worlds that the
-        seed reaches through the redirected edges, numbered in world order.
-        No kept world is blocked: a blocker is the earliest world with its
-        label, or, with ``chain``, an ancestor of the blocked world, and
-        with ``chain`` every ancestor of a kept world is kept and so not
-        blocked.  Each relation is then completed to the profile's frame
-        class, and the model re-verified."""
+        each world to the world's ``_blocker``, or to the world itself when
+        it is not blocked.  The model keeps the worlds that the seed
+        reaches through the redirected edges, numbered in world order.  No
+        kept world is blocked: without ``chain`` a blocker is never
+        blocked, and with ``chain`` it is an ancestor of the blocked world,
+        and every ancestor of a kept world is kept and so not blocked.
+        Each relation is then completed to the profile's frame class, and
+        the model re-verified."""
         worlds = self.worlds
-        if self.chain:
-            target = [self._blocker(w) for w in worlds]
-        else:
-            first: dict[int, int] = {}  # each label -> the first world with it
-            target = [first.setdefault(w.bits, w.id) for w in worlds]
+        target = [self._blocker(w) for w in worlds]
         self.stats.blocks_applied += sum(t != i for i, t in enumerate(target))
         reached = _reached(worlds, target)
         keep = [w for w in worlds if reached >> w.id & 1]

@@ -43,13 +43,10 @@ MAX_NODES = 6
 GAP_NODES = 7
 BUDGET = EnumerationBudget(max_worlds=3, atoms=("p",), agents=("a",))
 
-#: The two-agent set: every formula up to 5 nodes, under every profile but
-#: kd45, whose engine ends 36 of them with a world-bound error (the
-#: two-agent kd45 defect that ROADMAP item 4 is to mend).
+#: The two-agent set: every formula up to 5 nodes, under every profile.
 TWO_AGENTS = ("a", "b")
 TWO_AGENT_NODES = 5
 TWO_AGENT_BUDGET = EnumerationBudget(max_worlds=3, atoms=("p",), agents=TWO_AGENTS)
-TWO_AGENT_PROFILES = tuple(p for p in PROFILES_BY_STRENGTH if p is not LogicProfile.KD45)
 
 
 def small_formulas(
@@ -122,7 +119,7 @@ def test_engine_agrees_with_the_oracle(profile: LogicProfile):
         assert problem is None, f"{render(f)}: {problem}"
 
 
-@pytest.mark.parametrize("profile", TWO_AGENT_PROFILES, ids=lambda p: p.value)
+@pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH, ids=lambda p: p.value)
 def test_two_agent_engine_agrees_with_the_oracle(profile: LogicProfile):
     for f in _two_agent_formulas():
         problem = agreement_problem(f, profile, TWO_AGENT_BUDGET)
@@ -169,7 +166,7 @@ def test_satisfiability_is_monotone_in_strength():
 
 def test_two_agent_satisfiability_is_monotone_in_strength():
     for f in _two_agent_formulas():
-        problem = monotone_problem(f, TWO_AGENT_PROFILES)
+        problem = monotone_problem(f)
         assert problem is None, f"{render(f)}: {problem}"
 
 

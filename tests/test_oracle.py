@@ -541,10 +541,7 @@ class TestEngineAgreement:
     """The tableau against the oracle over models of up to three worlds, in
     two shapes: two atoms and two agents, and one atom and three agents.
     Every other seeded formula is conjoined with a pair of ``C`` formulas
-    that takes two worlds, so the budget leaves room for one more.  kd45 is
-    left out: some 2-agent formulas of this generator overrun the engine's
-    world bound under kd45, formula 186 only after about five minutes, and a
-    third agent only gives the bound more to overrun."""
+    that takes two worlds, so the budget leaves room for one more."""
 
     @staticmethod
     def _agree(profile, count: int, atom_names, agent_names, conjunct: str) -> None:
@@ -562,11 +559,11 @@ class TestEngineAgreement:
                     f"oracle missed the engine's model of {render(f)}"
                 )
 
-    @pytest.mark.parametrize("profile", [KD, HSTAR, LogicProfile.HINTIKKA])
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_oracle_and_engine_agree(self, profile):
         self._agree(profile, 400, ("p", "q"), ("a", "b"), "C[b] q & C[a] ~q")
 
-    @pytest.mark.parametrize("profile", [KD, HSTAR, LogicProfile.HINTIKKA])
+    @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_three_agents_agree(self, profile):
         # under kd a miss scans every 3-agent frame, up to 0.3 s, so this
         # shape sends only 70 formulas, 8 of them oracle misses

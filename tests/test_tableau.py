@@ -476,28 +476,28 @@ class TestPinnedVerdicts:
     stays the same."""
 
     SUITE = {
-        KD45: "e0f5b9042b58c84e9bd09df4a78331e519b6a64c53478c1bdf4d6d26fd2f9b32",
-        HINTIKKA: "6c2dd4a0a4612a601a502db7b5937dd3c29e47b41421bc4532df73390a2c18d1",
-        HSTAR: "55815c5f4bc5232a300dc6fa1a917af8edcd82272360909331a9cd2cda906c31",
-        KD: "a479bc29cd5ec4ce858cd081766de492f0af2611280a66c9911bea0bcea205d4",
+        KD45: "75f80aab072cc257d44ef73d8557b4b4930c0dea6398c5b69ba7751c1ba56f22",
+        HINTIKKA: "3983c8ccd350b29bea3ab38cf0676e7cbc645249a5c9a4d7146519654a7a4a79",
+        HSTAR: "8b1fb844e87bd4822a75e81b9f655aeb83c4e191a78e9568119b1467e2d76011",
+        KD: "ddcb6d519ca7a6a76ad44751fb22b821895c8dd2203687795c7d712e1bb17015",
     }
     SUITE_WORK = {
-        KD45: "a99e330334c53274ee9135ec9b891b3a3c31b3ffb91f0a9dfb3f6b1709873702",
-        HINTIKKA: "151cc3acf2af93d6587d6ed874a2fa7d9b8470ca6802ab051e270aa2ffb22776",
-        HSTAR: "f086366d2e3913a32b48f8ae025a6e50e9ac06ae26b5125ceb4ce48a24245367",
-        KD: "81ee65006dd2fd4b530f16df5f5e9c288417a4167305edef4fb5b5d77056ca3c",
+        KD45: "072c01f1f215062e476d7d5b26d1eb9e9e4d7cddc12273e08122d95432b33d74",
+        HINTIKKA: "be36d0ba9ce456a9d599627022c0b044c1cc171b55140921f0a74822c463b2cc",
+        HSTAR: "b0cc3026238c87d452b53fda0f1f18130d592c57e508290bafb7292982d073a9",
+        KD: "43fac2beb7e0f92c6013ffaf1d55a378e95da42eef63698370a58429f293a10f",
     }
-    # kd45 is left out: some 2-agent formulas of this seed overrun the
-    # engine's world bound, formula 186 only after about five minutes.
     TWO_AGENT = {
-        HINTIKKA: "d4a75e756c9641c466e092de5991c66fb58a2730de3d803f7b3fda4d42a71563",
-        HSTAR: "2e554de123e0da4d026c0d1f0e209cfc7bd64a89db2494c880011f7392534968",
-        KD: "a1a6ec521e1710e3f40fa8c88165737e9821ecc7a4b40354406af1233e888414",
+        KD45: "a0b343664777b7a6d4a76281efd53aa43550d93c2f35b14af7a58fc7845fe5e6",
+        HINTIKKA: "72d8905c2f811988046e1045dc1999d7fd752d24f24ef3091107af97b309f578",
+        HSTAR: "7dd76e4ca5671884e78de40135722b6831f45666bf414920ef3b06762cdaa58c",
+        KD: "ff69114d3da3ee1039d0388c4e005f5a3cc0bbf3f6fa121aede3df2a45aa826a",
     }
     TWO_AGENT_WORK = {
-        HINTIKKA: "222db485a4fee4516379bc2b27bf9bf8296d83f6f9e09b1f6837825ca28a4397",
-        HSTAR: "1498159420a28587daa444da4da9b9cc6612e9f533d01bfb3727f114082920e8",
-        KD: "c56b055280a6e9543874061caa3266814daf608e18c761ce622b8a3d653c40b2",
+        KD45: "b1609c67219eada434a6161327e47764ffc66336bd7efd439c7570e844154d1c",
+        HINTIKKA: "844e76933f99dc286d9742e27fdb073b4d1dde35b2aa1b7884c61c486d19ae48",
+        HSTAR: "6f7f3f4fc0849f192dae89d864be2f780140b68bd53b4bc320d4be728954c957",
+        KD: "55326c4ade69e9dcf14d4f666f6692488cf2961df0cc7ae6fea497deff6f30f0",
     }
 
     # (verdict words, models) per profile, in sat and valid mode; these stay
@@ -505,33 +505,37 @@ class TestPinnedVerdicts:
     SUITE_ANSWERS = {
         KD45: (
             "a0338c1d522f2c01d4b9d77c4fa4853745028a543a9494d5819a17492872bf24",
-            "73800ebd1f781a228de004d704e71e4716107bf9717dfa5b0ecffdc166b28ae1",
+            "aa82b75edad9ac2ae41f1b622d71b0e00127a3f955570680c4079b19453ed697",
         ),
         HINTIKKA: (
             "cf48a9873d30692f20ca17a847c5f5eb8ed41be24f96e4f70b58ffffec085af2",
-            "8352367e6610bd3ef6be2b05c437b06ea57ed7319864b2914964c8a4b9fd7a5f",
+            "60a652fb065edb7ea4dae0714b79cbc70f3702f7fe9760d554306e2261113c34",
         ),
         HSTAR: (
             "ff98f3d03451ab9b4fe0ed9b9a08485d07eea1d82751ae7a2634c31d3ac466a0",
-            "57fb3e8007ee83064803a0c2928dcff62b76e30c4aa8478b3147a0ab185498a8",
+            "97c4b8d568414cbde3e63f74db90fac891e6fcd6af1d1c56d22a9fd3922f0d62",
         ),
         KD: (
             "068dc539a651c02557cc49a5c729eae75fb533a2123570c008c3db0260b40131",
-            "8b4745705954d0bf1a3bd4045afe800930bfd6c959db40a52e0c3b18ace3be09",
+            "d315444f4f0c3b7d24ff26a808f3a76fb1d53f2b4be7de9d7443713353d41020",
         ),
     }
     TWO_AGENT_ANSWERS = {
+        KD45: (
+            "61b7349e0680a3ef5615cf296544d4b374a4f7f98dfed546fbe4b9aed516fb55",
+            "e44b79c65c96d7d2b796208e4f7bcebab7c333e57aaea1db3199b825188613a2",
+        ),
         HINTIKKA: (
             "b4eccbff4523293c342218b0dbf73270b31eedb630cde3e349da90366bfd55b9",
-            "85f98ac7e31c4c807d0c32061aeba7722b4b0308a4766bca507105021cbef7c0",
+            "748a23312877c463b7fc7fbe3d825e143c8cfddf5b98b3bfe52180c1b739dff9",
         ),
         HSTAR: (
             "b4eccbff4523293c342218b0dbf73270b31eedb630cde3e349da90366bfd55b9",
-            "1b916ad2ff03ea9c8859a27198945caf7b67df57fc5af2556df65c77e7a96342",
+            "31035ff2dbd7968f188015c88290e8c41ccecd2ae2638f92acc026482636da80",
         ),
         KD: (
             "f3c1bb9c8e872e57172701911772cb5067395f445909cd7ec664d0251f07dbb7",
-            "ebff449e77c278b710019808a7228aa6c863e360faf792ccd1d6137be893959c",
+            "1dbd78d984a246fdaadf8b804789b08e23cc976cc95bce3db831368d21052edf",
         ),
     }
 
@@ -598,16 +602,28 @@ _FOCUS_CATCH = (
 #: the (C.~B*) agenda.
 _NEGATED_CATCH = "~(B[a] B[a] ~(B[a] ~(B[a] q & q) & C[a] B[a] q) & B[a] C[a] B[a] B[a] p)"
 
-#: An input on which a blocked world off ``todo`` must be woken: left
-#: asleep when its blocker's label grows, or with its blocker's record of
-#: it not restored on backtracking, it keeps creation work off ``todo``
-#: while unblocked.  Found by a seeded search for inputs on which either
-#: mistake leaves work that ``TestAgendas`` sees.
+#: An input on which kd45 puts six worlds to sleep at once.  It was found
+#: when a blocker kept a record of the worlds it blocked, by a seeded
+#: search for inputs on which a mistake in that record leaves work that
+#: ``TestAgendas`` sees.
 _SLEEP_CATCH = "C[a]((~p -> p | p) & (B[a] p | (p | p))) & (p & C[a](p -> p <-> ~p))"
+
+#: An input on which kd45 must wake a sleeping world when its own label
+#: grows: left asleep, the world keeps creation work off ``todo`` while
+#: unblocked.  Found by a search of ``tests/test_exhaustive.py``'s small
+#: formulas for a sleeping world that its own growth unblocks.
+_WAKE_CATCH = "C[a] B[a] C[a] C[a] B[a] p"
+
+#: An input on which kd45 must restore a world's sleep flag on
+#: backtracking: left as the closed alternative set it, the flag differs
+#: from its state at the choice point.  Found by a seeded search for
+#: inputs on which ``TestUndoTrail`` sees that mistake.
+_ASLEEP_CATCH = "C[a](C[a] ~(p -> p) | B[a](B[a] q -> B[a] p))"
 
 
 def _chain(k: int) -> str:
-    """A satisfiable hstar chain whose equal labels sit in sibling subtrees."""
+    """A satisfiable hstar chain on which a world's blocker may sit in a
+    sibling subtree."""
     return "B[a] C[a] " * k + "C[a] p"
 
 
@@ -638,11 +654,11 @@ class TestPinnedWork:
             (_prop(8), KD, False, (106, 0, 0), None),
             (_prop(14), KD, False, (178, 0, 0), None),
             (
-                _compat(12), HINTIKKA, True, (99, 25, 12),
-                "82157e9e9481c37fc6aab32870924ecd49b405de5d62e1105a138199729cc146",
+                _compat(12), HINTIKKA, True, (97, 24, 12),
+                "47e29043357e33881b005236aee4707dd56e2e13a003e34f5c2b8374e8f1d8b9",
             ),
             (
-                _HINTIKKA_FUZZ, HINTIKKA, True, (1327, 82, 6),
+                _HINTIKKA_FUZZ, HINTIKKA, True, (1285, 79, 6),
                 "424083773f6834df749740b15a20fd6c3006d30aa22d732756bd4b3a75b2a99e",
             ),
             (
@@ -663,22 +679,39 @@ class TestPinnedWork:
             ),
             # blocked by worlds in sibling subtrees (see TestAnywhereBlocking);
             # at k = 4 the search ran for more than 10 minutes when only
-            # ancestors could block
+            # ancestors could block, and at k = 8 it made 1,568 worlds when
+            # only a world with an equal label could
             (
-                _chain(1), HSTAR, True, (26, 8, 2),
-                "42ca9b36a55f267314e95170ae63dd98ef37d167dda739bd54beb94178c6bc1c",
+                _chain(1), HSTAR, True, (22, 5, 2),
+                "b459d96e6f94d8e9553c62502e2b44f1486e445b2207b99f4b8f6d8fc5a20032",
             ),
             (
-                _chain(2), HSTAR, True, (95, 23, 9),
-                "68ef7e6cd34de90d4deb733200f8a5a98e6b6184a628670faae16ae01bce1eba",
+                _chain(2), HSTAR, True, (58, 10, 5),
+                "09cad47e17f26ba325dfc4d1b44fedbb63447f979fef460eda8527dd6e9fbf19",
             ),
             (
-                _chain(3), HSTAR, True, (271, 57, 27),
-                "fb546189e6864425677000ed57d88df0b89b358854e5e9d199db0b8e36546f31",
+                _chain(3), HSTAR, True, (124, 17, 10),
+                "f1ff42879722a992f271e86bfa49b4fa8b35404632c3545d3a0802b4f5474742",
             ),
             (
-                _chain(4), HSTAR, True, (633, 121, 64),
-                "a36213c7661bfcb6e3e4d5d4c7b59ade48f28a743468aacc6101935c49f5a66a",
+                _chain(4), HSTAR, True, (228, 26, 17),
+                "9924b6474e2736a78a199255fecc02a034b57de804785a307dd2592c196e7e34",
+            ),
+            (
+                _chain(8), HSTAR, True, (1184, 82, 65),
+                "1de8dffed99a492bac307232a19da8b4d20befd81c48907c505dfcbf504195ad",
+            ),
+            (
+                _chain(8), HINTIKKA, True, (1542, 82, 65),
+                "1de8dffed99a492bac307232a19da8b4d20befd81c48907c505dfcbf504195ad",
+            ),
+            (
+                _chain(10), HSTAR, True, (2098, 122, 101),
+                "8313c962c36ecf6655d99322c87f1e66cf100b7d2cfc1a8a21a56b4816ca59ed",
+            ),
+            (
+                _chain(10), HINTIKKA, True, (2795, 122, 101),
+                "8313c962c36ecf6655d99322c87f1e66cf100b7d2cfc1a8a21a56b4816ca59ed",
             ),
         ],
     )
@@ -805,13 +838,35 @@ class TestPinnedWork:
             (_FOCUS_CATCH, HSTAR, (37, 16)),
             (_compat(4), KD45, (0, 0)),
             (_compat(5), KD45, (0, 0)),
-            (_HINTIKKA_FUZZ, HINTIKKA, (253, 149)),
+            (_HINTIKKA_FUZZ, HINTIKKA, (244, 140)),
         ],
     )
     def test_choice_counts(self, text, profile, choices):
         """(choice points opened, alternatives skipped by backjumps)."""
         stats = decide_sat(parse(text), profile).stats
         assert (stats.choice_points, stats.skipped) == choices
+
+
+#: kd45 inputs that blocking by equal labels never stopped: the first
+#: three raised world-bound errors, and the last ran until a time limit
+#: cut it.
+_KD45_WORLD_BOUND = (
+    "C[a] B[b] B[b] ~p",
+    "C[b] B[a] B[a] ~B[b] q",
+    "C[b] B[a] B[a] C[a] q",
+    "(C[a] ((p & q) -> (q & q)) & B[a] B[b] B[b] q)",
+)
+
+
+@pytest.mark.parametrize("text", _KD45_WORLD_BOUND)
+def test_kd45_world_bound_inputs_are_verdicts(text):
+    f = parse(text)
+    verdict = decide_sat(f, KD45)
+    assert verdict.is_sat and verdict.model.worlds <= 4
+    assert check_frame(verdict.model, KD45) == [] and evaluate(verdict.model, 0, f)
+    agents = sorted(agent.name for agent in formula.agents(f))
+    budget = EnumerationBudget(max_worlds=4, atoms=sorted(formula.atoms(f)), agents=agents)
+    assert sat_upto(f, budget, KD45) is not None
 
 
 def _label(engine: tableau._Engine, w) -> frozenset:
@@ -832,8 +887,9 @@ def _ancestors(engine: tableau._Engine, w) -> set[int]:
 
 class TestAnywhereBlocking:
     """Under kd, hstar and hintikka a world is blocked by the earliest world
-    with its label, in any subtree; under kd45 by the nearest ancestor with
-    its label on the chain of the agent that created it."""
+    whose label contains its own, in any subtree; under kd45 by the nearest
+    ancestor whose label contains its own on the chain of the agent that
+    created it."""
 
     def test_a_blocker_off_the_ancestor_chain(self):
         engine = tableau._Engine(parse(_chain(3)), HSTAR)
@@ -842,9 +898,11 @@ class TestAnywhereBlocking:
         blocked = [(w, b) for w, b in blocked if b is not w]
         assert blocked
         for w, b in blocked:
-            assert b.id < w.id and _label(engine, b) == _label(engine, w)
+            assert b.id < w.id and _label(engine, b) >= _label(engine, w)
             assert engine._blocker(b) == b.id
         assert any(b.id not in _ancestors(engine, w) for w, b in blocked)
+        # containment, not equality: some blocker holds more than it blocks
+        assert any(_label(engine, b) > _label(engine, w) for w, b in blocked)
 
     def test_a_blocker_reached_only_through_a_redirected_edge(self):
         # the seed blocks world 1, so world 1's world 2 is reached only
@@ -887,18 +945,14 @@ class TestAnywhereBlocking:
         assert engine.run() is not None
         assert _work(engine) == work
         assert [engine._blocker(w) for w in engine.worlds][:3] == [0, 1, 1]
-        assert bool(engine.worlds[2].sleepers & 1) is sleeps
+        assert engine.worlds[2].asleep is sleeps
 
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_redirect_targets_follow_the_labels(self, random_suite, profile):
         """Each world's redirect target is the first world that ``_blockers``
         finds from the labels alone, or the world itself, and
         ``blocks_applied`` counts the redirected worlds."""
-        formulas = list(random_suite) + [
-            f for i, f in enumerate(_two_agent_formulas())
-            # kd45 runs formula 52 to the world bound, and 186 for minutes
-            if profile is not KD45 or i not in (52, 186)
-        ]
+        formulas = list(random_suite) + _two_agent_formulas()
         redirected = 0
         for f in formulas:
             engine = tableau._Engine(f, profile)
@@ -910,6 +964,14 @@ class TestAnywhereBlocking:
             assert engine.stats.blocks_applied == blocks
             redirected += blocks
         assert redirected
+
+    @pytest.mark.parametrize("profile", [KD, HSTAR, HINTIKKA])
+    def test_the_chain_models_take_two_worlds_per_link(self, profile):
+        """Blocking by containment keeps ``_chain(k)``'s model at 2k + 2
+        worlds."""
+        for k in range(1, 11):
+            verdict = decide_sat(parse(_chain(k)), profile)
+            assert verdict.is_sat and verdict.model.worlds == 2 * k + 2, k
 
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_model_worlds_are_reachable_from_world_0(self, suite_verdicts, profile):
@@ -936,8 +998,8 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
     with a demand, an unwitnessed agent or an unserved agent.  With
     ``unmarked``, only the work of worlds missing from the agenda that
     should hold them, blocked worlds included, unless a blocked world
-    sleeps: its bit is in its own sleepers and in those of a world that
-    blocks it now, so that either label growing wakes it."""
+    sleeps: it is flagged asleep and some world blocks it now, so that its
+    own label growing wakes it."""
     worlds = engine.worlds
     nodes = [engine.table.member(i) for i in range(len(engine.table.clash))]
     ids = {g: i for i, g in enumerate(nodes)}
@@ -972,9 +1034,7 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
         if not (demand or unwitnessed or unserved):
             continue
         if unmarked:
-            # a world's sleepers are relative to its id, bit k for world id + k
-            blockers = _blockers(engine, w)
-            if not (w.sleepers & 1 and any(b.sleepers >> w.id - b.id & 1 for b in blockers)):
+            if not (w.asleep and _blockers(engine, w)):
                 found.append(("create", w.id))
         elif not _blockers(engine, w):
             found.append(("create", w.id))
@@ -982,18 +1042,18 @@ def _missed_work(engine: tableau._Engine, unmarked: bool = False) -> list[tuple]
 
 
 def _blockers(engine: tableau._Engine, w) -> list:
-    """Every world that blocks ``w`` now, one with ``w``'s label bits.
-    Under a euclidean frame it is an ancestor on the unbroken chain of
-    alternatives for the agent that created ``w``; under any other frame
-    any world created before ``w``."""
+    """Every world that blocks ``w`` now, one whose label bits contain
+    ``w``'s.  Under a euclidean frame it is an ancestor on the unbroken
+    chain of alternatives for the agent that created ``w``; under any other
+    frame any world created before ``w``."""
     if euclidean not in PROFILE_RULES[engine.profile].frame:
-        return [v for v in engine.worlds[: w.id] if v.bits == w.bits]
+        return [v for v in engine.worlds[: w.id] if w.bits & v.bits == w.bits]
     found = []
     if w.parent is not None:
         agent = w.parent[0]
         current = engine.worlds[w.parent[1]]
         while current.parent is not None and current.parent[0] == agent:
-            if current.bits == w.bits:
+            if w.bits & current.bits == w.bits:
                 found.append(current)
             current = engine.worlds[current.parent[1]]
     return found
@@ -1032,14 +1092,8 @@ class TestAgendas:
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_two_agent_formulas_leave_no_work(self, checked, profile):
         sat_count = 0
-        for i, f in enumerate(_two_agent_formulas()):
-            if profile is KD45 and i == 186:
-                continue  # runs for minutes to the world bound
-            try:
-                sat_count += decide_sat(f, profile).is_sat
-            except InternalVerificationError:
-                # formula 52 overruns the world bound under kd45
-                assert (profile, i) == (KD45, 52)
+        for f in _two_agent_formulas():
+            sat_count += decide_sat(f, profile).is_sat
         assert checked["ends"] == sat_count > 0
         assert checked["missed"] == []
 
@@ -1052,6 +1106,7 @@ class TestAgendas:
             (_TRAIL_CATCH, KD45),
             (_NEGATED_CATCH, KD45),
             (_SLEEP_CATCH, KD45),
+            (_WAKE_CATCH, KD45),
             (_chain(3), HSTAR),
         ],
     )
@@ -1121,7 +1176,7 @@ class TestUndoTrail:
         assert checked["mismatches"] == []
 
     @pytest.mark.parametrize(
-        "text", [_TRAIL_CATCH, _SLEEP_CATCH, _NEGATED_CATCH, _FOCUS_CATCH]
+        "text", [_TRAIL_CATCH, _SLEEP_CATCH, _NEGATED_CATCH, _FOCUS_CATCH, _ASLEEP_CATCH]
     )
     @pytest.mark.parametrize("profile", PROFILES_BY_STRENGTH)
     def test_catch_rows_restore_every_choice_point(self, checked, text, profile):
@@ -1172,11 +1227,7 @@ class TestWitnessRules:
                 for f in random_suite:
                     tableau.decide(f, profile, mode)
         for text, profile in _HARD_ROWS:
-            try:
-                decide_sat(parse(text), profile)
-            except InternalVerificationError:
-                # kd45-fuzz-2agent overruns the world bound
-                assert profile is KD45
+            decide_sat(parse(text), profile)
         assert fired[HSTAR, "C.B"] == 0 < fired[HSTAR, "C.CB"]
         for profile in (KD, HINTIKKA, KD45):
             assert fired[profile, "C.CB"] == 0 < fired[profile, "C.B"], profile
